@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, detector, helm, metrics, synth
-from .data import RngStream, read_csv_matrix, write_csv_matrix
+from .data import RngStream, read_csv_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -137,17 +137,11 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     outdir = _outdir(args)
-    csv_path = outdir / "data.csv"
+    csv_path = outdir / synth.DATA_FILE
     if csv_path.exists() and not args.force:
         raise _IoError(f"{csv_path} exists; pass --force to overwrite")
     ds = synth.generate(spec, RngStream(args.seed, (0, args.rep)))
-    synth.write_dataset(ds, csv_path, outdir / "provenance.json")
-    splits = synth.render_splits(ds)
-    write_csv_matrix(outdir / "train.csv", splits["train"])
-    write_csv_matrix(outdir / "val.csv", splits["val"])
-    write_csv_matrix(outdir / "fp_test.csv", splits["fp_test"])
-    for f, block in enumerate(splits["fault_tests"], start=1):
-        write_csv_matrix(outdir / f"fault{f}.csv", block)
+    synth.write_dataset(ds, outdir)
     _echo_config(outdir, "generate", args)
     print(f"wrote {csv_path} ({ds.X.shape[0]}x{ds.X.shape[1]}) and split files")
     return EXIT_OK

@@ -7,6 +7,8 @@ at the boundaries so the numeric code can assume clean inputs.
 from __future__ import annotations
 
 import csv
+import itertools
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +99,57 @@ class RngStream:
         return RngStream(self.seed, self.stream + tuple(ids))
 
 
+# Rows formatted per write chunk: bounds the writer's memory, not the file size.
+CSV_CHUNK_ROWS = 1000
+
+
 def read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
-    """Read a header + numeric rows CSV; parse errors name row and column."""
+    """Read a header + numeric rows CSV; parse errors name row and column.
+
+    numpy's C reader parses the body straight from the open file. Its result
+    stands only if every line after the header gave one row of the header's
+    width; otherwise, or if it raises, the csv/float parser reads the file
+    again and alone decides what is accepted and builds the error message.
+    """
+    with open(path, newline="") as fh:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            header = []
+        X = _load_body(fh, len(header)) if header else None
+    if X is None:
+        return _read_csv_strict(path)
+    return header, as_matrix(X, str(path))
+
+
+def _load_body(fh, width: int) -> np.ndarray | None:
+    """The rows left in `fh` as np.loadtxt parses them, or None when they may
+    differ from the csv/float parse: loadtxt skips blank lines that csv
+    rejects, so a blank line, a row count other than the line count, or a
+    width other than the header's all decline."""
+    lines = 0
+
+    def nonblank():
+        nonlocal lines
+        for lines, line in enumerate(fh, 1):
+            if line.isspace():
+                raise ValueError("blank line")
+            yield line
+
+    body = nonblank()
+    try:
+        first = next(body, None)
+        if first is None:
+            return None
+        X = np.loadtxt(itertools.chain([first], body), delimiter=",",
+                       comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    return X if X.shape == (lines, width) else None
+
+
+def _read_csv_strict(path) -> tuple[list[str], np.ndarray]:
+    """The reference parse: csv.reader fields, each through float()."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -127,14 +178,36 @@ def read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
     return header, as_matrix(np.array(rows), str(path))
 
 
-def write_csv_matrix(path, X, header: list[str] | None = None) -> None:
+def write_csv_matrix(path, X, header: list[str] | None = None,
+                     parts=()) -> None:
+    """Write a header line, then one line per row of X, byte for byte as
+    csv.writer writes repr(float) fields: no field needs quoting, and lines
+    end in "\r\n".
+
+    Each (path, start, stop) in `parts` names one more file, with the same
+    header and rows [start, stop) of X. Every row is formatted once and goes
+    to each file whose range covers it.
+    """
     X = as_matrix(X, "X")
+    K = X.shape[0]
     if header is None:
         header = [f"s{j:04d}" for j in range(X.shape[1])]
     if len(header) != X.shape[1]:
         raise ValueError("header length does not match column count")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in X:
-            writer.writerow([repr(float(v)) for v in row])
+    targets = [(path, 0, K), *parts]
+    for target, a, b in targets:
+        if not 0 <= a <= b <= K:
+            raise ValueError(f"{target}: rows [{a}, {b}) outside [0, {K})")
+    with ExitStack() as stack:
+        outs = []
+        for target, a, b in targets:
+            fh = stack.enter_context(open(target, "w", newline=""))
+            csv.writer(fh).writerow(header)
+            outs.append((fh, a, b))
+        for c in range(0, K, CSV_CHUNK_ROWS):
+            d = min(c + CSV_CHUNK_ROWS, K)
+            lines = [",".join(map(repr, row)) + "\r\n" for row in X[c:d].tolist()]
+            for fh, a, b in outs:
+                lo, hi = max(a, c) - c, min(b, d) - c
+                if lo < hi:
+                    fh.writelines(lines[lo:hi])

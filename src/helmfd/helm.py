@@ -16,7 +16,9 @@ exactly x_{i+1} = x_i · beta_iᵀ.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -168,12 +170,21 @@ def _model_from_dict(d: dict) -> HelmModel:
 
 
 def save_ensemble(path, models: list, detector: dict | None = None) -> None:
+    """Write the model JSON to a temp file next to `path`, then os.replace it
+    over `path`: a write that fails midway leaves the old file intact."""
     doc = {"format": FORMAT, "kind": "helm-ensemble",
            "members": [_model_to_dict(m) for m in models],
            "detector": detector}
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_ensemble(path) -> tuple[list, dict | None]:

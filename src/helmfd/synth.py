@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +34,9 @@ SEGMENTS = {
     "fault5": (13000, 14000),
 }
 FAULT_NAMES = ("fault1", "fault2", "fault3", "fault4", "fault5")
+DATA_FILE = "data.csv"
+SPLIT_FILES = {"train": "train.csv", "val": "val.csv", "fp": "fp_test.csv",
+               **{f: f"{f}.csv" for f in FAULT_NAMES}}
 READINGS = ("identity", "log")
 LOG_FLOOR = 1e-3
 
@@ -161,8 +165,14 @@ def render_splits(ds: SyntheticDataset) -> dict:
     }
 
 
-def write_dataset(ds: SyntheticDataset, csv_path, provenance_path) -> None:
-    write_csv_matrix(csv_path, ds.X)
-    with open(provenance_path, "w") as fh:
+def write_dataset(ds: SyntheticDataset, outdir) -> None:
+    """Write the dataset's on-disk layout into outdir: DATA_FILE with every
+    row, one file per segment (SPLIT_FILES) holding that segment's rows, and
+    provenance.json. Each row is formatted once for all the files it is in."""
+    outdir = Path(outdir)
+    write_csv_matrix(outdir / DATA_FILE, ds.X,
+                     parts=[(outdir / SPLIT_FILES[name], a, b)
+                            for name, (a, b) in SEGMENTS.items()])
+    with open(outdir / "provenance.json", "w") as fh:
         json.dump(ds.provenance_dict(), fh, indent=1)
         fh.write("\n")

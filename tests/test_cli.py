@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from helmfd import cli, metrics
+from helmfd import cli, metrics, synth
 
 BENCH_SEED = 42
 
@@ -47,6 +47,13 @@ def test_generate_writes_dataset_and_splits(workspace):
     assert echo["command"] == "generate"
     assert echo["seed"] == BENCH_SEED
     assert echo["n"] == 5
+
+
+def test_split_files_are_line_ranges_of_data_csv(workspace):
+    lines = (workspace / "data.csv").read_bytes().splitlines(keepends=True)
+    for name, (a, b) in synth.SEGMENTS.items():
+        want = lines[0] + b"".join(lines[1 + a:1 + b])
+        assert (workspace / synth.SPLIT_FILES[name]).read_bytes() == want
 
 
 def test_generate_is_deterministic(tmp_path):

@@ -1,6 +1,10 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
+from helmfd import data
 from helmfd.data import (NormalizationStats, RngStream, apply_normalization,
                          as_matrix, as_vector, fit_normalization,
                          invert_normalization, read_csv_matrix,
@@ -127,3 +131,89 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(ValueError):
             read_csv_matrix(path)
+
+
+# Outcomes of the csv/float parser, recorded before numpy's reader was put in
+# front of it: (header, rows) for an accepted file, else the error message
+# after "<path>: ". The fast path has to agree with each one exactly.
+READ_CASES = {
+    "plain": ("a,b\n1,2\n3,4\n", (["a", "b"], [[1.0, 2.0], [3.0, 4.0]])),
+    "blank_line_mid": ("a,b\n1,2\n\n3,4\n", "row 3 has 0 fields, header has 2"),
+    "blank_line_end": ("a,b\n1,2\n3,4\n\n", "row 4 has 0 fields, header has 2"),
+    "whitespace_line": ("a\n1\n   \n2\n", "row 3, column 1 (a): cannot parse '   '"),
+    "header_only": ("a,b\n", "no data rows"),
+    "empty_file": ("", "empty file"),
+    "hash_prefix": ("a,b\n#1,2\n3,4\n", "row 2, column 1 (a): cannot parse '#1'"),
+    "hash_suffix": ("a,b\n1,2#\n3,4\n", "row 2, column 2 (b): cannot parse '2#'"),
+    "quoted_numbers": ('a,b\n"1.5",2\n3,"4"\n', (["a", "b"], [[1.5, 2.0], [3.0, 4.0]])),
+    "surrounding_spaces": ("a,b\n 1 ,2\t\n3, 4\n", (["a", "b"], [[1.0, 2.0], [3.0, 4.0]])),
+    "underscore": ("a,b\n1_0,2\n3,4\n", (["a", "b"], [[10.0, 2.0], [3.0, 4.0]])),
+    "cr_only": ("a,b\r1,2\r3,4\r", (["a", "b"], [[1.0, 2.0], [3.0, 4.0]])),
+    "crlf": ("a,b\r\n1,2\r\n3,4\r\n", (["a", "b"], [[1.0, 2.0], [3.0, 4.0]])),
+    "no_trailing_newline": ("a,b\n1,2\n3,4", (["a", "b"], [[1.0, 2.0], [3.0, 4.0]])),
+    "ragged_row": ("a,b\n1,2\n3\n", "row 3 has 1 fields, header has 2"),
+    "trailing_comma": ("a,b\n1,2,\n3,4,\n", "row 2 has 3 fields, header has 2"),
+    "empty_field": ("a,b,c\n1,2,\n", "row 2, column 3 (c): cannot parse ''"),
+    "nan": ("a,b\n1,nan\n3,4\n", "non-finite entries"),
+    "infinity": ("a,b\n1,2\ninfinity,4\n", "non-finite entries"),
+    "overflow": ("a,b\n1,1e400\n3,4\n", "non-finite entries"),
+    "quoted_header_comma": ('"a,x",b\n1,2\n', (["a,x", "b"], [[1.0, 2.0]])),
+    "single_column": ("a\n1\n-2.5\n", (["a"], [[1.0], [-2.5]])),
+    "signed_zero_subnormal": ("a,b\n-0.0,5e-324\n", (["a", "b"], [[-0.0, 5e-324]])),
+}
+
+
+@pytest.mark.parametrize("text, want", READ_CASES.values(), ids=READ_CASES.keys())
+def test_read_accepts_and_rejects_as_csv_parser(tmp_path, text, want):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode())
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as exc:
+            read_csv_matrix(path)
+        assert str(exc.value) == f"{path}: {want}"
+    else:
+        header, X = read_csv_matrix(path)
+        rows = np.array(want[1], dtype=np.float64)
+        assert header == want[0]
+        assert X.shape == rows.shape and X.tobytes() == rows.tobytes()
+
+
+WRITE_X = np.array([[-0.0, 5e-324, 1e300],
+                    [1 / 3, 2.0, -7.0],
+                    [0.1, 1e-7, 123456789.0]])
+WRITE_HEADER = ["a,b", "c", "d e"]
+
+
+def csv_writer_reference(X, header) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in X:
+        writer.writerow([repr(float(v)) for v in row])
+    return buf.getvalue().encode()
+
+
+def test_write_bytes_match_csv_writer(tmp_path):
+    path = tmp_path / "m.csv"
+    write_csv_matrix(path, WRITE_X, header=WRITE_HEADER)
+    assert path.read_bytes() == csv_writer_reference(WRITE_X, WRITE_HEADER)
+    assert path.read_bytes().startswith(b'"a,b",c,d e\r\n')
+
+
+def test_write_parts_are_row_ranges_across_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "CSV_CHUNK_ROWS", 2)
+    X = np.arange(21.0).reshape(7, 3) / 3
+    ranges = {"head.csv": (0, 3), "mid.csv": (3, 6), "tail.csv": (5, 7),
+              "none.csv": (4, 4)}
+    write_csv_matrix(tmp_path / "all.csv", X, header=WRITE_HEADER,
+                     parts=[(tmp_path / n, a, b) for n, (a, b) in ranges.items()])
+    assert (tmp_path / "all.csv").read_bytes() == csv_writer_reference(X, WRITE_HEADER)
+    for name, (a, b) in ranges.items():
+        want = csv_writer_reference(X[a:b], WRITE_HEADER)
+        assert (tmp_path / name).read_bytes() == want
+
+
+def test_write_rejects_part_outside_matrix(tmp_path):
+    with pytest.raises(ValueError, match=r"rows \[2, 4\)"):
+        write_csv_matrix(tmp_path / "all.csv", np.ones((3, 2)),
+                         parts=[(tmp_path / "p.csv", 2, 4)])

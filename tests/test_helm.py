@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from helmfd import synth
+from helmfd import helm, synth
 from helmfd.data import RngStream, apply_normalization, fit_normalization
 from helmfd.elm import hidden, random_layer
 from helmfd.fista import FistaParams, fista_solve
@@ -155,6 +157,25 @@ def test_json_round_trip_is_bitwise(tmp_path):
     assert np.array_equal(run_ensemble(loaded, X), before)
     cfg = loaded[0].config
     assert cfg == SMALL_CFG
+
+
+def test_failed_save_leaves_old_model_intact(tmp_path, monkeypatch):
+    X = small_training_matrix()
+    members = train_ensemble(X, SMALL_CFG, RngStream(11, (1,)))
+    path = tmp_path / "model.json"
+    save_ensemble(path, members)
+    before = path.read_bytes()
+
+    def dump_then_fail(obj, fh):
+        fh.write(json.dumps(obj)[:1000])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(helm.json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_ensemble(path, members, detector={"gamma": 1.5, "p": 99.5,
+                                               "threshold": 0.125})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 def test_run_rejects_wrong_width():

@@ -133,8 +133,8 @@ def test_segment_labels_cover_everything(dataset0):
 
 def test_provenance_round_trips_as_json(dataset0, tmp_path):
     csv_path = tmp_path / "data.csv"
-    prov_path = tmp_path / "prov.json"
-    write_dataset(dataset0, csv_path, prov_path)
+    prov_path = tmp_path / "provenance.json"
+    write_dataset(dataset0, tmp_path)
     doc = json.loads(prov_path.read_text())
     assert doc["spec"]["n"] == 5
     assert len(doc["sensor_source"]) == 200
