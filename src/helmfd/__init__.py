@@ -7,29 +7,26 @@ flags abnormal points. Includes a synthetic condition-monitoring benchmark
 generator, baseline detectors, and an experiment harness.
 """
 from .data import (NormalizationStats, RngStream, apply_normalization,
-                   fit_normalization, invert_normalization, read_csv_matrix,
-                   write_csv_matrix)
+                   fit_normalization, read_csv_matrix, write_csv_matrix)
 from .elm import ElmLayer, hidden, random_layer, ridge_solve
 from .fista import FistaParams, FistaResult, fista_solve, lasso_objective, soft_threshold
 from .helm import (HelmConfig, HelmModel, helm_run, helm_train, load_ensemble,
                    run_ensemble, save_ensemble, train_ensemble)
 from .detector import (Detection, DetectorConfig, calibrate, decide, labels_of,
                        residuals, write_detections_csv)
-from .baselines import (OneClassElm, PcaElm, PcaModel, one_class_run,
-                        one_class_train, pca_elm_run, pca_elm_train, pca_fit,
-                        pca_transform)
+from .baselines import (PcaModel, one_class_run, one_class_train, pca_elm_run,
+                        pca_elm_train, pca_fit)
 from .synth import (FAULT_NAMES, SEGMENTS, GeneratorSpec, SyntheticDataset,
                     generate, render_splits, write_dataset)
 from .metrics import (BenchmarkPlan, ExperimentReport, RateTuple,
-                      benchmark_rep, grid_sweep, run_benchmark, score_rates,
-                      segment_flagged, winning_cells)
+                      benchmark_rep, grid_plan, grid_sweep, run_benchmark,
+                      score_rates, segment_flagged, winning_cells)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "NormalizationStats", "RngStream", "apply_normalization",
-    "fit_normalization", "invert_normalization", "read_csv_matrix",
-    "write_csv_matrix",
+    "fit_normalization", "read_csv_matrix", "write_csv_matrix",
     "ElmLayer", "hidden", "random_layer", "ridge_solve",
     "FistaParams", "FistaResult", "fista_solve", "lasso_objective",
     "soft_threshold",
@@ -37,11 +34,11 @@ __all__ = [
     "run_ensemble", "save_ensemble", "train_ensemble",
     "Detection", "DetectorConfig", "calibrate", "decide", "labels_of",
     "residuals", "write_detections_csv",
-    "OneClassElm", "PcaElm", "PcaModel", "one_class_run", "one_class_train",
-    "pca_elm_run", "pca_elm_train", "pca_fit", "pca_transform",
+    "PcaModel", "one_class_run", "one_class_train", "pca_elm_run",
+    "pca_elm_train", "pca_fit",
     "FAULT_NAMES", "SEGMENTS", "GeneratorSpec", "SyntheticDataset",
     "generate", "render_splits", "write_dataset",
     "BenchmarkPlan", "ExperimentReport", "RateTuple", "benchmark_rep",
-    "grid_sweep", "run_benchmark", "score_rates", "segment_flagged",
-    "winning_cells", "__version__",
+    "grid_plan", "grid_sweep", "run_benchmark", "score_rates",
+    "segment_flagged", "winning_cells", "__version__",
 ]

@@ -1,8 +1,10 @@
 """Reference detectors the hierarchical model is compared against.
 
-Two baselines share the one-class ELM head:
-  * a single-layer one-class ELM straight on the (normalized) inputs, and
-  * PCA feature extraction followed by the same head.
+Both baselines train helm.HelmModel members, so helm_run scores them and
+helm's persistence stores them:
+  * the one-class ELM is a member with no feature map, straight on the
+    (normalized) inputs, and
+  * PCA-ELM is a member whose one map is a rescaled PCA basis.
 Both receive the same fairness treatment as the hierarchical model: their
 head inputs are rescaled so the random layer's pre-activations land in the
 sigmoid's responsive range, with the rescale folded into stored parameters
@@ -10,13 +12,13 @@ so the run-time math stays a plain forward pass.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .data import (NormalizationStats, RngStream, apply_normalization,
-                   as_matrix, fit_normalization)
-from .elm import ElmLayer, hidden, random_layer, ridge_solve
-
-from dataclasses import dataclass
+from .data import (NormalizationStats, apply_normalization, as_matrix,
+                   fit_normalization)
+from .helm import HelmModel, helm_run, train_head
 
 # Target standard deviation of the head's pre-activations. A random +-1
 # uniform weight vector against D unit-variance inputs has pre-activation
@@ -74,75 +76,50 @@ def pca_fit(X, l_pca: int, variance_cap: float = 0.99) -> PcaModel:
                     explained_variance=evals[:L], l_pca=L)
 
 
-def pca_transform(model: PcaModel, X) -> np.ndarray:
-    return model.transform(X)
-
-
 # --- one-class ELM ----------------------------------------------------------
 
-@dataclass
-class OneClassElm:
-    layer: ElmLayer
-    norm: NormalizationStats         # input scale folded into std
-
-
-def one_class_train(X_train, width: int, C: float, rng,
-                    scale: float | None = None) -> OneClassElm:
-    """Single random layer plus ridge head against the constant target 1.
-    `scale` defaults to the spread-pinning input scale for the data's width;
-    it is folded into the stored normalization."""
+def one_class_train(X_train, width: int, C: float, rng) -> HelmModel:
+    """Single random layer plus ridge head against the constant target 1: a
+    member with no feature map. The spread-pinning input scale for the data's
+    width is folded into the stored normalization."""
     X = as_matrix(X_train, "X_train")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
     norm = fit_normalization(X)
-    if scale is None:
-        scale = input_scale(X.shape[1])
-    norm = NormalizationStats(mean=norm.mean, std=norm.std / scale)
+    norm = NormalizationStats(mean=norm.mean,
+                              std=norm.std / input_scale(X.shape[1]))
     x = apply_normalization(X, norm)
-    layer = random_layer(x.shape[1], width, "sigmoid", gen)
-    H = hidden(layer, x)
-    layer.beta = ridge_solve(H, np.ones((x.shape[0], 1)), C)
-    return OneClassElm(layer=layer, norm=norm)
+    return HelmModel(ae_betas=[], top_layer=train_head(x, width, C, rng),
+                     norm=norm)
 
 
-def one_class_run(model: OneClassElm, X) -> np.ndarray:
-    X = as_matrix(X, "X")
-    x = apply_normalization(X, model.norm)
-    H = hidden(model.layer, x)
-    return (H @ model.layer.beta).ravel()
+def one_class_run(model: HelmModel, X) -> np.ndarray:
+    """helm_run under its old name. Only bench/tracing.py's TARGETS still
+    names it; nothing in helmfd calls it."""
+    return helm_run(model, X)
 
 
 # --- PCA + one-class ELM ----------------------------------------------------
 
-@dataclass
-class PcaElm:
-    norm: NormalizationStats         # plain z-scoring of the raw inputs
-    pca: PcaModel
-    code_scale: np.ndarray           # per-component std of training codes
-    layer: ElmLayer
-
-
-def pca_elm_train(X_train, l_pca: int, width: int, C: float, rng) -> PcaElm:
+def pca_elm_train(X_train, l_pca: int, width: int, C: float, rng) -> HelmModel:
     """PCA on z-scored inputs, codes rescaled to unit train std, then the
-    one-class head. The code rescale lives in `code_scale`, not inside the
-    component matrix, so the components stay orthonormal."""
+    one-class head. The member's one map is (components / code_scale)ᵀ,
+    C-contiguous like a map read back from a model file, and its
+    normalization mean absorbs the PCA mean."""
     X = as_matrix(X_train, "X_train")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
     norm = fit_normalization(X)
     x = apply_normalization(X, norm)
     pca = pca_fit(x, l_pca)
     codes = pca.transform(x)
     code_scale = codes.std(axis=0)
     code_scale = np.where(code_scale < 1e-12, 1.0, code_scale)
-    z = codes / code_scale
-    layer = random_layer(z.shape[1], width, "sigmoid", gen)
-    H = hidden(layer, z)
-    layer.beta = ridge_solve(H, np.ones((z.shape[0], 1)), C)
-    return PcaElm(norm=norm, pca=pca, code_scale=code_scale, layer=layer)
+    head = train_head(codes / code_scale, width, C, rng)
+    return HelmModel(
+        ae_betas=[np.ascontiguousarray((pca.components / code_scale).T)],
+        top_layer=head,
+        norm=NormalizationStats(mean=norm.mean + pca.mean * norm.std,
+                                std=norm.std))
 
 
-def pca_elm_run(model: PcaElm, X) -> np.ndarray:
-    X = as_matrix(X, "X")
-    x = apply_normalization(X, model.norm)
-    z = model.pca.transform(x) / model.code_scale
-    H = hidden(model.layer, z)
-    return (H @ model.layer.beta).ravel()
+def pca_elm_run(model: HelmModel, X) -> np.ndarray:
+    """helm_run under its old name. Only bench/tracing.py's TARGETS still
+    names it; nothing in helmfd calls it."""
+    return helm_run(model, X)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, detector, helm, metrics, synth
+from . import detector, helm, metrics, synth
 from .data import RngStream, read_csv_matrix
 
 EXIT_OK = 0
@@ -217,7 +217,7 @@ def _load_model(path):
         return helm.load_ensemble(path)
     except OSError as exc:
         raise _IoError(str(exc)) from exc
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise _IoError(f"{path}: not a readable model file ({exc})") from exc
 
 
@@ -231,18 +231,15 @@ def _check_width(members, X, path) -> None:
 # --- benchmark ----------------------------------------------------------------
 
 def cmd_benchmark(args) -> int:
-    import itertools
-
     outdir = _outdir(args)
+    grid = {"gammas": args.gammas, "p": (args.p,),
+            "models": [m.strip() for m in args.models.split(",") if m.strip()],
+            "L1": args.L1, "L2": args.L2, "lam": args.lam, "C": args.C,
+            "width": args.width, "l_pca": args.l_pca,
+            "ensemble_size": (args.ensemble,)}
     try:
-        plan = metrics.BenchmarkPlan(
-            n=args.n, reading=args.reading, seed=args.seed, reps=args.reps,
-            gammas=args.gammas, p=args.p,
-            models=tuple(m.strip() for m in args.models.split(",") if m.strip()),
-            helm_cells=tuple(itertools.product(args.L1, args.L2, args.lam, args.C)),
-            elm_cells=tuple(itertools.product(args.width, args.C)),
-            pca_cells=tuple(itertools.product(args.l_pca, args.width, args.C)),
-            ensemble_size=args.ensemble)
+        plan = metrics.grid_plan(grid, n=args.n, reading=args.reading,
+                                 seed=args.seed, reps=args.reps)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

@@ -67,13 +67,6 @@ def apply_normalization(X, stats: NormalizationStats) -> np.ndarray:
     return (X - stats.mean) / stats.std
 
 
-def invert_normalization(Xn, stats: NormalizationStats) -> np.ndarray:
-    Xn = as_matrix(Xn, "Xn")
-    if Xn.shape[1] != stats.mean.shape[0]:
-        raise ValueError("dimension mismatch")
-    return Xn * stats.std + stats.mean
-
-
 @dataclass(frozen=True)
 class RngStream:
     """Deterministic, replayable random stream: (seed, stream id) -> generator.

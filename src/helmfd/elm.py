@@ -28,6 +28,8 @@ class ElmLayer:
             raise ValueError(f"unknown activation {self.activation!r}")
         if not (np.isfinite(self.A).all() and np.isfinite(self.B).all()):
             raise ValueError("non-finite layer weights")
+        if self.A.ndim != 2 or self.B.ndim != 1:
+            raise ValueError("A must be a matrix and B a vector")
         if self.A.shape[1] != self.B.shape[0]:
             raise ValueError("A columns must match B length")
 

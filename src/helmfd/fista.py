@@ -72,12 +72,6 @@ def gram_lambda_max(G, iters: int = 100, tol: float = 1e-10) -> float:
     return lam
 
 
-def spectral_norm(H) -> float:
-    """Operator 2-norm of H, via power iteration on HᵀH."""
-    H = np.asarray(H, dtype=np.float64)
-    return float(np.sqrt(gram_lambda_max(H.T @ H)))
-
-
 def fista_solve(H, X_target, params: FistaParams,
                 beta0: np.ndarray | None = None) -> FistaResult:
     """Iterate the accelerated proximal-gradient scheme

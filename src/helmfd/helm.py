@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,10 +56,39 @@ class HelmConfig:
 
 @dataclass
 class HelmModel:
+    """One member of any of the three detectors (see baselines.py for the
+    other two): normalization, the linear feature maps x <- x · beta_iᵀ, then
+    the one-class ELM head. Construction checks that the arrays are finite
+    and chain, so trained and loaded members pass the same check."""
     ae_betas: list                    # beta_i, each L_i x D_i
     top_layer: ElmLayer               # head with trained beta (one column)
     norm: NormalizationStats
-    config: HelmConfig
+    config: HelmConfig | None = None  # None for baseline members
+
+    def __post_init__(self):
+        head = self.top_layer
+        if head.beta is None:
+            raise ValueError("head has no trained beta")
+        mean, std = self.norm.mean, self.norm.std
+        if not all(np.isfinite(a).all() for a in
+                   (mean, std, *self.ae_betas, head.A, head.B, head.beta)):
+            raise ValueError("non-finite entries")
+        if mean.ndim != 1 or mean.shape != std.shape:
+            raise ValueError(f"norm mean has shape {mean.shape}, "
+                             f"std {std.shape}")
+        # every stage as (outputs x inputs); the last one gives the output Y
+        stages = [*((f"map {i}", b) for i, b in enumerate(self.ae_betas)),
+                  ("head A", head.A.T), ("head beta", head.beta.T)]
+        width = mean.shape[0]
+        for name, m in stages:
+            if m.ndim != 2:
+                raise ValueError(f"{name} is not a matrix")
+            if m.shape[1] != width:
+                raise ValueError(f"{name} takes {m.shape[1]} inputs, "
+                                 f"expected {width}")
+            width = m.shape[0]
+        if width != 1:
+            raise ValueError(f"head beta has {width} columns, expected 1")
 
     def feature_dim(self) -> int:
         return self.norm.mean.shape[0]
@@ -86,19 +115,22 @@ def helm_train(X_train, config: HelmConfig, rng) -> HelmModel:
         x = feat * (FEATURE_SPAN / span)
         ae_betas.append(beta)
 
-    top = random_layer(x.shape[1], config.layer_sizes[-1], "sigmoid", gen)
-    H = hidden(top, x)
-    top.beta = ridge_solve(H, np.ones((x.shape[0], 1)), config.C)
+    top = train_head(x, config.layer_sizes[-1], config.C, gen)
     return HelmModel(ae_betas=ae_betas, top_layer=top, norm=norm, config=config)
+
+
+def train_head(x, width: int, C: float, rng) -> ElmLayer:
+    """The one-class head on features x: a random sigmoid layer whose beta is
+    the ridge solution against the constant target 1."""
+    top = random_layer(x.shape[1], width, "sigmoid", rng)
+    H = hidden(top, x)
+    top.beta = ridge_solve(H, np.ones((x.shape[0], 1)), C)
+    return top
 
 
 def helm_run(model: HelmModel, X) -> np.ndarray:
     """Forward pass: normalize, apply the linear feature maps, then the head.
     Returns the one-class output Y as a length-K vector."""
-    X = as_matrix(X, "X")
-    if X.shape[1] != model.feature_dim():
-        raise ValueError(
-            f"dimension mismatch: model expects {model.feature_dim()} columns")
     x = apply_normalization(X, model.norm)
     for beta in model.ae_betas:
         x = x @ beta.T
@@ -150,9 +182,9 @@ def _model_to_dict(model: HelmModel) -> dict:
         "top_layer": _layer_to_dict(model.top_layer),
         "norm": {"mean": model.norm.mean.tolist(),
                  "std": model.norm.std.tolist()},
-        "config": {"layer_sizes": list(cfg.layer_sizes), "lam": cfg.lam,
-                   "C": cfg.C, "ensemble_size": cfg.ensemble_size,
-                   "seed": cfg.seed},
+        "config": None if cfg is None else {
+            "layer_sizes": list(cfg.layer_sizes), "lam": cfg.lam, "C": cfg.C,
+            "ensemble_size": cfg.ensemble_size, "seed": cfg.seed},
     }
 
 
@@ -164,9 +196,9 @@ def _model_from_dict(d: dict) -> HelmModel:
         norm=NormalizationStats(
             mean=np.array(d["norm"]["mean"], dtype=np.float64),
             std=np.array(d["norm"]["std"], dtype=np.float64)),
-        config=HelmConfig(layer_sizes=tuple(cfg["layer_sizes"]), lam=cfg["lam"],
-                          C=cfg["C"], ensemble_size=cfg["ensemble_size"],
-                          seed=cfg["seed"]))
+        config=None if cfg is None else HelmConfig(
+            layer_sizes=tuple(cfg["layer_sizes"]), lam=cfg["lam"], C=cfg["C"],
+            ensemble_size=cfg["ensemble_size"], seed=cfg["seed"]))
 
 
 def save_ensemble(path, models: list, detector: dict | None = None) -> None:
@@ -188,8 +220,17 @@ def save_ensemble(path, models: list, detector: dict | None = None) -> None:
 
 
 def load_ensemble(path) -> tuple[list, dict | None]:
+    """Members and detector settings of a model file. Raises ValueError when
+    a member fails HelmModel's check, when there is no member, or when the
+    members expect different input widths."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ValueError(f"{path}: not a {FORMAT} document")
-    return [_model_from_dict(d) for d in doc["members"]], doc.get("detector")
+    members = [_model_from_dict(d) for d in doc["members"]]
+    if not members:
+        raise ValueError("no members")
+    widths = sorted({m.feature_dim() for m in members})
+    if len(widths) > 1:
+        raise ValueError(f"members expect different input widths {widths}")
+    return members, doc.get("detector")

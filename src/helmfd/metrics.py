@@ -15,6 +15,7 @@ across repetitions, so every repetition carries equal weight.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import time
@@ -322,6 +323,26 @@ def _flag_records(model: str, params: dict, plan: "BenchmarkPlan", rep: int,
     return out
 
 
+def _cells(plan: BenchmarkPlan, model: str) -> list:
+    """(record params, trainer) per parameter cell of one model family. A
+    trainer takes (X_train, rng) and returns one helm.HelmModel member."""
+    if model == "helm":
+        return [({"L1": L1, "L2": L2, "lam": lam, "C": C},
+                 functools.partial(helm.helm_train, config=helm.HelmConfig(
+                     layer_sizes=(L1, L2), lam=lam, C=C,
+                     ensemble_size=plan.ensemble_size, seed=plan.seed)))
+                for L1, L2, lam, C in plan.helm_cells]
+    if model == "elm":
+        return [({"width": width, "C": C},
+                 functools.partial(baselines.one_class_train, width=width,
+                                   C=C))
+                for width, C in plan.elm_cells]
+    return [({"l_pca": l_pca, "width": width, "C": C},
+             functools.partial(baselines.pca_elm_train, l_pca=l_pca,
+                               width=width, C=C))
+            for l_pca, width, C in plan.pca_cells]
+
+
 def benchmark_rep(plan: BenchmarkPlan, rep: int) -> list:
     """All records for one repetition: fresh dataset, every model family and
     parameter cell, every gamma."""
@@ -330,47 +351,18 @@ def benchmark_rep(plan: BenchmarkPlan, rep: int) -> list:
     X = ds.X
     tr = slice(*synth.SEGMENTS["train"])
     records = []
-
     for model in plan.models:
         fam = _FAMILY[model]
-        if model == "helm":
-            for L1, L2, lam, C in plan.helm_cells:
-                cfg = helm.HelmConfig(layer_sizes=(L1, L2), lam=lam, C=C,
-                                      ensemble_size=plan.ensemble_size,
-                                      seed=plan.seed)
-                t0 = time.perf_counter()
-                members = [helm.helm_train(X[tr], cfg,
-                                           RngStream(plan.seed, (fam, rep, m)))
-                           for m in range(plan.ensemble_size)]
-                dt = time.perf_counter() - t0
-                # run_ensemble, not an ad-hoc mean: the train/calibrate/detect
-                # pipeline must reproduce these numbers bitwise
-                Y = helm.run_ensemble(members, X)
-                records += _flag_records(
-                    model, {"L1": L1, "L2": L2, "lam": lam, "C": C},
-                    plan, rep, detector.residuals(Y), dt)
-        elif model == "elm":
-            for width, C in plan.elm_cells:
-                t0 = time.perf_counter()
-                members = [baselines.one_class_train(
-                    X[tr], width, C, RngStream(plan.seed, (fam, rep, m)))
-                    for m in range(plan.ensemble_size)]
-                dt = time.perf_counter() - t0
-                Y = np.mean([baselines.one_class_run(m, X) for m in members], axis=0)
-                records += _flag_records(
-                    model, {"width": width, "C": C},
-                    plan, rep, detector.residuals(Y), dt)
-        else:
-            for l_pca, width, C in plan.pca_cells:
-                t0 = time.perf_counter()
-                members = [baselines.pca_elm_train(
-                    X[tr], l_pca, width, C, RngStream(plan.seed, (fam, rep, m)))
-                    for m in range(plan.ensemble_size)]
-                dt = time.perf_counter() - t0
-                Y = np.mean([baselines.pca_elm_run(m, X) for m in members], axis=0)
-                records += _flag_records(
-                    model, {"l_pca": l_pca, "width": width, "C": C},
-                    plan, rep, detector.residuals(Y), dt)
+        for params, train in _cells(plan, model):
+            t0 = time.perf_counter()
+            members = [train(X[tr], rng=RngStream(plan.seed, (fam, rep, m)))
+                       for m in range(plan.ensemble_size)]
+            dt = time.perf_counter() - t0
+            # run_ensemble, not an ad-hoc mean: the train/calibrate/detect
+            # pipeline must reproduce these numbers bitwise
+            Y = helm.run_ensemble(members, X)
+            records += _flag_records(model, params, plan, rep,
+                                     detector.residuals(Y), dt)
     return records
 
 
@@ -405,14 +397,13 @@ def run_benchmark(plan: BenchmarkPlan, jobs: int = 1,
     return report
 
 
-def grid_sweep(grid: dict, n: int = 5, reading: str = "identity",
-               seed: int = 42, reps: int = 20, jobs: int = 1,
-               progress=None) -> ExperimentReport:
-    """Run the repeated experiment over a hyperparameter lattice. `grid` maps
-    axis names to value lists: gammas, L1, L2, lam, C (hierarchical model),
-    width (baseline hidden width), l_pca; missing axes use the shipped
-    defaults. Cells are full cartesian products per model family. Winning
-    cells per the two reporting modes come from `winning_cells`."""
+def grid_plan(grid: dict, n: int = 5, reading: str = "identity",
+              seed: int = 42, reps: int = 20) -> BenchmarkPlan:
+    """The plan for a hyperparameter lattice. `grid` maps axis names to value
+    lists: gammas, L1, L2, lam, C (hierarchical model), width (baseline
+    hidden width), l_pca, models, and ensemble_size and p (first value used);
+    missing axes use the shipped defaults. Cells are full cartesian products
+    per model family."""
     d = BenchmarkPlan()
     g = {k: tuple(v) for k, v in grid.items()}
     unknown = set(g) - {"gammas", "L1", "L2", "lam", "C", "width", "l_pca",
@@ -425,13 +416,22 @@ def grid_sweep(grid: dict, n: int = 5, reading: str = "identity",
     C = g.get("C", (d.helm_cells[0][3],))
     width = g.get("width", (d.elm_cells[0][0],))
     l_pca = g.get("l_pca", (d.pca_cells[0][0],))
-    plan = BenchmarkPlan(
+    return BenchmarkPlan(
         n=n, reading=reading, seed=seed, reps=reps,
         gammas=g.get("gammas", d.gammas),
         p=g.get("p", (d.p,))[0],
-        models=tuple(g.get("models", d.models)),
+        models=g.get("models", d.models),
         helm_cells=tuple(itertools.product(L1, L2, lam, C)),
         elm_cells=tuple(itertools.product(width, C)),
         pca_cells=tuple(itertools.product(l_pca, width, C)),
         ensemble_size=int(g.get("ensemble_size", (d.ensemble_size,))[0]))
-    return run_benchmark(plan, jobs=jobs, progress=progress)
+
+
+def grid_sweep(grid: dict, n: int = 5, reading: str = "identity",
+               seed: int = 42, reps: int = 20, jobs: int = 1,
+               progress=None) -> ExperimentReport:
+    """Run the repeated experiment over the lattice `grid_plan` builds from
+    `grid`. Winning cells per the two reporting modes come from
+    `winning_cells`."""
+    return run_benchmark(grid_plan(grid, n, reading, seed, reps),
+                         jobs=jobs, progress=progress)

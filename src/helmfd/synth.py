@@ -84,13 +84,6 @@ class SyntheticDataset:
     clean: np.ndarray = field(repr=False)  # K x D readings before fault 5 and noise
     noise: np.ndarray = field(repr=False)  # K x D additive noise
 
-    def segment_labels(self) -> list[str]:
-        labels = [""] * self.spec.K
-        for name, (a, b) in SEGMENTS.items():
-            for i in range(a, b):
-                labels[i] = name
-        return labels
-
     def provenance_dict(self) -> dict:
         return {
             "spec": {"K": self.spec.K, "D": self.spec.D, "n": self.spec.n,

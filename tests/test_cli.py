@@ -1,5 +1,6 @@
 import csv
 import json
+from operator import setitem
 
 import numpy as np
 import pytest
@@ -114,6 +115,49 @@ def test_schema_mismatch_names_columns(workspace, tmp_path, capsys):
     assert "200" in err and "2" in err
 
 
+def _drop_last_column(m):
+    # the member rebuilt for one input column fewer: consistent on its own
+    m["norm"] = {k: v[:-1] for k, v in m["norm"].items()}
+    m["ae_betas"][0] = [row[:-1] for row in m["ae_betas"][0]]
+
+
+NAN, INF = float("nan"), float("inf")
+
+# each takes the model document and corrupts it in place
+CORRUPTIONS = {
+    "map_row_dropped": lambda d: d["members"][1]["ae_betas"][0].pop(),
+    "head_A_row_dropped": lambda d: d["members"][1]["top_layer"]["A"].pop(),
+    "head_A_not_a_matrix":
+        lambda d: setitem(d["members"][1]["top_layer"], "A", [1.0] * 100),
+    "head_beta_row_dropped":
+        lambda d: d["members"][1]["top_layer"]["beta"].pop(),
+    "norm_mean_entry_dropped": lambda d: d["members"][1]["norm"]["mean"].pop(),
+    "nan_in_norm_std":
+        lambda d: setitem(d["members"][1]["norm"]["std"], 3, NAN),
+    "nan_in_head_beta":
+        lambda d: setitem(d["members"][1]["top_layer"]["beta"], 3, [NAN]),
+    "inf_in_map":
+        lambda d: setitem(d["members"][1]["ae_betas"][0][2], 5, INF),
+    "no_members": lambda d: setitem(d, "members", []),
+    "maps_not_a_list": lambda d: setitem(d["members"][1], "ae_betas", 5),
+    "mixed_widths":
+        lambda d: _drop_last_column(d["members"][0]),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+def test_corrupt_model_is_io_error(workspace, tmp_path, capsys, corrupt):
+    doc = json.loads((workspace / "model.json").read_text())
+    CORRUPTIONS[corrupt](doc)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    code = run(["detect", "--model", str(model),
+                "--data", str(workspace / "val.csv"),
+                "--out", str(tmp_path / "d")])
+    assert code == cli.EXIT_IO
+    assert str(model) in capsys.readouterr().err
+
+
 def test_invalid_gamma_is_numerical_error(workspace, capsys):
     code = run(["calibrate", "--model", str(workspace / "model.json"),
                 "--data", str(workspace / "val.csv"), "--gamma", "-1"])
@@ -204,6 +248,24 @@ def test_benchmark_writes_reports(tmp_path):
     echo = json.loads((out / "benchmark_config.json").read_text())
     assert echo["seed"] == 42
     assert echo["partial"] is False
+
+
+def test_benchmark_cli_plans_like_grid_sweep(tmp_path):
+    out = tmp_path / "bench_grid"
+    assert run(["benchmark", "--out", str(out), "--reps", "1",
+                "--models", "elm", "--width", "50,100",
+                "--gammas", "1.2,1.5"]) == 0
+    report = metrics.grid_sweep({"models": ("elm",), "width": (50, 100),
+                                 "gammas": (1.2, 1.5)}, reps=1)
+    report.to_json(tmp_path / "grid_sweep.json")
+
+    def untimed(path):
+        records = json.loads(path.read_text())["records"]
+        assert len(records) == 2 * 2 * 5  # widths x gammas x faults
+        return json.dumps([{k: v for k, v in r.items() if k != "train_seconds"}
+                           for r in records])
+
+    assert untimed(out / "records.json") == untimed(tmp_path / "grid_sweep.json")
 
 
 def test_config_file_defaults_yield_to_flags(tmp_path):

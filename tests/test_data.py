@@ -7,8 +7,7 @@ import pytest
 from helmfd import data
 from helmfd.data import (NormalizationStats, RngStream, apply_normalization,
                          as_matrix, as_vector, fit_normalization,
-                         invert_normalization, read_csv_matrix,
-                         write_csv_matrix)
+                         read_csv_matrix, write_csv_matrix)
 
 
 def two_pass_stats(X):
@@ -43,14 +42,6 @@ def test_constant_column_guard():
     assert stats.std[0] == 1.0
     Xn = apply_normalization(X, stats)
     assert np.all(np.abs(Xn[:, 0]) < 1e-12)
-
-
-def test_apply_invert_round_trip():
-    rng = np.random.default_rng(2)
-    X = rng.normal(size=(30, 5)) * 10 + 3
-    stats = fit_normalization(X)
-    back = invert_normalization(apply_normalization(X, stats), stats)
-    assert np.allclose(back, X, atol=1e-12)
 
 
 def test_fit_requires_two_rows():

@@ -3,7 +3,7 @@ import pytest
 from oracles import cd_lasso
 
 from helmfd.fista import (FistaParams, fista_solve, gram_lambda_max,
-                          lasso_objective, soft_threshold, spectral_norm)
+                          lasso_objective, soft_threshold)
 
 
 def cd_objective(H, X, lam):
@@ -128,9 +128,3 @@ def test_gram_lambda_max_matches_eigh():
     H = rng.normal(size=(30, 7))
     G = H.T @ H
     assert abs(gram_lambda_max(G) - np.linalg.eigvalsh(G)[-1]) < 1e-8
-
-
-def test_spectral_norm_matches_numpy():
-    rng = np.random.default_rng(17)
-    H = rng.normal(size=(25, 6))
-    assert abs(spectral_norm(H) - np.linalg.norm(H, 2)) < 1e-8

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helmfd import helm, synth
+from helmfd.baselines import one_class_train, pca_elm_train
 from helmfd.data import RngStream, apply_normalization, fit_normalization
 from helmfd.elm import hidden, random_layer
 from helmfd.fista import FistaParams, fista_solve
@@ -145,9 +146,18 @@ def test_fault_two_scores_above_healthy(helm_ensemble0, dataset0):
     assert r[f2].mean() > r[fp].mean()
 
 
-def test_json_round_trip_is_bitwise(tmp_path):
+# one member trainer per model family; all three build a HelmModel
+TRAINERS = {
+    "helm": lambda X, rng: helm_train(X, SMALL_CFG, rng),
+    "elm": lambda X, rng: one_class_train(X, 30, 1e-5, rng),
+    "pca-elm": lambda X, rng: pca_elm_train(X, 4, 30, 1e-5, rng),
+}
+
+
+@pytest.mark.parametrize("family", TRAINERS)
+def test_json_round_trip_is_bitwise(tmp_path, family):
     X = small_training_matrix()
-    members = train_ensemble(X, SMALL_CFG, RngStream(11, (1,)))
+    members = [TRAINERS[family](X, RngStream(11, (1, m))) for m in range(3)]
     before = run_ensemble(members, X)
     path = tmp_path / "model.json"
     save_ensemble(path, members, detector={"gamma": 1.5, "p": 99.5,
@@ -155,8 +165,8 @@ def test_json_round_trip_is_bitwise(tmp_path):
     loaded, det = load_ensemble(path)
     assert det == {"gamma": 1.5, "p": 99.5, "threshold": 0.125}
     assert np.array_equal(run_ensemble(loaded, X), before)
-    cfg = loaded[0].config
-    assert cfg == SMALL_CFG
+    assert [m.config for m in loaded] == [m.config for m in members]
+    assert loaded[0].config == (SMALL_CFG if family == "helm" else None)
 
 
 def test_failed_save_leaves_old_model_intact(tmp_path, monkeypatch):
@@ -176,6 +186,14 @@ def test_failed_save_leaves_old_model_intact(tmp_path, monkeypatch):
                                                "threshold": 0.125})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+@pytest.mark.parametrize("doc", [[], {"format": "other"}])
+def test_load_rejects_other_documents(tmp_path, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="helmfd-model-v1"):
+        load_ensemble(path)
 
 
 def test_run_rejects_wrong_width():

@@ -123,14 +123,6 @@ def test_render_splits_layout(dataset0):
     assert np.array_equal(splits["train"], dataset0.X[:7000])
 
 
-def test_segment_labels_cover_everything(dataset0):
-    labels = dataset0.segment_labels()
-    assert len(labels) == 14000
-    assert labels[0] == "train"
-    assert labels[13999] == "fault5"
-    assert "" not in labels
-
-
 def test_provenance_round_trips_as_json(dataset0, tmp_path):
     csv_path = tmp_path / "data.csv"
     prov_path = tmp_path / "provenance.json"
