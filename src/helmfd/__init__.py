@@ -10,8 +10,8 @@ from .data import (NormalizationStats, RngStream, apply_normalization,
                    fit_normalization, read_csv_matrix, write_csv_matrix)
 from .elm import ElmLayer, hidden, random_layer, ridge_solve
 from .fista import FistaParams, FistaResult, fista_solve, lasso_objective, soft_threshold
-from .helm import (HelmConfig, HelmModel, helm_run, helm_train, load_ensemble,
-                   run_ensemble, save_ensemble, train_ensemble)
+from .helm import (Ensemble, HelmConfig, HelmModel, helm_run, helm_train,
+                   load_ensemble, run_ensemble, save_ensemble, train_ensemble)
 from .detector import (Detection, DetectorConfig, calibrate, decide, labels_of,
                        residuals, write_detections_csv)
 from .baselines import (PcaModel, one_class_run, one_class_train, pca_elm_run,
@@ -30,7 +30,8 @@ __all__ = [
     "ElmLayer", "hidden", "random_layer", "ridge_solve",
     "FistaParams", "FistaResult", "fista_solve", "lasso_objective",
     "soft_threshold",
-    "HelmConfig", "HelmModel", "helm_run", "helm_train", "load_ensemble",
+    "Ensemble", "HelmConfig", "HelmModel", "helm_run", "helm_train",
+    "load_ensemble",
     "run_ensemble", "save_ensemble", "train_ensemble",
     "Detection", "DetectorConfig", "calibrate", "decide", "labels_of",
     "residuals", "write_detections_csv",

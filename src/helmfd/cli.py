@@ -190,15 +190,14 @@ def cmd_calibrate(args) -> int:
 
 def cmd_detect(args) -> int:
     members, det = _load_model(args.model)
-    if not det or det.get("threshold", 0.0) <= 0:
+    if det is None or det["threshold"] <= 0:
         raise UsageError(f"uncalibrated model: {args.model} "
                          "(run the calibrate command first)")
     _, X = _read_matrix(args.data)
     _check_width(members, X, args.data)
     outdir = _outdir(args)
     Y = helm.run_ensemble(members, X)
-    cfg = detector.DetectorConfig(gamma=det["gamma"], p=det["p"],
-                                  threshold=det["threshold"])
+    cfg = detector.DetectorConfig.from_dict(det)
     dets = detector.decide(Y, cfg)
     detector.write_detections_csv(outdir / "detections.csv", dets)
     _echo_config(outdir, "detect", args, extra={"threshold": cfg.threshold})
@@ -221,8 +220,8 @@ def _load_model(path):
         raise _IoError(f"{path}: not a readable model file ({exc})") from exc
 
 
-def _check_width(members, X, path) -> None:
-    want = members[0].feature_dim()
+def _check_width(members: helm.Ensemble, X, path) -> None:
+    want = members.feature_dim()
     if X.shape[1] != want:
         raise UsageError(f"schema mismatch: model expects {want} columns, "
                          f"{path} has {X.shape[1]}")

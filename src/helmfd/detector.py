@@ -22,10 +22,24 @@ class DetectorConfig:
     threshold: float = 0.0   # > 0 once calibrated
 
     def __post_init__(self):
+        if not all(np.isfinite((self.gamma, self.p, self.threshold))):
+            raise ValueError("gamma, p and threshold must be finite")
         if self.gamma <= 0:
             raise ValueError("gamma must be > 0")
         if not 0.0 < self.p <= 100.0:
             raise ValueError("p must lie in (0, 100]")
+
+    @classmethod
+    def from_dict(cls, d) -> "DetectorConfig":
+        """The settings as a model file stores them: an object with exactly
+        the numbers gamma, p and threshold. Raises ValueError otherwise."""
+        if not isinstance(d, dict) or set(d) != {"gamma", "p", "threshold"}:
+            raise ValueError("detector settings must hold exactly "
+                             "gamma, p and threshold")
+        for k, v in d.items():
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"detector {k} is not a number: {v!r}")
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -52,14 +66,12 @@ def calibrate(Y_val, gamma: float, p: float = 99.5) -> DetectorConfig:
 def decide(Y_test, config: DetectorConfig) -> list[Detection]:
     """Per-point score, label, magnification. Boundary points (score equal to
     the threshold) count healthy: the sign convention takes sgn(0) = +1."""
-    if config.threshold <= 0:
+    thr = config.threshold
+    if thr <= 0:
         raise ValueError("uncalibrated detector (threshold <= 0)")
-    out = []
-    for s in residuals(Y_test):
-        label = 1 if s <= config.threshold else -1
-        out.append(Detection(score=float(s), label=label,
-                             magnification=float(s / config.threshold)))
-    return out
+    r = residuals(Y_test)
+    return list(map(Detection, r.tolist(), np.where(r <= thr, 1, -1).tolist(),
+                    (r / thr).tolist()))
 
 
 def labels_of(detections: list[Detection]) -> np.ndarray:

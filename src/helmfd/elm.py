@@ -18,6 +18,8 @@ ACTIVATIONS = ("sigmoid", "identity")
 
 @dataclass
 class ElmLayer:
+    """One layer, or M layers of one shape stacked over a leading member
+    axis: A is then M x D x L, B M x L and beta M x L x D_Y."""
     A: np.ndarray                 # D x L input weights, fixed after draw
     B: np.ndarray                 # L biases
     activation: str = "sigmoid"
@@ -28,9 +30,9 @@ class ElmLayer:
             raise ValueError(f"unknown activation {self.activation!r}")
         if not (np.isfinite(self.A).all() and np.isfinite(self.B).all()):
             raise ValueError("non-finite layer weights")
-        if self.A.ndim != 2 or self.B.ndim != 1:
+        if self.A.ndim not in (2, 3) or self.B.ndim != self.A.ndim - 1:
             raise ValueError("A must be a matrix and B a vector")
-        if self.A.shape[1] != self.B.shape[0]:
+        if self.A.shape[:-2] + self.A.shape[-1:] != self.B.shape:
             raise ValueError("A columns must match B length")
 
 
@@ -45,15 +47,22 @@ def random_layer(D: int, L: int, activation: str, rng) -> ElmLayer:
 
 
 def hidden(layer: ElmLayer, X) -> np.ndarray:
-    """Hidden-layer matrix H = g(X·A + B), K x L."""
-    X = as_matrix(X, "X")
-    if X.shape[1] != layer.A.shape[0]:
+    """Hidden-layer matrix H = g(X·A + B), K x L.
+
+    A stacked layer takes X as K x D (shared by the members) or M x K x D,
+    already checked by the caller, and returns M x K x L, member m computed
+    with the same BLAS call and elementwise steps as a layer of its own.
+    """
+    if layer.A.ndim == 2:
+        X = as_matrix(X, "X")
+    if X.shape[-1] != layer.A.shape[-2]:
         raise ValueError(
-            f"dimension mismatch: X has {X.shape[1]} columns, "
-            f"layer expects {layer.A.shape[0]}")
-    Z = X @ layer.A + layer.B
+            f"dimension mismatch: X has {X.shape[-1]} columns, "
+            f"layer expects {layer.A.shape[-2]}")
+    Z = X @ layer.A
+    Z += layer.B[..., None, :]
     if layer.activation == "sigmoid":
-        return expit(Z)
+        expit(Z, out=Z)
     return Z
 
 

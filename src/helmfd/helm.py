@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from .data import (NormalizationStats, RngStream, apply_normalization,
                    as_matrix, fit_normalization)
+from .detector import DetectorConfig
 from .elm import ElmLayer, hidden, random_layer, ridge_solve
 from .fista import FistaParams, fista_solve
 
@@ -32,6 +34,10 @@ from .fista import FistaParams, fista_solve
 # benchmark; small enough that the head's sigmoids keep usable gradients,
 # large enough that healthy variation doesn't drown in the linear regime.
 FEATURE_SPAN = 0.6
+
+# Rows scored per block: bounds the forward pass's working set (about 6 MB
+# for 5 members of the shipped shape), not the input size.
+SCORE_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -129,29 +135,102 @@ def train_head(x, width: int, C: float, rng) -> ElmLayer:
 
 
 def helm_run(model: HelmModel, X) -> np.ndarray:
-    """Forward pass: normalize, apply the linear feature maps, then the head.
-    Returns the one-class output Y as a length-K vector."""
-    x = apply_normalization(X, model.norm)
-    for beta in model.ae_betas:
-        x = x @ beta.T
-    H = hidden(model.top_layer, x)
-    return (H @ model.top_layer.beta).ravel()
+    """Forward pass of one member: normalize, apply the linear feature maps,
+    then the head. Returns the one-class output Y as a length-K vector."""
+    return run_ensemble((model,), X)
 
 
-def train_ensemble(X_train, config: HelmConfig, stream: RngStream) -> list:
+def train_ensemble(X_train, config: HelmConfig, stream: RngStream) -> "Ensemble":
     """ensemble_size independent models on disjoint substreams of `stream`."""
-    return [helm_train(X_train, config, stream.child(m))
-            for m in range(config.ensemble_size)]
+    return Ensemble(helm_train(X_train, config, stream.child(m))
+                    for m in range(config.ensemble_size))
 
 
-def run_ensemble(models: list, X) -> np.ndarray:
-    """Ensemble output: the member outputs Y averaged before thresholding."""
-    if not models:
-        raise ValueError("empty ensemble")
-    Y = np.zeros(as_matrix(X, "X").shape[0])
-    for m in models:
-        Y += helm_run(m, X)
-    return Y / len(models)
+class Ensemble(Sequence):
+    """The members of one detector, stacked so that one batched pass scores
+    them all. A read-only sequence of HelmModel.
+
+    The members must share one normalization, bitwise, and one layer shape;
+    the maps are stacked as M x D_i x L_i arrays and the heads as one stacked
+    ElmLayer. Every member's arithmetic is then the BLAS call and elementwise
+    steps it would take alone, so the scores are bitwise those of the member
+    outputs summed in order and divided by M.
+    """
+
+    def __init__(self, members):
+        members = tuple(members)
+        if not members:
+            raise ValueError("empty ensemble")
+        first = members[0]
+        widths = sorted({m.feature_dim() for m in members})
+        if len(widths) > 1:
+            raise ValueError(f"members expect different input widths {widths}")
+        for i, m in enumerate(members[1:], 1):
+            if not (_bitwise_equal(m.norm.mean, first.norm.mean)
+                    and _bitwise_equal(m.norm.std, first.norm.std)):
+                raise ValueError(f"member {i} has another normalization "
+                                 "than member 0")
+            if _shape(m) != _shape(first):
+                raise ValueError(f"member {i} has layer shape {_shape(m)}, "
+                                 f"member 0 {_shape(first)}")
+        self._members = members
+        self.norm = first.norm
+        # each map as x <- x @ beta.T: a transposed view keeps the strides,
+        # and so the BLAS call, of a member's own beta.T
+        self.maps = [np.stack(betas).transpose(0, 2, 1)
+                     for betas in zip(*(m.ae_betas for m in members))]
+        heads = [m.top_layer for m in members]
+        self.head = ElmLayer(A=np.stack([h.A for h in heads]),
+                             B=np.stack([h.B for h in heads]),
+                             activation=first.top_layer.activation,
+                             beta=np.stack([h.beta for h in heads]))
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def __getitem__(self, i):
+        return self._members[i]
+
+    def feature_dim(self) -> int:
+        return self.norm.mean.shape[0]
+
+
+def _bitwise_equal(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _shape(m: HelmModel) -> tuple:
+    return (*(b.shape for b in m.ae_betas), m.top_layer.A.shape,
+            m.top_layer.activation)
+
+
+def _row_blocks(K: int):
+    """[start, stop) blocks of about SCORE_BLOCK_ROWS rows covering K rows.
+    With one BLAS thread each row's arithmetic is the same as in one pass
+    over all K: BLAS takes other kernels for short matrices, and its
+    matrix-vector kernel handles rows in groups of four with another path
+    for the rest, so the blocks are of near-equal height (at least half a
+    block when K needs more than one) and start at multiples of 4."""
+    n = -(-K // SCORE_BLOCK_ROWS)
+    bounds = [K * i // n // 4 * 4 for i in range(n)] + [K]
+    return zip(bounds, bounds[1:])
+
+
+def run_ensemble(models, X) -> np.ndarray:
+    """Ensemble output: the member outputs Y averaged before thresholding.
+    `models` is an Ensemble, or a sequence of members wrapped in one here."""
+    ens = models if isinstance(models, Ensemble) else Ensemble(models)
+    X = as_matrix(X, "X")
+    Y = np.zeros(X.shape[0])
+    for a, b in _row_blocks(X.shape[0]):
+        x = apply_normalization(X[a:b], ens.norm)
+        for beta_t in ens.maps:
+            x = x @ beta_t
+        y = Y[a:b]
+        for out in (hidden(ens.head, x) @ ens.head.beta)[..., 0]:
+            y += out
+    Y /= len(ens)
+    return Y
 
 
 # --- persistence ------------------------------------------------------------
@@ -219,18 +298,16 @@ def save_ensemble(path, models: list, detector: dict | None = None) -> None:
         raise
 
 
-def load_ensemble(path) -> tuple[list, dict | None]:
+def load_ensemble(path) -> tuple[Ensemble, dict | None]:
     """Members and detector settings of a model file. Raises ValueError when
-    a member fails HelmModel's check, when there is no member, or when the
-    members expect different input widths."""
+    a member fails HelmModel's check, when the members do not form an
+    Ensemble, or when the detector settings fail DetectorConfig's check."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ValueError(f"{path}: not a {FORMAT} document")
-    members = [_model_from_dict(d) for d in doc["members"]]
-    if not members:
-        raise ValueError("no members")
-    widths = sorted({m.feature_dim() for m in members})
-    if len(widths) > 1:
-        raise ValueError(f"members expect different input widths {widths}")
-    return members, doc.get("detector")
+    members = Ensemble(_model_from_dict(d) for d in doc["members"])
+    det = doc.get("detector")
+    if det is not None:
+        DetectorConfig.from_dict(det)
+    return members, det

@@ -121,6 +121,12 @@ def _drop_last_column(m):
     m["ae_betas"][0] = [row[:-1] for row in m["ae_betas"][0]]
 
 
+def _drop_last_feature(m):
+    # the member with one first-layer feature fewer: consistent on its own
+    m["ae_betas"][0].pop()
+    m["top_layer"]["A"].pop()
+
+
 NAN, INF = float("nan"), float("inf")
 
 # each takes the model document and corrupts it in place
@@ -142,6 +148,19 @@ CORRUPTIONS = {
     "maps_not_a_list": lambda d: setitem(d["members"][1], "ae_betas", 5),
     "mixed_widths":
         lambda d: _drop_last_column(d["members"][0]),
+    # members consistent on their own that do not form one ensemble
+    "mixed_norm_mean":
+        lambda d: setitem(d["members"][1]["norm"]["mean"], 0,
+                          d["members"][1]["norm"]["mean"][0] + 1.0),
+    "mixed_L1": lambda d: _drop_last_feature(d["members"][1]),
+    # the detector block
+    "threshold_string":
+        lambda d: setitem(d["detector"], "threshold", "0.1"),
+    "gamma_missing": lambda d: d["detector"].pop("gamma"),
+    "detector_a_list":
+        lambda d: setitem(d, "detector", list(d["detector"].values())),
+    "gamma_negative": lambda d: setitem(d["detector"], "gamma", -1.0),
+    "threshold_nan": lambda d: setitem(d["detector"], "threshold", NAN),
 }
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from helmfd import synth
-from helmfd.detector import (DetectorConfig, calibrate, decide, labels_of,
-                             residuals, write_detections_csv)
+from helmfd.detector import (Detection, DetectorConfig, calibrate, decide,
+                             labels_of, residuals, write_detections_csv)
 from helmfd.helm import run_ensemble
 
 
@@ -58,6 +58,29 @@ def test_decide_labels_and_magnification():
     assert np.array_equal(labels_of(dets), [1, 1, -1, -1])
 
 
+def decide_loop(Y, config):
+    """decide written out one row at a time."""
+    out = []
+    for s in np.abs(1.0 - np.asarray(Y, dtype=np.float64)):
+        out.append(Detection(score=float(s),
+                             label=1 if s <= config.threshold else -1,
+                             magnification=float(s / config.threshold)))
+    return out
+
+
+def test_decide_equals_row_loop():
+    rng = np.random.default_rng(3)
+    cfg = DetectorConfig(gamma=1.0, p=99.5, threshold=0.125)
+    # residuals spread around the threshold, with some exactly on it
+    Y = np.concatenate([1.0 + rng.normal(size=997) * 0.1,
+                        [1.125, 0.875, 1.0]])
+    dets = decide(Y, cfg)
+    assert dets == decide_loop(Y, cfg)
+    assert [d.label for d in dets[-3:]] == [1, 1, 1]
+    assert all(type(d.score) is float and type(d.label) is int
+               and type(d.magnification) is float for d in dets)
+
+
 def test_boundary_point_counts_healthy():
     # score exactly at the threshold: sign convention keeps the +1 label
     cfg = DetectorConfig(gamma=1.0, p=99.5, threshold=0.25)
@@ -90,6 +113,10 @@ def test_config_validation():
         DetectorConfig(gamma=1.5, p=0.0)
     with pytest.raises(ValueError):
         DetectorConfig(gamma=1.5, p=100.5)
+    for bad in ({"gamma": math.nan}, {"gamma": math.inf}, {"p": math.nan},
+                {"threshold": math.nan}, {"threshold": math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            DetectorConfig(**{"gamma": 1.5, "p": 99.5, **bad})
 
 
 def test_flag_rate_on_fresh_healthy_data(helm_ensemble0, dataset0):

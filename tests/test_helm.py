@@ -2,15 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from helmfd import helm, synth
 from helmfd.baselines import one_class_train, pca_elm_train
 from helmfd.data import RngStream, apply_normalization, fit_normalization
 from helmfd.elm import hidden, random_layer
 from helmfd.fista import FistaParams, fista_solve
-from helmfd.helm import (FEATURE_SPAN, HelmConfig, helm_run, helm_train,
-                         load_ensemble, run_ensemble, save_ensemble,
-                         train_ensemble)
+from helmfd.helm import (FEATURE_SPAN, SCORE_BLOCK_ROWS, Ensemble, HelmConfig,
+                         helm_run, helm_train, load_ensemble, run_ensemble,
+                         save_ensemble, train_ensemble)
 
 
 def small_training_matrix(seed=20, K=300, D=16):
@@ -59,6 +60,8 @@ def test_ensemble_members_are_distinct():
 def test_ensemble_replay_matches_member_streams():
     X = small_training_matrix()
     members = train_ensemble(X, SMALL_CFG, RngStream(5, (1,)))
+    assert isinstance(members, Ensemble)
+    assert len(members) == SMALL_CFG.ensemble_size
     by_hand = [helm_train(X, SMALL_CFG, RngStream(5, (1, m)))
                for m in range(SMALL_CFG.ensemble_size)]
     for a, b in zip(members, by_hand):
@@ -154,6 +157,44 @@ TRAINERS = {
 }
 
 
+def member_loop(members, X):
+    """The ensemble output written out member by member: normalize, the
+    maps, expit(x @ A + B) @ beta, summed in member order, divided by M."""
+    Y = np.zeros(X.shape[0])
+    for m in members:
+        x = (X - m.norm.mean) / m.norm.std
+        for beta in m.ae_betas:
+            x = x @ beta.T
+        head = m.top_layer
+        Y += (expit(x @ head.A + head.B) @ head.beta).ravel()
+    return Y / len(members)
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Row counts around the scoring block and the whole timeline. The member
+# loop is one BLAS call per product; with several BLAS threads OpenBLAS
+# splits a matrix-vector product at points that depend on the row count, so
+# at other counts an unblocked pass may differ from a blocked one by an ulp
+# (as it may between thread counts); at one thread every count agrees.
+ROW_COUNTS = (1, SCORE_BLOCK_ROWS - 1, SCORE_BLOCK_ROWS, SCORE_BLOCK_ROWS + 1,
+              14000)
+
+
+@pytest.mark.parametrize("family", TRAINERS)
+def test_batched_scores_equal_member_loop_bitwise(dataset0, family):
+    tr = slice(*synth.SEGMENTS["train"])
+    X = dataset0.X
+    members = [TRAINERS[family](X[tr], RngStream(13, (1, m))) for m in range(3)]
+    ensemble = Ensemble(members)
+    for K in ROW_COUNTS:
+        want = member_loop(members, X[:K])
+        assert bitwise_equal(run_ensemble(ensemble, X[:K]), want), K
+        assert bitwise_equal(run_ensemble(members, X[:K]), want), K
+
+
 @pytest.mark.parametrize("family", TRAINERS)
 def test_json_round_trip_is_bitwise(tmp_path, family):
     X = small_training_matrix()
@@ -164,7 +205,13 @@ def test_json_round_trip_is_bitwise(tmp_path, family):
                                            "threshold": 0.125})
     loaded, det = load_ensemble(path)
     assert det == {"gamma": 1.5, "p": 99.5, "threshold": 0.125}
+    assert isinstance(loaded, Ensemble)
     assert np.array_equal(run_ensemble(loaded, X), before)
+    built = Ensemble(members)
+    for a, b in zip((*built.maps, built.head.A, built.head.B, built.head.beta),
+                    (*loaded.maps, loaded.head.A, loaded.head.B,
+                     loaded.head.beta)):
+        assert bitwise_equal(a, b)
     assert [m.config for m in loaded] == [m.config for m in members]
     assert loaded[0].config == (SMALL_CFG if family == "helm" else None)
 
@@ -206,3 +253,27 @@ def test_run_rejects_wrong_width():
 def test_run_ensemble_rejects_empty():
     with pytest.raises(ValueError):
         run_ensemble([], np.ones((2, 2)))
+
+
+def test_ensemble_is_a_read_only_sequence():
+    X = small_training_matrix()
+    members = [helm_train(X, SMALL_CFG, RngStream(14, (1, m))) for m in range(3)]
+    ensemble = Ensemble(members)
+    assert len(ensemble) == 3
+    assert list(ensemble) == members
+    assert ensemble[1] is members[1] and ensemble[-1] is members[2]
+    with pytest.raises(TypeError):
+        ensemble[0] = members[1]
+
+
+def test_ensemble_rejects_members_that_do_not_stack():
+    X = small_training_matrix()
+    a = helm_train(X, SMALL_CFG, RngStream(15, (1, 0)))
+    other_data = helm_train(X[:200], SMALL_CFG, RngStream(15, (1, 1)))
+    with pytest.raises(ValueError, match="normalization"):
+        Ensemble([a, other_data])
+    wider = HelmConfig(layer_sizes=(7, 24), lam=1e-2, C=1e-5, ensemble_size=3)
+    with pytest.raises(ValueError, match="layer shape"):
+        Ensemble([a, helm_train(X, wider, RngStream(15, (1, 2)))])
+    with pytest.raises(ValueError, match="widths"):
+        Ensemble([a, helm_train(X[:, :-1], SMALL_CFG, RngStream(15, (1, 3)))])
