@@ -291,12 +291,13 @@ _FAMILY = {"data": 0, "helm": 1, "elm": 2, "pca-elm": 3}
 
 
 def _flag_records(model: str, params: dict, plan: "BenchmarkPlan", rep: int,
-                  residual, train_seconds: float) -> list:
-    base = float(np.percentile(residual[slice(*synth.SEGMENTS["val"])], plan.p))
+                  Y, train_seconds: float) -> list:
+    residual = detector.residuals(Y)
+    val = slice(*synth.SEGMENTS["val"])
     fp_slice = slice(*synth.SEGMENTS["fp"])
     out = []
     for gamma in plan.gammas:
-        thr = gamma * base
+        thr = detector.calibrate(Y[val], gamma, plan.p).threshold
         flagged = residual > thr
         fp_flags = flagged[fp_slice]
         set_fp = segment_flagged(fp_flags, plan.p)
@@ -361,8 +362,7 @@ def benchmark_rep(plan: BenchmarkPlan, rep: int) -> list:
             # run_ensemble, not an ad-hoc mean: the train/calibrate/detect
             # pipeline must reproduce these numbers bitwise
             Y = helm.run_ensemble(members, X)
-            records += _flag_records(model, params, plan, rep,
-                                     detector.residuals(Y), dt)
+            records += _flag_records(model, params, plan, rep, Y, dt)
     return records
 
 
