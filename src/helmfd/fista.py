@@ -14,17 +14,17 @@ import numpy as np
 
 from .data import as_matrix
 
+# Fraction of the largest step acceleration tolerates (see fista_solve).
+STEP_FRACTION = 0.9
+
 
 @dataclass(frozen=True)
 class FistaParams:
     lam: float
-    delta: float = 0.9
     eps: float = 1e-6
     max_iter: int = 500
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie strictly inside (0, 1)")
         if self.lam < 0:
             raise ValueError("lambda must be >= 0")
         if self.eps < 0:
@@ -54,24 +54,6 @@ def lasso_objective(H, X, beta, lam: float) -> float:
     return float(np.sum(R * R) + lam * np.sum(np.abs(beta)))
 
 
-def gram_lambda_max(G, iters: int = 100, tol: float = 1e-10) -> float:
-    """Largest eigenvalue of a PSD matrix by power iteration
-    (100 iterations or 1e-10 relative change)."""
-    n = G.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    for _ in range(iters):
-        w = G @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(nw - lam) <= tol * max(nw, 1.0):
-            return nw
-        lam = nw
-    return lam
-
-
 def fista_solve(H, X_target, params: FistaParams,
                 beta0: np.ndarray | None = None) -> FistaResult:
     """Iterate the accelerated proximal-gradient scheme
@@ -84,10 +66,13 @@ def fista_solve(H, X_target, params: FistaParams,
     until ||beta_k - beta_k+1||_2 < eps or max_iter. The momentum term
     extrapolates forward along the last step; with the difference reversed
     the method degrades to damped ISTA and stalls ~1e-4 short on
-    rank-deficient problems. The step gamma = delta / (2·(1 + lambda_max))
-    keeps gamma below 1 / L_f for the gradient Lipschitz constant
-    L_f = 2·lambda_max(HᵀH), which acceleration requires; the looser 2 / L_f
-    bound that plain gradient descent tolerates is not safe here.
+    rank-deficient problems. The step
+    gamma = STEP_FRACTION / (2·(1 + lambda_max)) keeps gamma below 1 / L_f
+    for the gradient Lipschitz constant L_f = 2·lambda_max(HᵀH), which
+    acceleration requires; the looser 2 / L_f bound that plain gradient
+    descent tolerates is not safe here. lambda_max is the top eigenvalue of
+    the L x L Gram from eigvalsh, accurate to rounding; an iterative
+    estimate approaches it from below, which would make gamma too large.
     """
     H = as_matrix(H, "H")
     X = as_matrix(X_target, "X_target")
@@ -97,7 +82,7 @@ def fista_solve(H, X_target, params: FistaParams,
 
     G = H.T @ H
     F = H.T @ X
-    gamma = params.delta / (2.0 * (1.0 + gram_lambda_max(G)))
+    gamma = STEP_FRACTION / (2.0 * (1.0 + np.linalg.eigvalsh(G)[-1]))
     thresh = params.lam * gamma
 
     beta = np.zeros((L, D)) if beta0 is None else np.array(beta0, dtype=np.float64)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -109,10 +110,17 @@ def helm_train(X_train, config: HelmConfig, rng) -> HelmModel:
     x = apply_normalization(X, norm)
 
     ae_betas = []
-    for L in config.layer_sizes[:-1]:
+    for i, L in enumerate(config.layer_sizes[:-1]):
         layer = random_layer(x.shape[1], L, "sigmoid", gen)
         H = hidden(layer, x)
-        res = fista_solve(H, x, FistaParams(lam=config.lam))
+        # warm start: the least-squares solution is the LASSO optimum at
+        # lam = 0 and a close one at small lam, which FISTA then refines
+        res = fista_solve(H, x, FistaParams(lam=config.lam),
+                          beta0=ridge_solve(H, x, 0.0))
+        if not res.converged:
+            warnings.warn(f"autoencoder layer {i}: FISTA did not converge in "
+                          f"{res.iterations} iterations", RuntimeWarning,
+                          stacklevel=2)
         beta = res.beta
         feat = x @ beta.T
         span = np.abs(feat).max(axis=0)

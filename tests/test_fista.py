@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from oracles import cd_lasso
 
-from helmfd.fista import (FistaParams, fista_solve, gram_lambda_max,
+from helmfd.fista import (STEP_FRACTION, FistaParams, fista_solve,
                           lasso_objective, soft_threshold)
 
 
@@ -64,7 +64,7 @@ def test_objective_no_worse_than_zero_and_first_step():
     at_zero = lasso_objective(H, X, np.zeros((6, 4)), lam)
 
     G = H.T @ H
-    gamma = params.delta / (2.0 * (1.0 + gram_lambda_max(G)))
+    gamma = STEP_FRACTION / (2.0 * (1.0 + np.linalg.eigvalsh(G)[-1]))
     first = soft_threshold(2.0 * gamma * (H.T @ X), lam * gamma)
     at_first = lasso_objective(H, X, first, lam)
 
@@ -118,13 +118,4 @@ def test_params_validation():
     with pytest.raises(ValueError):
         FistaParams(lam=-1.0)
     with pytest.raises(ValueError):
-        FistaParams(lam=0.1, delta=1.0)
-    with pytest.raises(ValueError):
         FistaParams(lam=0.1, max_iter=0)
-
-
-def test_gram_lambda_max_matches_eigh():
-    rng = np.random.default_rng(16)
-    H = rng.normal(size=(30, 7))
-    G = H.T @ H
-    assert abs(gram_lambda_max(G) - np.linalg.eigvalsh(G)[-1]) < 1e-8

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +91,39 @@ def test_heavy_l1_penalty_matches_lasso_oracle(dataset0):
     capped = fista_solve(H, x, FistaParams(lam=1.0))
     assert not capped.converged
     assert capped.objective <= tight.objective * (1.0 + 1e-3)
+
+
+def test_shipped_solves_converge_without_warning(dataset0, monkeypatch):
+    # every autoencoder solve of the shipped configuration, on the
+    # benchmark's substreams, converges from the least-squares warm start
+    results = []
+
+    def recording(*args, **kwargs):
+        res = fista_solve(*args, **kwargs)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(helm, "fista_solve", recording)
+    cfg = HelmConfig()
+    tr = slice(*synth.SEGMENTS["train"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        train_ensemble(dataset0.X[tr], cfg, RngStream(42, (1, 0)))
+    assert len(results) == cfg.ensemble_size * (len(cfg.layer_sizes) - 1)
+    assert all(r.converged for r in results)
+
+
+def test_capped_solve_warns_with_layer_and_iterations(monkeypatch):
+    def capped(H, X, params, beta0=None):
+        return fista_solve(H, X, dataclasses.replace(params, max_iter=3), beta0)
+
+    monkeypatch.setattr(helm, "fista_solve", capped)
+    cfg = HelmConfig(layer_sizes=(6, 4, 24), ensemble_size=1)
+    with pytest.warns(RuntimeWarning) as caught:
+        helm_train(small_training_matrix(), cfg, RngStream(7, (1,)))
+    assert [str(w.message) for w in caught] == [
+        f"autoencoder layer {i}: FISTA did not converge in 3 iterations"
+        for i in (0, 1)]
 
 
 def test_overwhelming_l1_penalty_zeroes_every_weight(dataset0):
