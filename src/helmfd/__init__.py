@@ -19,8 +19,8 @@ from .baselines import (PcaModel, one_class_run, one_class_train, pca_elm_run,
 from .synth import (FAULT_NAMES, SEGMENTS, GeneratorSpec, SyntheticDataset,
                     generate, render_splits, write_dataset)
 from .metrics import (BenchmarkPlan, ExperimentReport, RateTuple,
-                      benchmark_rep, grid_plan, grid_sweep, run_benchmark,
-                      score_rates, segment_flagged, winning_cells)
+                      benchmark_rep, run_benchmark, score_rates,
+                      segment_flagged, winning_cells)
 
 __version__ = "0.1.0"
 
@@ -40,6 +40,6 @@ __all__ = [
     "FAULT_NAMES", "SEGMENTS", "GeneratorSpec", "SyntheticDataset",
     "generate", "render_splits", "write_dataset",
     "BenchmarkPlan", "ExperimentReport", "RateTuple", "benchmark_rep",
-    "grid_plan", "grid_sweep", "run_benchmark", "score_rates",
+    "run_benchmark", "score_rates",
     "segment_flagged", "winning_cells", "__version__",
 ]

@@ -230,17 +230,17 @@ def _check_width(members: helm.Ensemble, X, path) -> None:
 # --- benchmark ----------------------------------------------------------------
 
 def cmd_benchmark(args) -> int:
-    outdir = _outdir(args)
-    grid = {"gammas": args.gammas, "p": (args.p,),
-            "models": [m.strip() for m in args.models.split(",") if m.strip()],
-            "L1": args.L1, "L2": args.L2, "lam": args.lam, "C": args.C,
-            "width": args.width, "l_pca": args.l_pca,
-            "ensemble_size": (args.ensemble,)}
     try:
-        plan = metrics.grid_plan(grid, n=args.n, reading=args.reading,
-                                 seed=args.seed, reps=args.reps)
+        plan = metrics.BenchmarkPlan(
+            n=args.n, reading=args.reading, seed=args.seed, reps=args.reps,
+            gammas=args.gammas, p=args.p,
+            models=tuple(m.strip() for m in args.models.split(",")
+                         if m.strip()),
+            L1=args.L1, L2=args.L2, lam=args.lam, C=args.C, width=args.width,
+            l_pca=args.l_pca, ensemble_size=args.ensemble)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    outdir = _outdir(args)
 
     def progress(rep):
         print(f"rep {rep + 1}/{plan.reps} done", file=sys.stderr, flush=True)

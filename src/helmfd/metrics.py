@@ -38,21 +38,23 @@ class RateTuple:
     f1: float
 
 
-def _flags(labels, name: str) -> np.ndarray:
-    labels = np.asarray(labels).ravel()
-    if labels.size == 0:
-        raise ValueError(f"empty {name} segment")
-    if not np.all(np.isin(labels, (-1, 1))):
-        raise ValueError(f"{name} labels must be +1 (healthy) or -1 (flagged)")
-    return labels == -1
+def _flags(flags, name: str) -> np.ndarray:
+    flags = np.asarray(flags).ravel()
+    if flags.dtype != bool:
+        raise ValueError(f"{name} flags must be boolean (True = flagged), "
+                         f"not {flags.dtype}")
+    if flags.size == 0:
+        raise ValueError(f"empty {name}")
+    return flags
 
 
-def score_rates(labels_healthy, labels_fault) -> RateTuple:
-    """Point-level rates from per-point labels over a healthy segment and a
-    fault segment (-1 = flagged). accuracy is the balanced (TPR + TNR) / 2;
-    f1 uses 2·TP / (N + FP + TP) with N the fault-segment size."""
-    flagged_healthy = _flags(labels_healthy, "healthy")
-    flagged_fault = _flags(labels_fault, "fault")
+def score_rates(flags_healthy, flags_fault) -> RateTuple:
+    """Point-level rates from per-point boolean flags (True = flagged) over a
+    healthy segment and a fault segment. accuracy is the balanced
+    (TPR + TNR) / 2; f1 uses 2·TP / (N + FP + TP) with N the fault-segment
+    size."""
+    flagged_healthy = _flags(flags_healthy, "healthy segment")
+    flagged_fault = _flags(flags_fault, "fault segment")
     tp = int(flagged_fault.sum())
     fp = int(flagged_healthy.sum())
     n_fault = flagged_fault.size
@@ -69,9 +71,7 @@ def score_rates(labels_healthy, labels_fault) -> RateTuple:
 def segment_flagged(flags, p: float) -> bool:
     """Segment-level alarm: flagged fraction strictly above the design
     false-alarm rate 1 - p/100."""
-    flags = np.asarray(flags, dtype=bool).ravel()
-    if flags.size == 0:
-        raise ValueError("empty segment")
+    flags = _flags(flags, "segment")
     return bool(flags.sum() > (1.0 - p / 100.0) * flags.size)
 
 
@@ -153,13 +153,16 @@ class ExperimentReport:
             })
         return out
 
-    def to_csv(self, path) -> None:
+    def _write_rows(self, path, cols) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(CSV_FIELDS)
+            w.writerow(cols)
             for row in self.rows():
                 w.writerow([row[k] if isinstance(row[k], str)
-                            else repr(row[k]) for k in CSV_FIELDS])
+                            else repr(row[k]) for k in cols])
+
+    def to_csv(self, path) -> None:
+        self._write_rows(path, CSV_FIELDS)
 
     def timings_csv(self, path) -> None:
         """Mean wall-clock training seconds per model cell. Kept out of the
@@ -177,14 +180,9 @@ class ExperimentReport:
 
     def sweep_csv(self, path) -> None:
         """Gamma-sweep projection: per model x gamma x fault rates."""
-        cols = ("model", "gamma", "fault", "point_tpr", "point_fpr",
-                "set_tpr", "set_fpr", "set_accuracy")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(cols)
-            for row in self.rows():
-                w.writerow([row[k] if isinstance(row[k], str)
-                            else repr(row[k]) for k in cols])
+        self._write_rows(path, ("model", "gamma", "fault", "point_tpr",
+                                "point_fpr", "set_tpr", "set_fpr",
+                                "set_accuracy"))
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -261,6 +259,11 @@ def winning_cells(report: ExperimentReport, model: str) -> dict:
 
 @dataclass(frozen=True)
 class BenchmarkPlan:
+    """One repeated experiment. The tuple fields are hyperparameter axes and
+    each model family runs every cell of the product of its own axes: HELM
+    over (L1, L2, lam, C), the one-class ELM over (width, C) and PCA-ELM over
+    (l_pca, width, C). C applies to all three families, width to ELM and
+    PCA-ELM. The defaults are the shipped configuration, one cell each."""
     n: int = 5
     reading: str = "identity"
     seed: int = 42
@@ -268,20 +271,34 @@ class BenchmarkPlan:
     gammas: tuple = (1.0, 1.1, 1.2, 1.5, 1.7, 2.0, 2.5, 3.0)
     p: float = 99.5
     models: tuple = ("helm", "elm", "pca-elm")
-    # parameter cells; one entry each by default (the shipped configuration)
-    helm_cells: tuple = ((20, 100, 1e-2, 1e-5),)   # (L1, L2, lam, C)
-    elm_cells: tuple = ((100, 1e-5),)              # (width, C)
-    pca_cells: tuple = ((10, 100, 1e-5),)          # (l_pca, width, C)
+    L1: tuple = (20,)
+    L2: tuple = (100,)
+    lam: tuple = (1e-2,)
+    C: tuple = (1e-5,)
+    width: tuple = (100,)
+    l_pca: tuple = (10,)
     ensemble_size: int = 5
 
     def __post_init__(self):
+        """Every axis is checked whatever `models` holds, so a bad value
+        fails here rather than after repetitions have run."""
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if not self.gammas or any(g <= 0 for g in self.gammas):
-            raise ValueError("gammas must be positive")
         unknown = set(self.models) - {"helm", "elm", "pca-elm"}
         if unknown:
             raise ValueError(f"unknown models: {sorted(unknown)}")
+        for axis in ("models", "gammas", "L1", "L2", "lam", "C", "width",
+                     "l_pca"):
+            if not getattr(self, axis):
+                raise ValueError(f"{axis} must hold at least one value")
+        if min(self.width) < 1 or min(self.l_pca) < 1:
+            raise ValueError("width and l_pca must be >= 1")
+        synth.GeneratorSpec(n=self.n, reading=self.reading, seed=self.seed)
+        for gamma in self.gammas:
+            detector.DetectorConfig(gamma=gamma, p=self.p)
+        # builds, and so checks, each HELM cell's HelmConfig, ensemble_size
+        # included; the axes are non-empty, so there is at least one
+        _cells(self, "helm")
 
 
 # Substream ids per model family; repetition r of model m draws from
@@ -301,11 +318,10 @@ def _flag_records(model: str, params: dict, plan: "BenchmarkPlan", rep: int,
         flagged = residual > thr
         fp_flags = flagged[fp_slice]
         set_fp = segment_flagged(fp_flags, plan.p)
-        labels_healthy = np.where(fp_flags, -1, 1)
         for f in range(1, 6):
             seg = slice(*synth.SEGMENTS[f"fault{f}"])
             seg_flags = flagged[seg]
-            rates = score_rates(labels_healthy, np.where(seg_flags, -1, 1))
+            rates = score_rates(fp_flags, seg_flags)
             if seg_flags.any() and thr > 0:
                 mag = float(np.mean(residual[seg][seg_flags] / thr))
             else:
@@ -332,16 +348,18 @@ def _cells(plan: BenchmarkPlan, model: str) -> list:
                  functools.partial(helm.helm_train, config=helm.HelmConfig(
                      layer_sizes=(L1, L2), lam=lam, C=C,
                      ensemble_size=plan.ensemble_size, seed=plan.seed)))
-                for L1, L2, lam, C in plan.helm_cells]
+                for L1, L2, lam, C in itertools.product(plan.L1, plan.L2,
+                                                        plan.lam, plan.C)]
     if model == "elm":
         return [({"width": width, "C": C},
                  functools.partial(baselines.one_class_train, width=width,
                                    C=C))
-                for width, C in plan.elm_cells]
+                for width, C in itertools.product(plan.width, plan.C)]
     return [({"l_pca": l_pca, "width": width, "C": C},
              functools.partial(baselines.pca_elm_train, l_pca=l_pca,
                                width=width, C=C))
-            for l_pca, width, C in plan.pca_cells]
+            for l_pca, width, C in itertools.product(plan.l_pca, plan.width,
+                                                     plan.C)]
 
 
 def benchmark_rep(plan: BenchmarkPlan, rep: int) -> list:
@@ -367,16 +385,15 @@ def benchmark_rep(plan: BenchmarkPlan, rep: int) -> list:
 
 
 def run_benchmark(plan: BenchmarkPlan, jobs: int = 1,
-                  progress=None, report: ExperimentReport | None = None,
-                  start_rep: int = 0) -> ExperimentReport:
+                  progress=None) -> ExperimentReport:
     """Run the repeated experiment. With jobs > 1 repetitions run in worker
     processes; results are identical to the serial run because every
     repetition draws from its own substreams and records carry their rep id.
 
     A KeyboardInterrupt mid-run re-raises with the partial report attached to
     the exception as `exc.partial_report`, so callers can flush it."""
-    report = report if report is not None else ExperimentReport()
-    reps = range(start_rep, plan.reps)
+    report = ExperimentReport()
+    reps = range(plan.reps)
     try:
         if jobs <= 1:
             for rep in reps:
@@ -395,43 +412,3 @@ def run_benchmark(plan: BenchmarkPlan, jobs: int = 1,
         exc.partial_report = report
         raise
     return report
-
-
-def grid_plan(grid: dict, n: int = 5, reading: str = "identity",
-              seed: int = 42, reps: int = 20) -> BenchmarkPlan:
-    """The plan for a hyperparameter lattice. `grid` maps axis names to value
-    lists: gammas, L1, L2, lam, C (hierarchical model), width (baseline
-    hidden width), l_pca, models, and ensemble_size and p (first value used);
-    missing axes use the shipped defaults. Cells are full cartesian products
-    per model family."""
-    d = BenchmarkPlan()
-    g = {k: tuple(v) for k, v in grid.items()}
-    unknown = set(g) - {"gammas", "L1", "L2", "lam", "C", "width", "l_pca",
-                        "models", "ensemble_size", "p"}
-    if unknown:
-        raise ValueError(f"unknown grid axes: {sorted(unknown)}")
-    L1 = g.get("L1", (d.helm_cells[0][0],))
-    L2 = g.get("L2", (d.helm_cells[0][1],))
-    lam = g.get("lam", (d.helm_cells[0][2],))
-    C = g.get("C", (d.helm_cells[0][3],))
-    width = g.get("width", (d.elm_cells[0][0],))
-    l_pca = g.get("l_pca", (d.pca_cells[0][0],))
-    return BenchmarkPlan(
-        n=n, reading=reading, seed=seed, reps=reps,
-        gammas=g.get("gammas", d.gammas),
-        p=g.get("p", (d.p,))[0],
-        models=g.get("models", d.models),
-        helm_cells=tuple(itertools.product(L1, L2, lam, C)),
-        elm_cells=tuple(itertools.product(width, C)),
-        pca_cells=tuple(itertools.product(l_pca, width, C)),
-        ensemble_size=int(g.get("ensemble_size", (d.ensemble_size,))[0]))
-
-
-def grid_sweep(grid: dict, n: int = 5, reading: str = "identity",
-               seed: int = 42, reps: int = 20, jobs: int = 1,
-               progress=None) -> ExperimentReport:
-    """Run the repeated experiment over the lattice `grid_plan` builds from
-    `grid`. Winning cells per the two reporting modes come from
-    `winning_cells`."""
-    return run_benchmark(grid_plan(grid, n, reading, seed, reps),
-                         jobs=jobs, progress=progress)

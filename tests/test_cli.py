@@ -269,14 +269,14 @@ def test_benchmark_writes_reports(tmp_path):
     assert echo["partial"] is False
 
 
-def test_benchmark_cli_plans_like_grid_sweep(tmp_path):
+def test_benchmark_cli_plans_like_run_benchmark(tmp_path):
     out = tmp_path / "bench_grid"
     assert run(["benchmark", "--out", str(out), "--reps", "1",
                 "--models", "elm", "--width", "50,100",
                 "--gammas", "1.2,1.5"]) == 0
-    report = metrics.grid_sweep({"models": ("elm",), "width": (50, 100),
-                                 "gammas": (1.2, 1.5)}, reps=1)
-    report.to_json(tmp_path / "grid_sweep.json")
+    report = metrics.run_benchmark(metrics.BenchmarkPlan(
+        reps=1, models=("elm",), width=(50, 100), gammas=(1.2, 1.5)))
+    report.to_json(tmp_path / "direct.json")
 
     def untimed(path):
         records = json.loads(path.read_text())["records"]
@@ -284,7 +284,22 @@ def test_benchmark_cli_plans_like_grid_sweep(tmp_path):
         return json.dumps([{k: v for k, v in r.items() if k != "train_seconds"}
                            for r in records])
 
-    assert untimed(out / "records.json") == untimed(tmp_path / "grid_sweep.json")
+    assert untimed(out / "records.json") == untimed(tmp_path / "direct.json")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--ensemble", "0"], ["--p", "0"], ["--p", "150"], ["--n", "7"],
+    ["--width", "0"], ["--models", "pca-elm", "--l-pca", "0"],
+    ["--C", "-1"], ["--models", "helm", "--lam", "-1"]],
+    ids=lambda flags: "=".join(flags[-2:]))
+def test_benchmark_rejects_out_of_range_flags_before_work(tmp_path, capsys,
+                                                          flags):
+    out = tmp_path / "bench_bad"
+    assert run(["benchmark", "--out", str(out), "--reps", "1",
+                "--models", "elm", *flags]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err and "rep 1/1 done" not in err
+    assert not (out / "report.csv").exists()
 
 
 def test_config_file_defaults_yield_to_flags(tmp_path):

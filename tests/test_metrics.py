@@ -1,20 +1,22 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from helmfd.metrics import (BenchmarkPlan, ExperimentReport, benchmark_rep,
-                            grid_sweep, run_benchmark, score_rates,
-                            segment_flagged, winning_cells)
+                            run_benchmark, score_rates, segment_flagged,
+                            winning_cells)
 
 
-def labels(flag_count, size):
-    out = np.ones(size, dtype=int)
-    out[:flag_count] = -1
+def flags(flag_count, size):
+    out = np.zeros(size, dtype=bool)
+    out[:flag_count] = True
     return out
 
 
 class TestScoreRates:
     def test_perfect_detector(self):
-        r = score_rates(labels(0, 100), labels(50, 50))
+        r = score_rates(flags(0, 100), flags(50, 50))
         assert r.tpr == 1.0 and r.fpr == 0.0
         assert r.tnr == 1.0 and r.fnr == 0.0
         assert r.accuracy == 1.0
@@ -22,7 +24,7 @@ class TestScoreRates:
         assert r.f1 == 1.0
 
     def test_blind_detector(self):
-        r = score_rates(labels(0, 100), labels(0, 50))
+        r = score_rates(flags(0, 100), flags(0, 50))
         assert r.tpr == 0.0 and r.fpr == 0.0
         assert r.accuracy == 0.5
         assert r.precision == 0.0
@@ -30,17 +32,17 @@ class TestScoreRates:
 
     def test_reported_pair_rounds_to_its_accuracy(self):
         # a detector at TPR 0.891 / FPR 0 reports accuracy 0.95 after rounding
-        r = score_rates(labels(0, 1000), labels(891, 1000))
+        r = score_rates(flags(0, 1000), flags(891, 1000))
         assert r.tpr == 0.891 and r.fpr == 0.0
         assert round(r.accuracy, 2) == 0.95
 
     def test_rates_recomputable_from_counts(self):
         rng = np.random.default_rng(0)
-        healthy = np.where(rng.random(800) < 0.03, -1, 1)
-        fault = np.where(rng.random(500) < 0.4, -1, 1)
+        healthy = rng.random(800) < 0.03
+        fault = rng.random(500) < 0.4
         r = score_rates(healthy, fault)
-        tp = int(np.sum(fault == -1))
-        fp = int(np.sum(healthy == -1))
+        tp = int(fault.sum())
+        fp = int(healthy.sum())
         assert r.tpr == tp / 500
         assert r.fpr == fp / 800
         assert r.tpr + r.fnr == 1.0
@@ -50,10 +52,13 @@ class TestScoreRates:
         assert r.f1 == 2 * tp / (500 + fp + tp)
 
     def test_rejects_empty_or_bad_labels(self):
-        with pytest.raises(ValueError):
-            score_rates(np.array([]), labels(1, 5))
-        with pytest.raises(ValueError):
-            score_rates(labels(1, 5), np.array([0, 1]))
+        with pytest.raises(ValueError, match="empty"):
+            score_rates(np.array([], dtype=bool), flags(1, 5))
+        # +1/-1 labels would all read as flagged if cast to bool
+        with pytest.raises(ValueError, match="boolean"):
+            score_rates(flags(1, 5), np.array([1, -1, 1]))
+        with pytest.raises(ValueError, match="boolean"):
+            score_rates(np.array([1, 1, -1]), flags(1, 5))
 
 
 class TestSegmentFlagged:
@@ -75,6 +80,11 @@ class TestSegmentFlagged:
     def test_empty_segment_rejected(self):
         with pytest.raises(ValueError):
             segment_flagged(np.array([], dtype=bool), 99.5)
+
+    def test_labels_rejected(self):
+        # +1/-1 labels would all read as flagged if cast to bool
+        with pytest.raises(ValueError, match="boolean"):
+            segment_flagged(np.ones(1000, dtype=int), 99.5)
 
 
 def make_record(model="helm", rep=0, fault=1, gamma=1.5, **over):
@@ -193,8 +203,8 @@ class TestBenchmarkEngine:
         fp = slice(*synth.SEGMENTS["fp"])
         f2 = slice(*synth.SEGMENTS["fault2"])
         cfg = calibrate(Y[val], gamma=1.5, p=99.5)
-        healthy = labels_of(decide(Y[fp], cfg))
-        fault = labels_of(decide(Y[f2], cfg))
+        healthy = labels_of(decide(Y[fp], cfg)) == -1
+        fault = labels_of(decide(Y[f2], cfg)) == -1
         direct = score_rates(healthy, fault)
         assert rec["point_tpr"] == direct.tpr
         assert rec["point_fpr"] == direct.fpr
@@ -214,8 +224,8 @@ class TestBenchmarkEngine:
         assert canon(serial.rows()) == canon(parallel.rows())
 
     def test_grid_sweep_runs_lattice(self):
-        report = grid_sweep({"gammas": (1.2, 1.5), "width": (50, 100),
-                             "models": ("elm",)}, reps=1)
+        report = run_benchmark(BenchmarkPlan(reps=1, gammas=(1.2, 1.5),
+                                             width=(50, 100), models=("elm",)))
         rows = report.rows()
         cells = {(r["params"], r["gamma"]) for r in rows}
         assert len(cells) == 4
@@ -230,4 +240,27 @@ class TestBenchmarkEngine:
         with pytest.raises(ValueError):
             BenchmarkPlan(models=("helm", "svm"))
         with pytest.raises(ValueError):
-            grid_sweep({"bogus": (1,)}, reps=1)
+            BenchmarkPlan(models=())
+        with pytest.raises(ValueError):
+            BenchmarkPlan(models=("elm",), L1=())
+        with pytest.raises(TypeError):
+            BenchmarkPlan(bogus=(1,))
+
+    def test_cells_follow_product_order(self):
+        # pins the params strings of report.csv: one record per cell, cells
+        # in itertools.product order of each family's axes
+        plan = BenchmarkPlan(reps=1, gammas=(1.5,), L1=(10, 20),
+                             C=(1e-5, 1e-4), width=(50, 100), ensemble_size=1)
+        params = {m: [] for m in plan.models}
+        for r in benchmark_rep(plan, 0):
+            if r["fault"] == 1:
+                params[r["model"]].append(r["params"])
+        assert params["helm"] == [
+            f"C={C!r};L1={L1!r};L2=100;lam=0.01"
+            for L1, C in itertools.product((10, 20), (1e-5, 1e-4))]
+        assert params["elm"] == [
+            f"C={C!r};width={w!r}"
+            for w, C in itertools.product((50, 100), (1e-5, 1e-4))]
+        assert params["pca-elm"] == [
+            f"C={C!r};l_pca=10;width={w!r}"
+            for w, C in itertools.product((50, 100), (1e-5, 1e-4))]
