@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (NormalizationStats, apply_normalization, as_matrix,
-                   fit_normalization)
+from .data import (NormalizationStats, RngStream, apply_normalization,
+                   as_matrix, fit_normalization)
 from .helm import HelmModel, helm_run, train_head
 
 # Target standard deviation of the head's pre-activations. A random +-1
@@ -25,6 +25,9 @@ from .helm import HelmModel, helm_run, train_head
 # std sqrt(D/3); dividing inputs by sqrt(D/3)/2.6 pins that spread at 2.6
 # regardless of D, keeping the sigmoids off their flat tails.
 HEAD_PREACT_SPREAD = 2.6
+
+# Share of the total variance past which pca_fit keeps no more components.
+PCA_VARIANCE_CAP = 0.99
 
 
 def input_scale(dim: int) -> float:
@@ -47,9 +50,9 @@ class PcaModel:
         return (X - self.mean) @ self.components
 
 
-def pca_fit(X, l_pca: int, variance_cap: float = 0.99) -> PcaModel:
+def pca_fit(X, l_pca: int) -> PcaModel:
     """Principal components of X, at most l_pca of them, further capped so the
-    kept components explain no more than `variance_cap` of total variance
+    kept components explain no more than PCA_VARIANCE_CAP of total variance
     (at least one component is always kept)."""
     X = as_matrix(X, "X")
     if l_pca < 1:
@@ -69,7 +72,7 @@ def pca_fit(X, l_pca: int, variance_cap: float = 0.99) -> PcaModel:
         keep = 1
     else:
         ratio = np.cumsum(evals) / total
-        keep = int(np.searchsorted(ratio, variance_cap) + 1)
+        keep = int(np.searchsorted(ratio, PCA_VARIANCE_CAP) + 1)
         keep = max(1, min(keep, evals.shape[0]))
     L = max(1, min(l_pca, keep))
     return PcaModel(mean=mean, components=evecs[:, :L],
@@ -78,7 +81,7 @@ def pca_fit(X, l_pca: int, variance_cap: float = 0.99) -> PcaModel:
 
 # --- one-class ELM ----------------------------------------------------------
 
-def one_class_train(X_train, width: int, C: float, rng) -> HelmModel:
+def one_class_train(X_train, width: int, C: float, rng: RngStream) -> HelmModel:
     """Single random layer plus ridge head against the constant target 1: a
     member with no feature map. The spread-pinning input scale for the data's
     width is folded into the stored normalization."""
@@ -87,7 +90,8 @@ def one_class_train(X_train, width: int, C: float, rng) -> HelmModel:
     norm = NormalizationStats(mean=norm.mean,
                               std=norm.std / input_scale(X.shape[1]))
     x = apply_normalization(X, norm)
-    return HelmModel(ae_betas=[], top_layer=train_head(x, width, C, rng),
+    return HelmModel(ae_betas=[],
+                     top_layer=train_head(x, width, C, rng.generator()),
                      norm=norm)
 
 
@@ -99,7 +103,8 @@ def one_class_run(model: HelmModel, X) -> np.ndarray:
 
 # --- PCA + one-class ELM ----------------------------------------------------
 
-def pca_elm_train(X_train, l_pca: int, width: int, C: float, rng) -> HelmModel:
+def pca_elm_train(X_train, l_pca: int, width: int, C: float,
+                  rng: RngStream) -> HelmModel:
     """PCA on z-scored inputs, codes rescaled to unit train std, then the
     one-class head. The member's one map is (components / code_scale)ᵀ,
     C-contiguous like a map read back from a model file, and its
@@ -111,7 +116,7 @@ def pca_elm_train(X_train, l_pca: int, width: int, C: float, rng) -> HelmModel:
     codes = pca.transform(x)
     code_scale = codes.std(axis=0)
     code_scale = np.where(code_scale < 1e-12, 1.0, code_scale)
-    head = train_head(codes / code_scale, width, C, rng)
+    head = train_head(codes / code_scale, width, C, rng.generator())
     return HelmModel(
         ae_betas=[np.ascontiguousarray((pca.components / code_scale).T)],
         top_layer=head,

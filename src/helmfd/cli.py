@@ -104,14 +104,8 @@ def _outdir(args, required=True) -> Path:
 def _read_matrix(path):
     try:
         return read_csv_matrix(path)
-    except OSError as exc:
-        raise _IoError(str(exc)) from exc
     except ValueError as exc:
-        raise _IoError(f"{path}: {exc}") from exc
-
-
-class _IoError(Exception):
-    pass
+        raise OSError(f"{path}: {exc}") from exc
 
 
 def _parse_floats(text: str) -> tuple:
@@ -135,11 +129,13 @@ def cmd_generate(args) -> int:
         spec = synth.GeneratorSpec(n=args.n, reading=args.reading,
                                    seed=args.seed, allow_any_n=args.allow_any_n)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        hint = ("" if args.allow_any_n or args.n in synth.N_CHOICES
+                else " (pass --allow-any-n to override)")
+        raise UsageError(f"{exc}{hint}") from exc
     outdir = _outdir(args)
     csv_path = outdir / synth.DATA_FILE
     if csv_path.exists() and not args.force:
-        raise _IoError(f"{csv_path} exists; pass --force to overwrite")
+        raise OSError(f"{csv_path} exists; pass --force to overwrite")
     ds = synth.generate(spec, RngStream(args.seed, (0, args.rep)))
     synth.write_dataset(ds, outdir)
     _echo_config(outdir, "generate", args)
@@ -176,9 +172,7 @@ def cmd_calibrate(args) -> int:
     _check_width(members, X, args.data)
     Y = helm.run_ensemble(members, X)
     cfg = detector.calibrate(Y, gamma=args.gamma, p=args.p)
-    helm.save_ensemble(args.model, members,
-                       detector={"gamma": cfg.gamma, "p": cfg.p,
-                                 "threshold": cfg.threshold})
+    helm.save_ensemble(args.model, members, detector=cfg)
     _echo_config(Path(args.model).parent, "calibrate", args,
                  extra={"threshold": cfg.threshold})
     print(f"threshold = {cfg.threshold!r} (gamma={cfg.gamma:g}, p={cfg.p:g}) "
@@ -189,15 +183,14 @@ def cmd_calibrate(args) -> int:
 # --- detect -----------------------------------------------------------------
 
 def cmd_detect(args) -> int:
-    members, det = _load_model(args.model)
-    if det is None or det["threshold"] <= 0:
+    members, cfg = _load_model(args.model)
+    if cfg is None:
         raise UsageError(f"uncalibrated model: {args.model} "
                          "(run the calibrate command first)")
     _, X = _read_matrix(args.data)
     _check_width(members, X, args.data)
     outdir = _outdir(args)
     Y = helm.run_ensemble(members, X)
-    cfg = detector.DetectorConfig.from_dict(det)
     dets = detector.decide(Y, cfg)
     detector.write_detections_csv(outdir / "detections.csv", dets)
     _echo_config(outdir, "detect", args, extra={"threshold": cfg.threshold})
@@ -214,10 +207,8 @@ def cmd_detect(args) -> int:
 def _load_model(path):
     try:
         return helm.load_ensemble(path)
-    except OSError as exc:
-        raise _IoError(str(exc)) from exc
     except (ValueError, KeyError, TypeError) as exc:
-        raise _IoError(f"{path}: not a readable model file ({exc})") from exc
+        raise OSError(f"{path}: not a readable model file ({exc})") from exc
 
 
 def _check_width(members: helm.Ensemble, X, path) -> None:
@@ -359,16 +350,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _IoError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -77,13 +77,6 @@ class RngStream:
     seed: int
     stream: tuple = ()
 
-    def __post_init__(self):
-        s = self.stream
-        if isinstance(s, int):
-            object.__setattr__(self, "stream", (s,))
-        elif not isinstance(s, tuple):
-            object.__setattr__(self, "stream", tuple(s))
-
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(
             np.random.SeedSequence(self.seed, spawn_key=self.stream))

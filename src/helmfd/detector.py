@@ -32,13 +32,16 @@ class DetectorConfig:
     @classmethod
     def from_dict(cls, d) -> "DetectorConfig":
         """The settings as a model file stores them: an object with exactly
-        the numbers gamma, p and threshold. Raises ValueError otherwise."""
+        the numbers gamma, p and threshold, the threshold > 0 as calibrate
+        sets it. Raises ValueError otherwise."""
         if not isinstance(d, dict) or set(d) != {"gamma", "p", "threshold"}:
             raise ValueError("detector settings must hold exactly "
                              "gamma, p and threshold")
         for k, v in d.items():
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError(f"detector {k} is not a number: {v!r}")
+        if d["threshold"] <= 0:
+            raise ValueError(f"detector threshold {d['threshold']!r} is not > 0")
         return cls(**d)
 
 

@@ -11,9 +11,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
-from .data import RngStream, as_matrix
-
-ACTIVATIONS = ("sigmoid", "identity")
+from .data import as_matrix
 
 
 @dataclass
@@ -22,12 +20,9 @@ class ElmLayer:
     axis: A is then M x D x L, B M x L and beta M x L x D_Y."""
     A: np.ndarray                 # D x L input weights, fixed after draw
     B: np.ndarray                 # L biases
-    activation: str = "sigmoid"
     beta: np.ndarray | None = field(default=None)  # L x D_Y, set by training
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if not (np.isfinite(self.A).all() and np.isfinite(self.B).all()):
             raise ValueError("non-finite layer weights")
         if self.A.ndim not in (2, 3) or self.B.ndim != self.A.ndim - 1:
@@ -36,18 +31,18 @@ class ElmLayer:
             raise ValueError("A columns must match B length")
 
 
-def random_layer(D: int, L: int, activation: str, rng) -> ElmLayer:
+def random_layer(D: int, L: int, gen: np.random.Generator) -> ElmLayer:
     """Draw input weights A (D x L) and biases B (L) i.i.d. uniform on [-1, 1]."""
     if D < 1 or L < 1:
         raise ValueError(f"non-positive dimensions D={D}, L={L}")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
     A = gen.uniform(-1.0, 1.0, size=(D, L))
     B = gen.uniform(-1.0, 1.0, size=L)
-    return ElmLayer(A=A, B=B, activation=activation)
+    return ElmLayer(A=A, B=B)
 
 
 def hidden(layer: ElmLayer, X) -> np.ndarray:
-    """Hidden-layer matrix H = g(X·A + B), K x L.
+    """Hidden-layer matrix H = sigmoid(X·A + B), K x L, the sigmoid being
+    scipy's expit.
 
     A stacked layer takes X as K x D (shared by the members) or M x K x D,
     already checked by the caller, and returns M x K x L, member m computed
@@ -61,9 +56,7 @@ def hidden(layer: ElmLayer, X) -> np.ndarray:
             f"layer expects {layer.A.shape[-2]}")
     Z = X @ layer.A
     Z += layer.B[..., None, :]
-    if layer.activation == "sigmoid":
-        expit(Z, out=Z)
-    return Z
+    return expit(Z, out=Z)
 
 
 def ridge_solve(H, T, C: float) -> np.ndarray:

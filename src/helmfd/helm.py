@@ -19,7 +19,7 @@ import json
 import os
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -101,17 +101,17 @@ class HelmModel:
         return self.norm.mean.shape[0]
 
 
-def helm_train(X_train, config: HelmConfig, rng) -> HelmModel:
+def helm_train(X_train, config: HelmConfig, rng: RngStream) -> HelmModel:
     """Train one HELM on healthy data. Normalization is fit here and stored
     with the model; callers pass raw matrices."""
     X = as_matrix(X_train, "X_train")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = rng.generator()
     norm = fit_normalization(X)
     x = apply_normalization(X, norm)
 
     ae_betas = []
     for i, L in enumerate(config.layer_sizes[:-1]):
-        layer = random_layer(x.shape[1], L, "sigmoid", gen)
+        layer = random_layer(x.shape[1], L, gen)
         H = hidden(layer, x)
         # warm start: the least-squares solution is the LASSO optimum at
         # lam = 0 and a close one at small lam, which FISTA then refines
@@ -133,10 +133,10 @@ def helm_train(X_train, config: HelmConfig, rng) -> HelmModel:
     return HelmModel(ae_betas=ae_betas, top_layer=top, norm=norm, config=config)
 
 
-def train_head(x, width: int, C: float, rng) -> ElmLayer:
+def train_head(x, width: int, C: float, gen: np.random.Generator) -> ElmLayer:
     """The one-class head on features x: a random sigmoid layer whose beta is
     the ridge solution against the constant target 1."""
-    top = random_layer(x.shape[1], width, "sigmoid", rng)
+    top = random_layer(x.shape[1], width, gen)
     H = hidden(top, x)
     top.beta = ridge_solve(H, np.ones((x.shape[0], 1)), C)
     return top
@@ -190,7 +190,6 @@ class Ensemble(Sequence):
         heads = [m.top_layer for m in members]
         self.head = ElmLayer(A=np.stack([h.A for h in heads]),
                              B=np.stack([h.B for h in heads]),
-                             activation=first.top_layer.activation,
                              beta=np.stack([h.beta for h in heads]))
 
     def __len__(self) -> int:
@@ -208,8 +207,7 @@ def _bitwise_equal(a, b) -> bool:
 
 
 def _shape(m: HelmModel) -> tuple:
-    return (*(b.shape for b in m.ae_betas), m.top_layer.A.shape,
-            m.top_layer.activation)
+    return (*(b.shape for b in m.ae_betas), m.top_layer.A.shape)
 
 
 def _row_blocks(K: int):
@@ -246,20 +244,22 @@ def run_ensemble(models, X) -> np.ndarray:
 # reproduce outputs exactly.
 
 FORMAT = "helmfd-model-v1"
+# v1 files name the head's activation; every head is a sigmoid layer
+ACTIVATION = "sigmoid"
 
 
 def _layer_to_dict(layer: ElmLayer) -> dict:
     return {"A": layer.A.tolist(), "B": layer.B.tolist(),
-            "activation": layer.activation,
-            "beta": None if layer.beta is None else layer.beta.tolist()}
+            "activation": ACTIVATION, "beta": layer.beta.tolist()}
 
 
 def _layer_from_dict(d: dict) -> ElmLayer:
+    if d["activation"] != ACTIVATION:
+        raise ValueError(f"head activation {d['activation']!r}, "
+                         f"expected {ACTIVATION!r}")
     return ElmLayer(A=np.array(d["A"], dtype=np.float64),
                     B=np.array(d["B"], dtype=np.float64),
-                    activation=d["activation"],
-                    beta=None if d["beta"] is None
-                    else np.array(d["beta"], dtype=np.float64))
+                    beta=np.array(d["beta"], dtype=np.float64))
 
 
 def _model_to_dict(model: HelmModel) -> dict:
@@ -288,12 +288,13 @@ def _model_from_dict(d: dict) -> HelmModel:
             ensemble_size=cfg["ensemble_size"], seed=cfg["seed"]))
 
 
-def save_ensemble(path, models: list, detector: dict | None = None) -> None:
+def save_ensemble(path, models: list,
+                  detector: DetectorConfig | None = None) -> None:
     """Write the model JSON to a temp file next to `path`, then os.replace it
     over `path`: a write that fails midway leaves the old file intact."""
     doc = {"format": FORMAT, "kind": "helm-ensemble",
            "members": [_model_to_dict(m) for m in models],
-           "detector": detector}
+           "detector": None if detector is None else asdict(detector)}
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -306,16 +307,16 @@ def save_ensemble(path, models: list, detector: dict | None = None) -> None:
         raise
 
 
-def load_ensemble(path) -> tuple[Ensemble, dict | None]:
-    """Members and detector settings of a model file. Raises ValueError when
-    a member fails HelmModel's check, when the members do not form an
-    Ensemble, or when the detector settings fail DetectorConfig's check."""
+def load_ensemble(path) -> tuple[Ensemble, DetectorConfig | None]:
+    """Members and detector settings of a model file; None for the settings
+    of a model not yet calibrated. Raises ValueError when a member fails
+    HelmModel's check or has a head other than a sigmoid layer, when the
+    members do not form an Ensemble, or when the detector settings fail
+    DetectorConfig.from_dict."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ValueError(f"{path}: not a {FORMAT} document")
     members = Ensemble(_model_from_dict(d) for d in doc["members"])
     det = doc.get("detector")
-    if det is not None:
-        DetectorConfig.from_dict(det)
-    return members, det
+    return members, (None if det is None else DetectorConfig.from_dict(det))

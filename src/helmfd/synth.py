@@ -37,28 +37,28 @@ FAULT_NAMES = ("fault1", "fault2", "fault3", "fault4", "fault5")
 DATA_FILE = "data.csv"
 SPLIT_FILES = {"train": "train.csv", "val": "val.csv", "fp": "fp_test.csv",
                **{f: f"{f}.csv" for f in FAULT_NAMES}}
+# The timeline's fixed layout: one row per time sample, one column per sensor.
+ROWS = SEGMENTS["fault5"][1]
+SENSORS = 200
+N_CHOICES = (5, 10)   # base-signal counts of the paper's two settings
 READINGS = ("identity", "log")
 LOG_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    K: int = 14000
-    D: int = 200
     n: int = 5
     reading: str = "identity"
     seed: int = 0
     allow_any_n: bool = False
 
     def __post_init__(self):
+        if self.n not in N_CHOICES and not self.allow_any_n:
+            raise ValueError("n must be 5 or 10")
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         if self.reading not in READINGS:
             raise ValueError(f"reading must be one of {READINGS}")
-        if self.n not in (5, 10) and not self.allow_any_n:
-            raise ValueError("n must be 5 or 10 (pass allow_any_n to override)")
-        if self.K != 14000:
-            raise ValueError("the fixed split layout requires K = 14000")
-        if self.D < 1 or self.n < 1:
-            raise ValueError("D and n must be >= 1")
 
 
 def apply_reading(v: np.ndarray, reading: str) -> np.ndarray:
@@ -86,7 +86,7 @@ class SyntheticDataset:
 
     def provenance_dict(self) -> dict:
         return {
-            "spec": {"K": self.spec.K, "D": self.spec.D, "n": self.spec.n,
+            "spec": {"K": ROWS, "D": SENSORS, "n": self.spec.n,
                      "reading": self.spec.reading, "seed": self.spec.seed},
             "segments": {k: list(v) for k, v in SEGMENTS.items()},
             "base_alpha": self.base_alpha.tolist(),
@@ -100,11 +100,11 @@ class SyntheticDataset:
         }
 
 
-def generate(spec: GeneratorSpec, rng) -> SyntheticDataset:
+def generate(spec: GeneratorSpec, rng: RngStream) -> SyntheticDataset:
     """Render the benchmark dataset. All draws flow from the given stream in a
     fixed order, so equal (spec, stream) reproduce the matrix bitwise."""
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    K, D, n = spec.K, spec.D, spec.n
+    gen = rng.generator()
+    K, D, n = ROWS, SENSORS, spec.n
 
     base_alpha = gen.normal(size=n)
     fault4_alpha = float(gen.normal())

@@ -76,7 +76,7 @@ def test_generate_refuses_overwrite_without_force(tmp_path, capsys):
 
 def test_generate_rejects_off_menu_n(tmp_path, capsys):
     assert run(["generate", "--out", str(tmp_path / "x"), "--n", "7"]) == cli.EXIT_USAGE
-    assert "allow_any_n" in capsys.readouterr().err
+    assert "--allow-any-n" in capsys.readouterr().err
 
 
 def test_generate_any_n_override(tmp_path):
@@ -153,6 +153,13 @@ CORRUPTIONS = {
         lambda d: setitem(d["members"][1]["norm"]["mean"], 0,
                           d["members"][1]["norm"]["mean"][0] + 1.0),
     "mixed_L1": lambda d: _drop_last_feature(d["members"][1]),
+    "head_identity_activation":
+        lambda d: setitem(d["members"][1]["top_layer"], "activation",
+                          "identity"),
+    # every head alike, so the members still stack
+    "all_heads_identity_activation":
+        lambda d: [setitem(m["top_layer"], "activation", "identity")
+                   for m in d["members"]],
     # the detector block
     "threshold_string":
         lambda d: setitem(d["detector"], "threshold", "0.1"),
@@ -161,6 +168,8 @@ CORRUPTIONS = {
         lambda d: setitem(d, "detector", list(d["detector"].values())),
     "gamma_negative": lambda d: setitem(d["detector"], "gamma", -1.0),
     "threshold_nan": lambda d: setitem(d["detector"], "threshold", NAN),
+    "threshold_zero": lambda d: setitem(d["detector"], "threshold", 0.0),
+    "threshold_negative": lambda d: setitem(d["detector"], "threshold", -0.5),
 }
 
 
@@ -299,6 +308,8 @@ def test_benchmark_rejects_out_of_range_flags_before_work(tmp_path, capsys,
                 "--models", "elm", *flags]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "error:" in err and "rep 1/1 done" not in err
+    # benchmark has no --allow-any-n, so no message may offer it
+    assert "allow" not in err
     assert not (out / "report.csv").exists()
 
 

@@ -15,27 +15,27 @@ def sigmoid_oracle(z):
 class TestRandomLayer:
     def test_shapes_and_range(self):
         rng = np.random.default_rng(0)
-        layer = random_layer(7, 13, "sigmoid", rng)
+        layer = random_layer(7, 13, rng)
         assert layer.A.shape == (7, 13)
         assert layer.B.shape == (13,)
         assert np.all(layer.A >= -1.0) and np.all(layer.A <= 1.0)
         assert np.all(layer.B >= -1.0) and np.all(layer.B <= 1.0)
 
     def test_deterministic_per_seed(self):
-        a = random_layer(4, 6, "sigmoid", np.random.default_rng(5))
-        b = random_layer(4, 6, "sigmoid", np.random.default_rng(5))
+        a = random_layer(4, 6, np.random.default_rng(5))
+        b = random_layer(4, 6, np.random.default_rng(5))
         assert np.array_equal(a.A, b.A) and np.array_equal(a.B, b.B)
 
     def test_weights_uniform_on_symmetric_interval(self):
-        layer = random_layer(500, 200, "sigmoid", np.random.default_rng(6))
+        layer = random_layer(500, 200, np.random.default_rng(6))
         draws = layer.A.ravel()
         assert stats.kstest(draws, "uniform", args=(-1.0, 2.0)).pvalue > 0.01
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
-            random_layer(0, 5, "sigmoid", np.random.default_rng(0))
+            random_layer(0, 5, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            random_layer(5, 0, "sigmoid", np.random.default_rng(0))
+            random_layer(5, 0, np.random.default_rng(0))
 
 
 class TestHidden:
@@ -43,12 +43,12 @@ class TestHidden:
         A = np.array([[0.5, -0.25], [1.0, 0.75]])
         B = np.array([0.1, -0.2])
         X = np.array([[1.0, 2.0], [-0.5, 0.25]])
-        layer = ElmLayer(A=A, B=B, activation="sigmoid")
+        layer = ElmLayer(A=A, B=B)
         assert np.allclose(hidden(layer, X), sigmoid_oracle(X @ A + B),
                            atol=1e-12)
 
     def test_zero_preactivation_gives_half(self):
-        layer = ElmLayer(A=np.eye(2), B=np.zeros(2), activation="sigmoid")
+        layer = ElmLayer(A=np.eye(2), B=np.zeros(2))
         assert np.allclose(hidden(layer, np.zeros((3, 2))), 0.5)
 
     def test_outputs_inside_unit_interval(self):
@@ -56,21 +56,15 @@ class TestHidden:
         # sigmoid rounds to exactly 1.0 somewhere past z = 36, so extreme
         # inputs are only required to stay inside the closed interval.
         rng = np.random.default_rng(7)
-        layer = random_layer(6, 9, "sigmoid", rng)
+        layer = random_layer(6, 9, rng)
         H = hidden(layer, rng.normal(size=(40, 6)) * 3)
         assert np.all(H > 0.0) and np.all(H < 1.0)
         H_hot = hidden(layer, rng.normal(size=(40, 6)) * 1e4)
         assert np.all(H_hot >= 0.0) and np.all(H_hot <= 1.0)
         assert np.all(np.isfinite(H_hot))
 
-    def test_identity_activation_passthrough(self):
-        A = np.array([[2.0]])
-        B = np.array([-1.0])
-        layer = ElmLayer(A=A, B=B, activation="identity")
-        assert np.allclose(hidden(layer, np.array([[3.0]])), [[5.0]])
-
     def test_dimension_mismatch_rejected(self):
-        layer = ElmLayer(A=np.eye(3), B=np.zeros(3), activation="sigmoid")
+        layer = ElmLayer(A=np.eye(3), B=np.zeros(3))
         with pytest.raises(ValueError):
             hidden(layer, np.zeros((2, 4)))
 

@@ -9,6 +9,7 @@ from scipy.special import expit
 from helmfd import helm, synth
 from helmfd.baselines import one_class_train, pca_elm_train
 from helmfd.data import RngStream, apply_normalization, fit_normalization
+from helmfd.detector import DetectorConfig
 from helmfd.elm import hidden, random_layer
 from helmfd.fista import FistaParams, fista_solve
 from helmfd.helm import (FEATURE_SPAN, SCORE_BLOCK_ROWS, Ensemble, HelmConfig,
@@ -80,7 +81,7 @@ def test_heavy_l1_penalty_matches_lasso_oracle(dataset0):
     norm = fit_normalization(dataset0.X[tr])
     x = apply_normalization(dataset0.X[tr], norm)
     gen = RngStream(9, (1,)).generator()
-    layer = random_layer(x.shape[1], 20, "sigmoid", gen)
+    layer = random_layer(x.shape[1], 20, gen)
     H = hidden(layer, x)
 
     tight = fista_solve(H, x, FistaParams(lam=1.0, eps=1e-10, max_iter=50000))
@@ -236,10 +237,10 @@ def test_json_round_trip_is_bitwise(tmp_path, family):
     members = [TRAINERS[family](X, RngStream(11, (1, m))) for m in range(3)]
     before = run_ensemble(members, X)
     path = tmp_path / "model.json"
-    save_ensemble(path, members, detector={"gamma": 1.5, "p": 99.5,
-                                           "threshold": 0.125})
+    cfg = DetectorConfig(gamma=1.5, p=99.5, threshold=0.125)
+    save_ensemble(path, members, detector=cfg)
     loaded, det = load_ensemble(path)
-    assert det == {"gamma": 1.5, "p": 99.5, "threshold": 0.125}
+    assert det == cfg
     assert isinstance(loaded, Ensemble)
     assert np.array_equal(run_ensemble(loaded, X), before)
     built = Ensemble(members)
@@ -264,8 +265,8 @@ def test_failed_save_leaves_old_model_intact(tmp_path, monkeypatch):
 
     monkeypatch.setattr(helm.json, "dump", dump_then_fail)
     with pytest.raises(OSError, match="disk full"):
-        save_ensemble(path, members, detector={"gamma": 1.5, "p": 99.5,
-                                               "threshold": 0.125})
+        save_ensemble(path, members,
+                      detector=DetectorConfig(gamma=1.5, p=99.5, threshold=0.125))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
