@@ -104,11 +104,32 @@ class HelmModel:
 def helm_train(X_train, config: HelmConfig, rng: RngStream) -> HelmModel:
     """Train one HELM on healthy data. Normalization is fit here and stored
     with the model; callers pass raw matrices."""
+    (model,) = _train_members(X_train, config, [rng])
+    return model
+
+
+def train_ensemble(X_train, config: HelmConfig, stream: RngStream) -> "Ensemble":
+    """ensemble_size models on disjoint substreams of `stream`: member m is
+    bitwise helm_train on stream.child(m), but X_train is validated and
+    normalized once and all members hold the same NormalizationStats."""
+    return Ensemble(_train_members(
+        X_train, config,
+        [stream.child(m) for m in range(config.ensemble_size)]))
+
+
+def _train_members(X_train, config: HelmConfig, streams) -> list:
+    """One HELM per stream, each drawing from that stream's generator, on
+    X_train normalized once for all of them."""
     X = as_matrix(X_train, "X_train")
-    gen = rng.generator()
     norm = fit_normalization(X)
     x = apply_normalization(X, norm)
+    return [_train_member(x, norm, config, s.generator()) for s in streams]
 
+
+def _train_member(x, norm: NormalizationStats, config: HelmConfig,
+                  gen: np.random.Generator) -> HelmModel:
+    """The autoencoder maps and the head on normalized inputs x; x itself is
+    left as it is, so members can share it."""
     ae_betas = []
     for i, L in enumerate(config.layer_sizes[:-1]):
         layer = random_layer(x.shape[1], L, gen)
@@ -146,12 +167,6 @@ def helm_run(model: HelmModel, X) -> np.ndarray:
     """Forward pass of one member: normalize, apply the linear feature maps,
     then the head. Returns the one-class output Y as a length-K vector."""
     return run_ensemble((model,), X)
-
-
-def train_ensemble(X_train, config: HelmConfig, stream: RngStream) -> "Ensemble":
-    """ensemble_size independent models on disjoint substreams of `stream`."""
-    return Ensemble(helm_train(X_train, config, stream.child(m))
-                    for m in range(config.ensemble_size))
 
 
 class Ensemble(Sequence):

@@ -342,22 +342,24 @@ def _flag_records(model: str, params: dict, plan: "BenchmarkPlan", rep: int,
 
 def _cells(plan: BenchmarkPlan, model: str) -> list:
     """(record params, trainer) per parameter cell of one model family. A
-    trainer takes (X_train, rng) and returns one helm.HelmModel member."""
+    trainer takes (X_train, stream) and returns the cell's helm.Ensemble of
+    plan.ensemble_size members, member m drawn from stream.child(m)."""
+    size = plan.ensemble_size
     if model == "helm":
         return [({"L1": L1, "L2": L2, "lam": lam, "C": C},
-                 functools.partial(helm.helm_train, config=helm.HelmConfig(
+                 functools.partial(helm.train_ensemble, config=helm.HelmConfig(
                      layer_sizes=(L1, L2), lam=lam, C=C,
-                     ensemble_size=plan.ensemble_size, seed=plan.seed)))
+                     ensemble_size=size, seed=plan.seed)))
                 for L1, L2, lam, C in itertools.product(plan.L1, plan.L2,
                                                         plan.lam, plan.C)]
     if model == "elm":
         return [({"width": width, "C": C},
-                 functools.partial(baselines.one_class_train, width=width,
-                                   C=C))
+                 functools.partial(baselines.one_class_train_ensemble,
+                                   width=width, C=C, size=size))
                 for width, C in itertools.product(plan.width, plan.C)]
     return [({"l_pca": l_pca, "width": width, "C": C},
-             functools.partial(baselines.pca_elm_train, l_pca=l_pca,
-                               width=width, C=C))
+             functools.partial(baselines.pca_elm_train_ensemble, l_pca=l_pca,
+                               width=width, C=C, size=size))
             for l_pca, width, C in itertools.product(plan.l_pca, plan.width,
                                                      plan.C)]
 
@@ -371,15 +373,14 @@ def benchmark_rep(plan: BenchmarkPlan, rep: int) -> list:
     tr = slice(*synth.SEGMENTS["train"])
     records = []
     for model in plan.models:
-        fam = _FAMILY[model]
+        stream = RngStream(plan.seed, (_FAMILY[model], rep))
         for params, train in _cells(plan, model):
             t0 = time.perf_counter()
-            members = [train(X[tr], rng=RngStream(plan.seed, (fam, rep, m)))
-                       for m in range(plan.ensemble_size)]
+            ensemble = train(X[tr], stream=stream)
             dt = time.perf_counter() - t0
             # run_ensemble, not an ad-hoc mean: the train/calibrate/detect
             # pipeline must reproduce these numbers bitwise
-            Y = helm.run_ensemble(members, X)
+            Y = helm.run_ensemble(ensemble, X)
             records += _flag_records(model, params, plan, rep, Y, dt)
     return records
 

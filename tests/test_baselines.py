@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from helmfd.baselines import (input_scale, one_class_train, pca_elm_train,
-                              pca_fit)
+from helmfd.baselines import (input_scale, one_class_train,
+                              one_class_train_ensemble, pca_elm_train,
+                              pca_elm_train_ensemble, pca_fit)
 from helmfd.data import RngStream, apply_normalization, fit_normalization
 from helmfd.helm import helm_run
 
@@ -141,3 +142,37 @@ class TestPcaElm:
         a = pca_elm_train(X, 3, 20, 1e-5, RngStream(7, (0,)))
         b = pca_elm_train(X, 3, 20, 1e-5, RngStream(7, (0,)))
         assert np.array_equal(helm_run(a, X), helm_run(b, X))
+
+
+# (single-member trainer, ensemble trainer) per baseline family
+TRAINER_PAIRS = {
+    "elm": (lambda X, rng: one_class_train(X, 30, 1e-5, rng),
+            lambda X, stream: one_class_train_ensemble(X, 30, 1e-5, stream, 3)),
+    "pca-elm": (lambda X, rng: pca_elm_train(X, 4, 30, 1e-5, rng),
+                lambda X, stream: pca_elm_train_ensemble(X, 4, 30, 1e-5,
+                                                         stream, 3)),
+}
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("family", TRAINER_PAIRS)
+def test_ensemble_member_equals_single_member_trainer(family):
+    single, ensemble = TRAINER_PAIRS[family]
+    X = small_matrix()
+    stream = RngStream(8, (2,))
+    members = ensemble(X, stream)
+    assert len(members) == 3
+    for m, got in enumerate(members):
+        want = single(X, stream.child(m))
+        assert got.norm is members[0].norm
+        pairs = [(got.norm.mean, want.norm.mean), (got.norm.std, want.norm.std),
+                 (got.top_layer.A, want.top_layer.A),
+                 (got.top_layer.B, want.top_layer.B),
+                 (got.top_layer.beta, want.top_layer.beta)]
+        assert len(got.ae_betas) == len(want.ae_betas)
+        pairs += list(zip(got.ae_betas, want.ae_betas))
+        for a, b in pairs:
+            assert bitwise_equal(a, b), m

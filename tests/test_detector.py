@@ -1,9 +1,11 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
 
-from helmfd import synth
+from helmfd import detector, synth
 from helmfd.detector import (Detection, DetectorConfig, calibrate, decide,
                              labels_of, residuals, write_detections_csv)
 from helmfd.helm import run_ensemble
@@ -131,14 +133,23 @@ def test_flag_rate_on_fresh_healthy_data(helm_ensemble0, dataset0):
     assert 0.0 <= rate <= 0.02
 
 
-def test_detections_csv_round_trip(tmp_path):
+def test_detections_csv_round_trip(tmp_path, monkeypatch):
+    # two-line chunks, so the rows cross chunk boundaries; the bytes are
+    # those csv.writer writes row by row
+    monkeypatch.setattr(detector, "CSV_CHUNK_ROWS", 2)
     cfg = DetectorConfig(gamma=1.0, p=99.5, threshold=0.1)
-    dets = decide(np.array([1.0, 1.05, 1.5]), cfg)
+    dets = decide(np.array([1.0, 1.05, 1.5, 0.9 + 1e-13, 1.2]), cfg)
     path = tmp_path / "det.csv"
     write_detections_csv(path, dets)
+    want = io.StringIO(newline="")
+    w = csv.writer(want)
+    w.writerow(["index", "score", "label", "magnification"])
+    for i, d in enumerate(dets):
+        w.writerow([i, repr(d.score), d.label, repr(d.magnification)])
+    assert path.read_bytes() == want.getvalue().encode()
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "index,score,label,magnification"
-    assert len(lines) == 4
+    assert len(lines) == 6
     last = lines[3].split(",")
     assert last[2] == "-1"
     assert float(last[3]) == dets[2].magnification

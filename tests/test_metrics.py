@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from helmfd import baselines, data, helm, metrics
 from helmfd.metrics import (BenchmarkPlan, ExperimentReport, benchmark_rep,
                             run_benchmark, score_rates, segment_flagged,
                             winning_cells)
@@ -210,6 +211,29 @@ class TestBenchmarkEngine:
         assert rec["point_fpr"] == direct.fpr
         assert rec["point_precision"] == direct.precision
         assert rec["point_f1"] == direct.f1
+
+    def test_rep_does_shared_training_work_once_per_ensemble(self,
+                                                              monkeypatch):
+        # counts work done, not time taken: every member of an ensemble
+        # trains on one normalization, and the PCA-ELM members on one PCA
+        def count(fn):
+            calls = []
+
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return fn(*args, **kwargs)
+            for mod in (data, helm, baselines, metrics):
+                if vars(mod).get(fn.__name__) is fn:
+                    monkeypatch.setattr(mod, fn.__name__, counted)
+            return calls
+
+        norms = count(data.fit_normalization)
+        pcas = count(baselines.pca_fit)
+        plan = BenchmarkPlan()
+        benchmark_rep(plan, 0)
+        assert len(plan.models) == 3 and plan.ensemble_size == 5
+        assert len(norms) == 3
+        assert len(pcas) == 1
 
     def test_parallel_run_matches_serial(self):
         plan = BenchmarkPlan(reps=2, gammas=(1.5,), models=("elm",))
