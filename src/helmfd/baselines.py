@@ -46,18 +46,17 @@ class PcaModel:
     explained_variance: np.ndarray   # descending, one per kept component
     l_pca: int
 
-    def transform(self, X) -> np.ndarray:
-        X = as_matrix(X, "X")
+    def transform(self, X: np.ndarray) -> np.ndarray:
+        """Codes of X, a finite float64 K x D ndarray."""
         if X.shape[1] != self.mean.shape[0]:
             raise ValueError("dimension mismatch in pca transform")
         return (X - self.mean) @ self.components
 
 
-def pca_fit(X, l_pca: int) -> PcaModel:
-    """Principal components of X, at most l_pca of them, further capped so the
-    kept components explain no more than PCA_VARIANCE_CAP of total variance
-    (at least one component is always kept)."""
-    X = as_matrix(X, "X")
+def pca_fit(X: np.ndarray, l_pca: int) -> PcaModel:
+    """Principal components of X, a finite float64 K x D ndarray: at most
+    l_pca, further capped so the kept components explain no more than
+    PCA_VARIANCE_CAP of total variance (at least one is always kept)."""
     if l_pca < 1:
         raise ValueError("l_pca must be >= 1")
     if X.shape[0] < 2:

@@ -1,7 +1,7 @@
 """Command-line surface: generate / train / calibrate / detect / benchmark.
 
 Every command echoes its fully resolved configuration (defaults, config-file
-values, flags, seed) as JSON into its output directory, so any result can be
+values, flags) as JSON into its output directory, so any result can be
 reproduced from the artifacts alone. Exit codes: 0 success, 2 usage error,
 3 I/O error, 4 numerical error, 130 interrupted.
 """
@@ -272,10 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="key = value file; flags override it")
-        p.add_argument("--seed", type=int, default=0)
 
     g = sub.add_parser("generate", help="write a synthetic dataset + splits")
     common(g)
+    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", help=f"output directory (default ${OUT_ENV})")
     g.add_argument("--n", type=int, default=5, help="number of base signals")
     g.add_argument("--reading", default="identity", choices=synth.READINGS)
@@ -287,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train a HELM ensemble on healthy data")
     common(t)
+    t.add_argument("--seed", type=int, default=0)
     t.add_argument("--data", required=True, help="healthy CSV (training split)")
     t.add_argument("--model", required=True, help="output model JSON path")
     t.add_argument("--layers", type=_parse_ints, default=(20, 100),
@@ -315,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("benchmark", help="repeated synthetic experiment")
     common(b)
+    b.add_argument("--seed", type=int, default=42)
     b.add_argument("--out", help=f"output directory (default ${OUT_ENV})")
     b.add_argument("--reps", type=int, default=20)
     b.add_argument("--n", type=int, default=5)
@@ -337,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="principal-component counts (comma list)")
     b.add_argument("--ensemble", type=int, default=5)
     b.add_argument("--jobs", type=int, default=1)
-    b.set_defaults(func=cmd_benchmark, seed=42)
+    b.set_defaults(func=cmd_benchmark)
 
     return parser
 
@@ -346,6 +348,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = _apply_config_defaults(parser, list(sys.argv[1:] if argv is None else argv))
+        # seeds and repetitions key numpy's SeedSequence, which takes no
+        # negative entropy; --jobs counts worker processes
+        for dest, least in {"seed": 0, "rep": 0, "jobs": 1}.items():
+            if getattr(args, dest, least) < least:
+                raise UsageError(f"--{dest} must be >= {least}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,10 @@
 """Shared numeric containers: matrix validation, normalization, RNG streams, CSV I/O.
 
 A sensor matrix is a plain float64 ndarray, rows = time samples, columns =
-sensors. Helpers here enforce the invariants (finite entries, K >= 1, D >= 1)
-at the boundaries so the numeric code can assume clean inputs.
+sensors. as_matrix enforces the invariants (finite entries, K >= 1, D >= 1)
+where data enters helmfd, and only there: read_csv_matrix, write_csv_matrix,
+the member trainers of helm and baselines, and helm.run_ensemble. The
+numeric kernels behind them take the checked arrays as they are.
 """
 from __future__ import annotations
 
@@ -48,18 +50,18 @@ class NormalizationStats:
             raise ValueError("std must be strictly positive")
 
 
-def fit_normalization(X_train) -> NormalizationStats:
-    X = as_matrix(X_train, "X_train")
-    if X.shape[0] < 2:
+def fit_normalization(X_train: np.ndarray) -> NormalizationStats:
+    """Column mean and std of X_train, a finite float64 K x D ndarray."""
+    if X_train.shape[0] < 2:
         raise ValueError("need K >= 2 samples to fit normalization")
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
+    mean = X_train.mean(axis=0)
+    std = X_train.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)  # constant-column guard
     return NormalizationStats(mean=mean, std=std)
 
 
 def apply_normalization(X, stats: NormalizationStats) -> np.ndarray:
-    X = as_matrix(X, "X")
+    """(X - mean) / std for X, a finite float64 K x D ndarray."""
     if X.shape[1] != stats.mean.shape[0]:
         raise ValueError(
             f"dimension mismatch: X has {X.shape[1]} columns, "

@@ -11,20 +11,17 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
-from .data import as_matrix
-
 
 @dataclass
 class ElmLayer:
     """One layer, or M layers of one shape stacked over a leading member
-    axis: A is then M x D x L, B M x L and beta M x L x D_Y."""
+    axis: A is then M x D x L, B M x L and beta M x L x D_Y. Only shapes are
+    checked here; helm.HelmModel checks that the entries are finite."""
     A: np.ndarray                 # D x L input weights, fixed after draw
     B: np.ndarray                 # L biases
     beta: np.ndarray | None = field(default=None)  # L x D_Y, set by training
 
     def __post_init__(self):
-        if not (np.isfinite(self.A).all() and np.isfinite(self.B).all()):
-            raise ValueError("non-finite layer weights")
         if self.A.ndim not in (2, 3) or self.B.ndim != self.A.ndim - 1:
             raise ValueError("A must be a matrix and B a vector")
         if self.A.shape[:-2] + self.A.shape[-1:] != self.B.shape:
@@ -40,16 +37,14 @@ def random_layer(D: int, L: int, gen: np.random.Generator) -> ElmLayer:
     return ElmLayer(A=A, B=B)
 
 
-def hidden(layer: ElmLayer, X) -> np.ndarray:
+def hidden(layer: ElmLayer, X: np.ndarray) -> np.ndarray:
     """Hidden-layer matrix H = sigmoid(X·A + B), K x L, the sigmoid being
-    scipy's expit.
+    scipy's expit. X is a finite float64 K x D ndarray.
 
-    A stacked layer takes X as K x D (shared by the members) or M x K x D,
-    already checked by the caller, and returns M x K x L, member m computed
-    with the same BLAS call and elementwise steps as a layer of its own.
+    A stacked layer takes X as K x D (shared by the members) or M x K x D
+    and returns M x K x L, member m computed with the same BLAS call and
+    elementwise steps as a layer of its own.
     """
-    if layer.A.ndim == 2:
-        X = as_matrix(X, "X")
     if X.shape[-1] != layer.A.shape[-2]:
         raise ValueError(
             f"dimension mismatch: X has {X.shape[-1]} columns, "
@@ -59,13 +54,12 @@ def hidden(layer: ElmLayer, X) -> np.ndarray:
     return expit(Z, out=Z)
 
 
-def ridge_solve(H, T, C: float) -> np.ndarray:
-    """beta = (C·I + HᵀH)^(-1) Hᵀ T via Cholesky on the L x L Gram matrix.
+def ridge_solve(H: np.ndarray, T: np.ndarray, C: float) -> np.ndarray:
+    """beta = (C·I + HᵀH)^(-1) Hᵀ T via Cholesky on the L x L Gram matrix,
+    for finite float64 matrices H (K x L) and T (K x D_Y).
 
     C = 0 with a singular Gram falls back to minimum-norm least squares.
     """
-    H = as_matrix(H, "H")
-    T = as_matrix(T, "T")
     if H.shape[0] != T.shape[0]:
         raise ValueError("H and T row counts differ")
     if not np.isfinite(C) or C < 0:

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import as_matrix
-
 # Fraction of the largest step acceleration tolerates (see fista_solve).
 STEP_FRACTION = 0.9
 
@@ -45,7 +43,6 @@ def soft_threshold(c, t: float) -> np.ndarray:
     """Elementwise max(|c| - t, 0) · sign(c)."""
     if t < 0:
         raise ValueError("threshold must be >= 0")
-    c = np.asarray(c, dtype=np.float64)
     return np.sign(c) * np.maximum(np.abs(c) - t, 0.0)
 
 
@@ -54,9 +51,10 @@ def lasso_objective(H, X, beta, lam: float) -> float:
     return float(np.sum(R * R) + lam * np.sum(np.abs(beta)))
 
 
-def fista_solve(H, X_target, params: FistaParams,
+def fista_solve(H: np.ndarray, X_target: np.ndarray, params: FistaParams,
                 beta0: np.ndarray | None = None) -> FistaResult:
-    """Iterate the accelerated proximal-gradient scheme
+    """For finite float64 matrices H (K x L) and X_target (K x D), iterate
+    the accelerated proximal-gradient scheme
 
         c_k      = y_k - 2·gamma·Hᵀ(H·y_k - X)
         beta_k+1 = soft_threshold(c_k, lambda·gamma)
@@ -74,14 +72,12 @@ def fista_solve(H, X_target, params: FistaParams,
     the L x L Gram from eigvalsh, accurate to rounding; an iterative
     estimate approaches it from below, which would make gamma too large.
     """
-    H = as_matrix(H, "H")
-    X = as_matrix(X_target, "X_target")
-    if H.shape[0] != X.shape[0]:
+    if H.shape[0] != X_target.shape[0]:
         raise ValueError("H and X_target row counts differ")
-    L, D = H.shape[1], X.shape[1]
+    L, D = H.shape[1], X_target.shape[1]
 
     G = H.T @ H
-    F = H.T @ X
+    F = H.T @ X_target
     gamma = STEP_FRACTION / (2.0 * (1.0 + np.linalg.eigvalsh(G)[-1]))
     thresh = params.lam * gamma
 
@@ -103,4 +99,4 @@ def fista_solve(H, X_target, params: FistaParams,
             converged = True
             break
     return FistaResult(beta=beta, converged=converged, iterations=it,
-                       objective=lasso_objective(H, X, beta, params.lam))
+                       objective=lasso_objective(H, X_target, beta, params.lam))

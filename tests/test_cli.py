@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helmfd import cli, metrics, synth
+from helmfd.data import write_csv_matrix
 
 BENCH_SEED = 42
 
@@ -142,6 +143,10 @@ CORRUPTIONS = {
         lambda d: setitem(d["members"][1]["norm"]["std"], 3, NAN),
     "nan_in_head_beta":
         lambda d: setitem(d["members"][1]["top_layer"]["beta"], 3, [NAN]),
+    "nan_in_head_A":
+        lambda d: setitem(d["members"][1]["top_layer"]["A"][4], 7, NAN),
+    "inf_in_head_B":
+        lambda d: setitem(d["members"][1]["top_layer"]["B"], 9, INF),
     "inf_in_map":
         lambda d: setitem(d["members"][1]["ae_betas"][0][2], 5, INF),
     "no_members": lambda d: setitem(d, "members", []),
@@ -222,6 +227,7 @@ def test_detect_on_fault2_magnifies(workspace, tmp_path):
     echo = json.loads((out / "detect_config.json").read_text())
     assert echo["command"] == "detect"
     assert echo["threshold"] > 0
+    assert "seed" not in echo  # detect draws no random numbers
 
 
 def test_pipeline_reproduces_benchmark_cell(workspace, tmp_path):
@@ -299,7 +305,8 @@ def test_benchmark_cli_plans_like_run_benchmark(tmp_path):
 @pytest.mark.parametrize("flags", [
     ["--ensemble", "0"], ["--p", "0"], ["--p", "150"], ["--n", "7"],
     ["--width", "0"], ["--models", "pca-elm", "--l-pca", "0"],
-    ["--C", "-1"], ["--models", "helm", "--lam", "-1"]],
+    ["--C", "-1"], ["--models", "helm", "--lam", "-1"], ["--seed", "-1"],
+    ["--jobs", "0"]],
     ids=lambda flags: "=".join(flags[-2:]))
 def test_benchmark_rejects_out_of_range_flags_before_work(tmp_path, capsys,
                                                           flags):
@@ -311,6 +318,20 @@ def test_benchmark_rejects_out_of_range_flags_before_work(tmp_path, capsys,
     # benchmark has no --allow-any-n, so no message may offer it
     assert "allow" not in err
     assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "train"])
+def test_negative_stream_id_is_usage_error_before_work(tmp_path, capsys,
+                                                       command):
+    data = tmp_path / "train.csv"
+    write_csv_matrix(data, np.random.default_rng(0).normal(size=(20, 3)))
+    out = tmp_path / "out"
+    argv = {"generate": ["generate", "--out", str(out), "--seed", "-5"],
+            "train": ["train", "--data", str(data),
+                      "--model", str(out / "model.json"), "--rep", "-2"]}
+    assert run(argv[command]) == cli.EXIT_USAGE
+    assert argv[command][-2] in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_defaults_yield_to_flags(tmp_path):

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from helmfd import data
+from helmfd.baselines import one_class_train_ensemble, pca_elm_train_ensemble
 from helmfd.data import (NormalizationStats, RngStream, apply_normalization,
                          as_matrix, as_vector, fit_normalization,
                          read_csv_matrix, write_csv_matrix)
+from helmfd.detector import DetectorConfig, calibrate, decide
+from helmfd.helm import HelmConfig, helm_train, run_ensemble, train_ensemble
 
 
 def two_pass_stats(X):
@@ -64,6 +67,47 @@ def test_as_matrix_promotes_vector_to_column():
 def test_as_vector_flattens_column():
     v = as_vector(np.array([[1.0], [2.0]]))
     assert v.shape == (2,)
+
+
+GOOD = np.random.default_rng(0).normal(size=(20, 3))
+TINY = HelmConfig(layer_sizes=(2, 4), ensemble_size=2)
+
+# every place a matrix enters helmfd, each taking the matrix X and a scratch
+# directory; scores (calibrate, decide) enter as X's first column
+ENTRY_POINTS = {
+    "train_ensemble": lambda X, _: train_ensemble(X, TINY, RngStream(0)),
+    "helm_train": lambda X, _: helm_train(X, TINY, RngStream(0)),
+    "one_class_train_ensemble":
+        lambda X, _: one_class_train_ensemble(X, 4, 1e-5, RngStream(0), 2),
+    "pca_elm_train_ensemble":
+        lambda X, _: pca_elm_train_ensemble(X, 2, 4, 1e-5, RngStream(0), 2),
+    "run_ensemble": lambda X, _: run_ensemble(
+        one_class_train_ensemble(GOOD, 4, 1e-5, RngStream(0), 2), X),
+    "calibrate": lambda X, _: calibrate(X[:, 0], 1.5),
+    "decide": lambda X, _: decide(X[:, 0], DetectorConfig(gamma=1.5,
+                                                           threshold=0.1)),
+    "write_csv_matrix": lambda X, tmp: write_csv_matrix(tmp / "m.csv", X),
+}
+
+
+def with_entry(value):
+    X = GOOD.copy()
+    X[5, 0] = value
+    return X
+
+
+BAD_MATRICES = {"nan": with_entry(np.nan), "inf": with_entry(-np.inf),
+                "no_rows": GOOD[:0]}
+
+
+@pytest.mark.parametrize("bad", BAD_MATRICES)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_reject_bad_matrices(tmp_path, entry, bad):
+    # the kernels behind these take their arrays unchecked, so the message
+    # must be the entry check's, not a kernel failing on what got through
+    with pytest.raises(ValueError, match="non-finite entries|empty input"):
+        ENTRY_POINTS[entry](BAD_MATRICES[bad], tmp_path)
+    assert not any(tmp_path.iterdir())
 
 
 def test_normalization_stats_validates_std():

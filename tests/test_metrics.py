@@ -3,10 +3,23 @@ import itertools
 import numpy as np
 import pytest
 
-from helmfd import baselines, data, helm, metrics
+from helmfd import baselines, data, elm, fista, helm, metrics
 from helmfd.metrics import (BenchmarkPlan, ExperimentReport, benchmark_rep,
                             run_benchmark, score_rates, segment_flagged,
                             winning_cells)
+
+
+def count_calls(monkeypatch, fn):
+    """Calls of fn through every helmfd module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+    for mod in (data, elm, fista, helm, baselines, metrics):
+        if vars(mod).get(fn.__name__) is fn:
+            monkeypatch.setattr(mod, fn.__name__, counted)
+    return calls
 
 
 def flags(flag_count, size):
@@ -216,24 +229,28 @@ class TestBenchmarkEngine:
                                                               monkeypatch):
         # counts work done, not time taken: every member of an ensemble
         # trains on one normalization, and the PCA-ELM members on one PCA
-        def count(fn):
-            calls = []
-
-            def counted(*args, **kwargs):
-                calls.append(1)
-                return fn(*args, **kwargs)
-            for mod in (data, helm, baselines, metrics):
-                if vars(mod).get(fn.__name__) is fn:
-                    monkeypatch.setattr(mod, fn.__name__, counted)
-            return calls
-
-        norms = count(data.fit_normalization)
-        pcas = count(baselines.pca_fit)
+        norms = count_calls(monkeypatch, data.fit_normalization)
+        pcas = count_calls(monkeypatch, baselines.pca_fit)
         plan = BenchmarkPlan()
         benchmark_rep(plan, 0)
         assert len(plan.models) == 3 and plan.ensemble_size == 5
         assert len(norms) == 3
         assert len(pcas) == 1
+
+    def test_inputs_are_checked_once_where_they_enter(self, monkeypatch):
+        # per family one check of the training matrix as it enters the
+        # ensemble trainer and one of the timeline as it enters run_ensemble;
+        # the kernels behind them check nothing again
+        checks = count_calls(monkeypatch, data.as_matrix)
+        plan = BenchmarkPlan()
+        benchmark_rep(plan, 0)
+        assert len(checks) == 2 * len(plan.models)
+        X = np.random.default_rng(0).normal(size=(20, 3))
+        ensemble = baselines.one_class_train_ensemble(X, 4, 1e-5,
+                                                      data.RngStream(0), 5)
+        checks.clear()
+        helm.run_ensemble(ensemble, X[:1])
+        assert len(checks) == 1
 
     def test_parallel_run_matches_serial(self):
         plan = BenchmarkPlan(reps=2, gammas=(1.5,), models=("elm",))
