@@ -44,7 +44,6 @@ class PcaModel:
     mean: np.ndarray                 # feature means of the training data
     components: np.ndarray           # D x L, orthonormal columns
     explained_variance: np.ndarray   # descending, one per kept component
-    l_pca: int
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         """Codes of X, a finite float64 K x D ndarray."""
@@ -78,7 +77,7 @@ def pca_fit(X: np.ndarray, l_pca: int) -> PcaModel:
         keep = max(1, min(keep, evals.shape[0]))
     L = max(1, min(l_pca, keep))
     return PcaModel(mean=mean, components=evecs[:, :L],
-                    explained_variance=evals[:L], l_pca=L)
+                    explained_variance=evals[:L])
 
 
 # --- one-class ELM ----------------------------------------------------------

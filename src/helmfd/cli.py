@@ -68,14 +68,11 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list) -> argpa
         for key, val in raw.items():
             if key not in types and key not in flags:
                 raise UsageError(f"unknown config key: {key}")
-            if key in flags:
-                sub.set_defaults(**{key: val.lower() in ("1", "true", "yes", "on")})
-            else:
-                conv = types.get(key) or str
-                try:
-                    sub.set_defaults(**{key: conv(val)})
-                except ValueError as exc:
-                    raise UsageError(f"bad value for {key}: {val}") from exc
+            conv = _parse_bool if key in flags else types.get(key) or str
+            try:
+                sub.set_defaults(**{key: conv(val)})
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise UsageError(f"bad value for {key}: {val}") from exc
     return parser.parse_args(argv)
 
 
@@ -120,6 +117,16 @@ def _parse_ints(text: str) -> tuple:
         return tuple(int(v) for v in text.split(",") if v.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an int list: {text!r}") from exc
+
+
+def _parse_bool(text: str) -> bool:
+    """A config-file value for an on/off flag."""
+    spellings = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
+    try:
+        return spellings[text.lower()]
+    except KeyError:
+        raise argparse.ArgumentTypeError(f"not a boolean: {text!r}") from None
 
 
 # --- generate ---------------------------------------------------------------

@@ -31,9 +31,6 @@ from .data import RngStream
 class RateTuple:
     tpr: float
     fpr: float
-    tnr: float
-    fnr: float
-    accuracy: float
     precision: float
     f1: float
 
@@ -50,22 +47,16 @@ def _flags(flags, name: str) -> np.ndarray:
 
 def score_rates(flags_healthy, flags_fault) -> RateTuple:
     """Point-level rates from per-point boolean flags (True = flagged) over a
-    healthy segment and a fault segment. accuracy is the balanced
-    (TPR + TNR) / 2; f1 uses 2·TP / (N + FP + TP) with N the fault-segment
-    size."""
+    healthy segment and a fault segment. f1 uses 2·TP / (N + FP + TP) with
+    N the fault-segment size."""
     flagged_healthy = _flags(flags_healthy, "healthy segment")
     flagged_fault = _flags(flags_fault, "fault segment")
     tp = int(flagged_fault.sum())
     fp = int(flagged_healthy.sum())
     n_fault = flagged_fault.size
-    tpr = tp / n_fault
-    fpr = fp / flagged_healthy.size
-    tnr = 1.0 - fpr
-    fnr = 1.0 - tpr
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    f1 = 2.0 * tp / (n_fault + fp + tp)
-    return RateTuple(tpr=tpr, fpr=fpr, tnr=tnr, fnr=fnr,
-                     accuracy=(tpr + tnr) / 2.0, precision=precision, f1=f1)
+    return RateTuple(tpr=tp / n_fault, fpr=fp / flagged_healthy.size,
+                     precision=precision, f1=2.0 * tp / (n_fault + fp + tp))
 
 
 def segment_flagged(flags, p: float) -> bool:
@@ -99,21 +90,13 @@ def _params_str(params: dict) -> str:
 
 
 class ExperimentReport:
-    """Per-repetition records plus order-independent aggregation. Reports
-    from disjoint repetition sets merge losslessly, so partial runs (parallel
-    workers, interrupted sweeps) combine into the same result as one pass."""
+    """Per-repetition records (dicts with RECORD_FIELDS) plus aggregation
+    that does not depend on their order, so records gathered in any order
+    (parallel workers, an interrupted run) give the rows of one serial
+    pass."""
 
     def __init__(self, records: list | None = None):
         self.records = list(records or [])
-
-    def add(self, **rec) -> None:
-        missing = set(RECORD_FIELDS) - set(rec)
-        if missing:
-            raise ValueError(f"record missing fields: {sorted(missing)}")
-        self.records.append({k: rec[k] for k in RECORD_FIELDS})
-
-    def merge(self, other: "ExperimentReport") -> None:
-        self.records.extend(other.records)
 
     def _sorted(self) -> list:
         return sorted(self.records,
@@ -188,12 +171,6 @@ class ExperimentReport:
         with open(path, "w") as fh:
             json.dump({"records": self._sorted()}, fh)
             fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path) -> "ExperimentReport":
-        with open(path) as fh:
-            doc = json.load(fh)
-        return cls(doc["records"])
 
     def table(self, gamma: float | None = None) -> str:
         """Accuracy (TPR/FPR) table at one gamma, segment level, in percent."""

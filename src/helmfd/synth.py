@@ -16,7 +16,7 @@ threshold, and rows [8000, 9000) measure false positives.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,15 +62,17 @@ class GeneratorSpec:
 
 
 def apply_reading(v: np.ndarray, reading: str) -> np.ndarray:
+    """Apply the sensor response to the readings v in place; returns v."""
     if reading == "log":
         # domain guard: the affine base construction permits negative values
-        return np.log(np.maximum(v, LOG_FLOOR))
+        np.maximum(v, LOG_FLOOR, out=v)
+        np.log(v, out=v)
     return v
 
 
 @dataclass
 class SyntheticDataset:
-    X: np.ndarray                  # K x D readings with faults and noise
+    X: np.ndarray                  # K x D C-order readings, faults and noise
     spec: GeneratorSpec
     base_alpha: np.ndarray         # n gains
     base_eps: np.ndarray           # n offsets
@@ -80,9 +82,6 @@ class SyntheticDataset:
     sensor_source: np.ndarray      # D base-signal indices (0-based)
     fault_sensors: np.ndarray      # 10 sensor indices (drawn with replacement)
     noise_std: np.ndarray          # D per-sensor noise standard deviations
-    base: np.ndarray = field(repr=False)   # n x K base signals, faults 1-4 applied
-    clean: np.ndarray = field(repr=False)  # K x D readings before fault 5 and noise
-    noise: np.ndarray = field(repr=False)  # K x D additive noise
 
     def provenance_dict(self) -> dict:
         return {
@@ -100,9 +99,11 @@ class SyntheticDataset:
         }
 
 
-def generate(spec: GeneratorSpec, rng: RngStream) -> SyntheticDataset:
-    """Render the benchmark dataset. All draws flow from the given stream in a
-    fixed order, so equal (spec, stream) reproduce the matrix bitwise."""
+def _render(spec: GeneratorSpec, rng: RngStream) -> tuple:
+    """(draws, clean, noise_unit): the generator's draws by SyntheticDataset
+    field name, the K x D clean readings (C-ordered, before fault 5 and
+    noise) and the K x D unit-variance noise. All draws flow from the given
+    stream in a fixed order, so equal (spec, stream) reproduce them bitwise."""
     gen = rng.generator()
     K, D, n = ROWS, SENSORS, spec.n
 
@@ -113,6 +114,7 @@ def generate(spec: GeneratorSpec, rng: RngStream) -> SyntheticDataset:
     base = gen.normal(size=(n, K))
     fault4_signal = gen.normal(size=1000)
 
+    # n x K base signals with faults 1-4 applied
     base = base_alpha[:, None] * base + base_eps[:, None]
     base[0, 9000:10000] *= 1.2
     base[0, 10000:11000] *= 1.5
@@ -121,28 +123,38 @@ def generate(spec: GeneratorSpec, rng: RngStream) -> SyntheticDataset:
 
     sensor_alpha = gen.uniform(0.0, 1.0, size=D)
     sensor_source = gen.integers(0, n, size=D)
+    # rendered before the noise is drawn, so the two K x D arrays and the
+    # gathered base signals are never all alive at once; C order keeps the
+    # BLAS rounding of everything downstream that of a C-ordered X
+    clean = np.empty((K, D))
+    np.multiply(sensor_alpha[None, :], base[sensor_source, :].T, out=clean)
+    apply_reading(clean, spec.reading)
     noise_unit = gen.normal(size=(K, D))
     fault_sensors = gen.integers(0, D, size=10)
 
-    clean = apply_reading(sensor_alpha[None, :] * base[sensor_source, :].T,
-                          spec.reading)
+    draws = {"base_alpha": base_alpha, "base_eps": base_eps,
+             "fault4_alpha": fault4_alpha, "fault4_eps": fault4_eps,
+             "sensor_alpha": sensor_alpha, "sensor_source": sensor_source,
+             "fault_sensors": fault_sensors}
+    return draws, clean, noise_unit
+
+
+def generate(spec: GeneratorSpec, rng: RngStream) -> SyntheticDataset:
+    """Render the benchmark dataset. Equal (spec, stream) reproduce the matrix
+    bitwise. X is built in place in the clean-readings buffer."""
+    draws, X, noise = _render(spec, rng)
     # noise std: 1% of the reading amplitude, amplitude = max - min of the
     # clean reading over the healthy training window, per sensor
     tr = slice(*SEGMENTS["train"])
-    noise_std = 0.01 * (clean[tr].max(axis=0) - clean[tr].min(axis=0))
-    noise = noise_unit * noise_std[None, :]
-
-    X = clean.copy()
+    noise_std = 0.01 * (X[tr].max(axis=0) - X[tr].min(axis=0))
     f5 = slice(*SEGMENTS["fault5"])
-    X[f5, fault_sensors] = 1.2 * clean[f5, fault_sensors]
+    fault_sensors = draws["fault_sensors"]
+    # the right side is gathered before the write, so a sensor drawn twice
+    # is still scaled once
+    X[f5, fault_sensors] = 1.2 * X[f5, fault_sensors]
+    noise *= noise_std
     X += noise
-
-    return SyntheticDataset(
-        X=X, spec=spec, base_alpha=base_alpha, base_eps=base_eps,
-        fault4_alpha=fault4_alpha, fault4_eps=fault4_eps,
-        sensor_alpha=sensor_alpha, sensor_source=sensor_source,
-        fault_sensors=fault_sensors, noise_std=noise_std,
-        base=base, clean=clean, noise=noise)
+    return SyntheticDataset(X=X, spec=spec, noise_std=noise_std, **draws)
 
 
 def render_splits(ds: SyntheticDataset) -> dict:

@@ -12,7 +12,6 @@ def test_rank_one_data_keeps_single_component():
     rng = np.random.default_rng(0)
     X = np.outer(rng.normal(size=200), rng.normal(size=6)) + 5.0
     model = pca_fit(X, 5)
-    assert model.l_pca == 1
     assert model.components.shape == (6, 1)
 
 
@@ -21,7 +20,7 @@ def test_isotropic_variance_splits_evenly():
     X = rng.normal(size=(10000, 5))
     model = pca_fit(X, 5)
     ratios = model.explained_variance / model.explained_variance.sum()
-    assert model.l_pca == 5
+    assert model.components.shape[1] == 5
     assert np.all(np.abs(ratios - 0.2) < 0.05)
 
 
@@ -30,7 +29,7 @@ def test_components_are_orthonormal():
     X = rng.normal(size=(300, 12)) @ rng.normal(size=(12, 12))
     model = pca_fit(X, 6)
     gram = model.components.T @ model.components
-    assert np.allclose(gram, np.eye(model.l_pca), atol=1e-10)
+    assert np.allclose(gram, np.eye(model.components.shape[1]), atol=1e-10)
 
 
 def test_explained_variance_descends():
@@ -49,7 +48,7 @@ def test_reconstruction_matches_best_low_rank_approximation():
     X = rng.normal(size=(40, 9))
     L = 3
     model = pca_fit(X, L)
-    assert model.l_pca == L
+    assert model.components.shape[1] == L
     codes = model.transform(X)
     rec = model.mean + codes @ model.components.T
     err = np.linalg.norm(X - rec)
@@ -64,7 +63,7 @@ def test_reconstruction_matches_best_low_rank_approximation():
 def test_replicated_rows_give_zero_codes():
     X = np.tile(np.array([3.0, -1.0, 2.0]), (10, 1))
     model = pca_fit(X, 2)
-    assert model.l_pca == 1
+    assert model.components.shape[1] == 1
     assert np.allclose(model.transform(X), 0.0)
 
 
@@ -74,7 +73,7 @@ def test_variance_cap_keeps_at_most_requested():
     X = np.outer(rng.normal(size=500), rng.normal(size=10))
     X = X + 1e-6 * rng.normal(size=X.shape)
     model = pca_fit(X, 8)
-    assert 1 <= model.l_pca <= 8
+    assert 1 <= model.components.shape[1] <= 8
 
 
 def test_pca_fit_validation():

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 from operator import setitem
@@ -5,8 +6,8 @@ from operator import setitem
 import numpy as np
 import pytest
 
-from helmfd import cli, metrics, synth
-from helmfd.data import write_csv_matrix
+from helmfd import cli, detector, helm, metrics, synth
+from helmfd.data import RngStream, read_csv_matrix, write_csv_matrix
 
 BENCH_SEED = 42
 
@@ -234,12 +235,26 @@ def test_pipeline_reproduces_benchmark_cell(workspace, tmp_path):
     plan = metrics.BenchmarkPlan(reps=1, gammas=(1.5,), models=("helm",))
     rec = [r for r in metrics.benchmark_rep(plan, 0) if r["fault"] == 2][0]
 
+    # the data file is the benchmark's timeline, bitwise
+    ds = synth.generate(synth.GeneratorSpec(seed=BENCH_SEED),
+                        RngStream(BENCH_SEED, (0, 0)))
+    _, X = read_csv_matrix(workspace / "data.csv")
+    assert X.tobytes() == ds.X.tobytes()
+
     out = tmp_path / "cell"
     assert run(["detect", "--model", str(workspace / "model.json"),
                 "--data", str(workspace / "fault2.csv"),
                 "--out", str(out)]) == 0
     labels, _ = read_detections(out / "detections.csv")
     assert float(np.mean(labels == -1)) == rec["point_tpr"]
+    # detect's scores are the in-process ensemble's, bitwise
+    ensemble = helm.train_ensemble(ds.X[slice(*synth.SEGMENTS["train"])],
+                                   helm.HelmConfig(seed=BENCH_SEED),
+                                   RngStream(BENCH_SEED, (1, 0)))
+    Y = helm.run_ensemble(ensemble, ds.X[slice(*synth.SEGMENTS["fault2"])])
+    with open(out / "detections.csv") as fh:
+        scores = np.array([float(r["score"]) for r in csv.DictReader(fh)])
+    assert scores.tobytes() == detector.residuals(Y).tobytes()
 
     fpout = tmp_path / "cell_fp"
     assert run(["detect", "--model", str(workspace / "model.json"),
@@ -352,6 +367,54 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert run(["benchmark", "--config", str(cfg),
                 "--out", str(tmp_path / "x")]) == cli.EXIT_USAGE
     assert "repz" in capsys.readouterr().err
+
+
+def _subcommands():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# every option of every subcommand whose config-file value is converted: a
+# typed option gets a list with a bad entry, an on/off flag a misspelling
+BAD_CONFIG_VALUES = [
+    (command, a.dest, "ture" if isinstance(a, argparse._StoreTrueAction)
+     else "1,x")
+    for command, sub in _subcommands().items() for a in sub._actions
+    if a.type is not None or isinstance(a, argparse._StoreTrueAction)]
+
+
+@pytest.mark.parametrize("command, key, value", BAD_CONFIG_VALUES,
+                         ids=str)
+def test_bad_config_value_is_usage_error(tmp_path, capsys, command, key,
+                                         value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg)]
+    for a in _subcommands()[command]._actions:
+        if a.required:
+            argv += [a.option_strings[0], str(out / a.dest)]
+        elif a.dest == "out":
+            argv += ["--out", str(out)]
+    assert run(argv) == cli.EXIT_USAGE
+    assert f"bad value for {key}: {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_booleans_take_every_true_and_false_spelling(tmp_path, capsys):
+    # n = 0 fails before any work: as off the menu while the flag is off,
+    # with a hint to pass it, and as below 1 while it is on
+    cfg = tmp_path / "flag.cfg"
+    for spelling, on in [("1", True), ("True", True), ("yes", True),
+                         ("ON", True), ("0", False), ("false", False),
+                         ("No", False), ("off", False)]:
+        cfg.write_text(f"allow-any-n = {spelling}\nn = 0\n")
+        assert run(["generate", "--config", str(cfg),
+                    "--out", str(tmp_path / "x")]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        want = "n must be >= 1" if on else "n must be 5 or 10 (pass --allow"
+        assert want in err, spelling
 
 
 def test_train_echoes_config(workspace):

@@ -6,8 +6,19 @@ from scipy import stats
 
 from helmfd.data import RngStream
 from helmfd.synth import (FAULT_NAMES, LOG_FLOOR, SEGMENTS, GeneratorSpec,
-                          apply_reading, generate, render_splits,
+                          _render, apply_reading, generate, render_splits,
                           write_dataset)
+
+BENCH_SEED = 42
+
+
+def rendering0(ds):
+    """(clean readings, unit noise) that generate built dataset0 from,
+    rebuilt through the renderer it calls; its noise is the unit noise at
+    ds.noise_std."""
+    draws, clean, noise_unit = _render(ds.spec, RngStream(BENCH_SEED, (0, 0)))
+    assert all(np.array_equal(getattr(ds, k), v) for k, v in draws.items())
+    return clean, noise_unit
 
 
 def test_segments_partition_the_timeline():
@@ -22,6 +33,9 @@ def test_segments_partition_the_timeline():
 def test_shape_and_finiteness(dataset0):
     assert dataset0.X.shape == (14000, 200)
     assert np.all(np.isfinite(dataset0.X))
+    # BLAS rounds an F-ordered matrix differently, and the CLI reads back a
+    # C-ordered one, so in-process scores match detect's only if X is C
+    assert dataset0.X.flags.c_contiguous
 
 
 def test_generation_is_deterministic():
@@ -40,27 +54,29 @@ def test_different_reps_differ():
 
 def test_fault5_scales_exactly_the_drawn_sensors(dataset0):
     ds = dataset0
+    clean, noise_unit = rendering0(ds)
     f5 = slice(*SEGMENTS["fault5"])
     drawn = np.unique(ds.fault_sensors)
     # rebuild the pre-noise rendering from provenance: the drawn sensor
     # columns scaled by exactly 1.2 inside the last segment, nothing else
-    expected = ds.clean.copy()
-    expected[f5, ds.fault_sensors] = 1.2 * ds.clean[f5, ds.fault_sensors]
-    assert np.array_equal(ds.X, expected + ds.noise)
+    expected = clean.copy()
+    expected[f5, ds.fault_sensors] = 1.2 * clean[f5, ds.fault_sensors]
+    assert np.array_equal(ds.X, expected + noise_unit * ds.noise_std)
     # the scaled columns genuinely moved; all others are untouched
-    assert np.all(np.any(expected[f5][:, drawn] != ds.clean[f5][:, drawn],
+    assert np.all(np.any(expected[f5][:, drawn] != clean[f5][:, drawn],
                          axis=0))
     others = np.setdiff1d(np.arange(ds.X.shape[1]), drawn)
-    assert np.array_equal(expected[f5][:, others], ds.clean[f5][:, others])
-    assert np.array_equal(expected[:f5.start], ds.clean[:f5.start])
+    assert np.array_equal(expected[f5][:, others], clean[f5][:, others])
+    assert np.array_equal(expected[:f5.start], clean[:f5.start])
 
 
 def test_noise_scale_follows_training_amplitude(dataset0):
     ds = dataset0
+    clean, noise_unit = rendering0(ds)
     tr = slice(*SEGMENTS["train"])
-    amp = ds.clean[tr].max(axis=0) - ds.clean[tr].min(axis=0)
+    amp = clean[tr].max(axis=0) - clean[tr].min(axis=0)
     assert np.allclose(ds.noise_std, 0.01 * amp, atol=0.0)
-    empirical = ds.noise.std(axis=0)
+    empirical = (noise_unit * ds.noise_std).std(axis=0)
     positive = ds.noise_std > 0
     ratio = empirical[positive] / ds.noise_std[positive]
     assert np.all(np.abs(ratio - 1.0) < 0.1)
@@ -83,8 +99,9 @@ def test_fault2_shifts_only_sensors_sourced_from_the_faulty_signal(dataset0):
 
 
 def test_clean_readings_have_rank_at_most_n(dataset0):
+    clean, _ = rendering0(dataset0)
     tr = slice(*SEGMENTS["train"])
-    s = np.linalg.svd(dataset0.clean[tr], compute_uv=False)
+    s = np.linalg.svd(clean[tr], compute_uv=False)
     assert s[dataset0.spec.n] < 1e-8 * s[0]
 
 
