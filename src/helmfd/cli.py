@@ -56,18 +56,28 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list) -> argpa
     argparse's own precedence (flag > default) does the rest. Namespace
     pre-seeding would not work here: subcommands parse into a fresh namespace
     and copy it over the outer one, clobbering anything seeded."""
-    pre, _ = parser.parse_known_args(argv)
-    if getattr(pre, "config", None):
-        raw = _load_config_file(pre.config)
-        subs = next(a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction))
-        sub = subs.choices[pre.command]
+    # the first pass finds only the command and --config: the full parser
+    # would stop at a missing required option before the file is read
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("command", nargs="?")
+    pre.add_argument("--config")
+    found, _ = pre.parse_known_args(argv)
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    sub = subs.choices.get(found.command)
+    if found.config and sub is not None:
+        raw = _load_config_file(found.config)
         types = {a.dest: a.type for a in sub._actions}
         flags = {a.dest for a in sub._actions
                  if isinstance(a, (argparse._StoreTrueAction, argparse._StoreFalseAction))}
+        required = {a.dest: a.option_strings[0] for a in sub._actions
+                    if a.required}
         for key, val in raw.items():
             if key not in types and key not in flags:
                 raise UsageError(f"unknown config key: {key}")
+            if key in required:
+                raise UsageError(f"config key {key}: pass {required[key]} "
+                                 "on the command line")
             conv = _parse_bool if key in flags else types.get(key) or str
             try:
                 sub.set_defaults(**{key: conv(val)})
@@ -153,12 +163,12 @@ def cmd_generate(args) -> int:
 # --- train ------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    _, X = _read_matrix(args.data)
     try:
         cfg = helm.HelmConfig(layer_sizes=args.layers, lam=args.lam, C=args.C,
                               ensemble_size=args.ensemble, seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    _, X = _read_matrix(args.data)
     stream = RngStream(args.seed, (1, args.rep))
     members = helm.train_ensemble(X, cfg, stream)
     model_path = Path(args.model)
@@ -282,10 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write a synthetic dataset + splits")
     common(g)
-    g.add_argument("--seed", type=int, default=0)
+    spec = synth.GeneratorSpec
+    g.add_argument("--seed", type=int, default=spec.seed)
     g.add_argument("--out", help=f"output directory (default ${OUT_ENV})")
-    g.add_argument("--n", type=int, default=5, help="number of base signals")
-    g.add_argument("--reading", default="identity", choices=synth.READINGS)
+    g.add_argument("--n", type=int, default=spec.n,
+                   help="number of base signals")
+    g.add_argument("--reading", default=spec.reading, choices=synth.READINGS)
     g.add_argument("--rep", type=int, default=0,
                    help="repetition index (selects the data substream)")
     g.add_argument("--force", action="store_true")
@@ -294,14 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train a HELM ensemble on healthy data")
     common(t)
-    t.add_argument("--seed", type=int, default=0)
+    cfg = helm.HelmConfig
+    t.add_argument("--seed", type=int, default=cfg.seed)
     t.add_argument("--data", required=True, help="healthy CSV (training split)")
     t.add_argument("--model", required=True, help="output model JSON path")
-    t.add_argument("--layers", type=_parse_ints, default=(20, 100),
+    t.add_argument("--layers", type=_parse_ints, default=cfg.layer_sizes,
                    help="autoencoder widths + head width, e.g. 20,100")
-    t.add_argument("--lam", type=float, default=1e-2)
-    t.add_argument("--C", type=float, default=1e-5)
-    t.add_argument("--ensemble", type=int, default=5)
+    t.add_argument("--lam", type=float, default=cfg.lam)
+    t.add_argument("--C", type=float, default=cfg.C)
+    t.add_argument("--ensemble", type=int, default=cfg.ensemble_size)
     t.add_argument("--rep", type=int, default=0,
                    help="repetition index (selects the training substream)")
     t.set_defaults(func=cmd_train)
@@ -311,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--model", required=True)
     c.add_argument("--data", required=True, help="disjoint healthy CSV")
     c.add_argument("--gamma", type=float, default=1.5)
-    c.add_argument("--p", type=float, default=99.5)
+    c.add_argument("--p", type=float, default=detector.DetectorConfig.p)
     c.set_defaults(func=cmd_calibrate)
 
     d = sub.add_parser("detect", help="score a CSV with a calibrated model")
@@ -323,28 +336,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("benchmark", help="repeated synthetic experiment")
     common(b)
-    b.add_argument("--seed", type=int, default=42)
+    plan = metrics.BenchmarkPlan
+    b.add_argument("--seed", type=int, default=plan.seed)
     b.add_argument("--out", help=f"output directory (default ${OUT_ENV})")
-    b.add_argument("--reps", type=int, default=20)
-    b.add_argument("--n", type=int, default=5)
-    b.add_argument("--reading", default="identity", choices=synth.READINGS)
-    b.add_argument("--models", default="helm,elm,pca-elm")
-    b.add_argument("--gammas", type=_parse_floats,
-                   default=(1.0, 1.1, 1.2, 1.5, 1.7, 2.0, 2.5, 3.0))
-    b.add_argument("--p", type=float, default=99.5)
-    b.add_argument("--L1", type=_parse_ints, default=(20,),
+    b.add_argument("--reps", type=int, default=plan.reps)
+    b.add_argument("--n", type=int, default=plan.n)
+    b.add_argument("--reading", default=plan.reading, choices=synth.READINGS)
+    b.add_argument("--models", default=",".join(plan.models))
+    b.add_argument("--gammas", type=_parse_floats, default=plan.gammas)
+    b.add_argument("--p", type=float, default=plan.p)
+    b.add_argument("--L1", type=_parse_ints, default=plan.L1,
                    help="first autoencoder widths (comma list sweeps a grid)")
-    b.add_argument("--L2", type=_parse_ints, default=(100,),
+    b.add_argument("--L2", type=_parse_ints, default=plan.L2,
                    help="second-layer widths (comma list)")
-    b.add_argument("--lam", type=_parse_floats, default=(1e-2,),
+    b.add_argument("--lam", type=_parse_floats, default=plan.lam,
                    help="autoencoder L1 weights (comma list)")
-    b.add_argument("--C", type=_parse_floats, default=(1e-5,),
+    b.add_argument("--C", type=_parse_floats, default=plan.C,
                    help="head ridge weights (comma list)")
-    b.add_argument("--width", type=_parse_ints, default=(100,),
+    b.add_argument("--width", type=_parse_ints, default=plan.width,
                    help="baseline hidden widths (comma list)")
-    b.add_argument("--l-pca", type=_parse_ints, default=(10,),
+    b.add_argument("--l-pca", type=_parse_ints, default=plan.l_pca,
                    help="principal-component counts (comma list)")
-    b.add_argument("--ensemble", type=int, default=5)
+    b.add_argument("--ensemble", type=int, default=plan.ensemble_size)
     b.add_argument("--jobs", type=int, default=1)
     b.set_defaults(func=cmd_benchmark)
 

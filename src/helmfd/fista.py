@@ -23,8 +23,8 @@ class FistaParams:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError("lambda must be finite and >= 0")
         if self.eps < 0:
             raise ValueError("eps must be >= 0")
         if self.max_iter < 1:

@@ -44,7 +44,7 @@ SCORE_BLOCK_ROWS = 1024
 @dataclass(frozen=True)
 class HelmConfig:
     layer_sizes: tuple = (20, 100)   # L_1..L_N autoencoder widths + head width
-    lam: float = 1e-2                # autoencoder L1 weight
+    lam: float = 0.0                 # autoencoder L1 weight
     C: float = 1e-5                  # head ridge weight
     ensemble_size: int = 5
     seed: int = 0
@@ -55,8 +55,8 @@ class HelmConfig:
             raise ValueError("layer_sizes needs at least one autoencoder and the head")
         if any(v < 1 for v in self.layer_sizes):
             raise ValueError("all layer sizes must be >= 1")
-        if self.lam < 0 or self.C < 0:
-            raise ValueError("lam and C must be >= 0")
+        if not (0.0 <= self.lam < np.inf and 0.0 <= self.C < np.inf):
+            raise ValueError("lam and C must be finite and >= 0")
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be >= 1")
 
@@ -135,7 +135,8 @@ def _train_member(x, norm: NormalizationStats, config: HelmConfig,
         layer = random_layer(x.shape[1], L, gen)
         H = hidden(layer, x)
         # warm start: the least-squares solution is the LASSO optimum at
-        # lam = 0 and a close one at small lam, which FISTA then refines
+        # lam = 0, which FISTA confirms in one iteration, and a close one at
+        # small lam, which FISTA then refines
         res = fista_solve(H, x, FistaParams(lam=config.lam),
                           beta0=ridge_solve(H, x, 0.0))
         if not res.converged:

@@ -240,7 +240,8 @@ class BenchmarkPlan:
     each model family runs every cell of the product of its own axes: HELM
     over (L1, L2, lam, C), the one-class ELM over (width, C) and PCA-ELM over
     (l_pca, width, C). C applies to all three families, width to ELM and
-    PCA-ELM. The defaults are the shipped configuration, one cell each."""
+    PCA-ELM. The defaults are the shipped configuration, one cell each; the
+    HELM axes and ensemble_size take theirs from HelmConfig."""
     n: int = 5
     reading: str = "identity"
     seed: int = 42
@@ -248,13 +249,13 @@ class BenchmarkPlan:
     gammas: tuple = (1.0, 1.1, 1.2, 1.5, 1.7, 2.0, 2.5, 3.0)
     p: float = 99.5
     models: tuple = ("helm", "elm", "pca-elm")
-    L1: tuple = (20,)
-    L2: tuple = (100,)
-    lam: tuple = (1e-2,)
-    C: tuple = (1e-5,)
+    L1: tuple = helm.HelmConfig.layer_sizes[:1]
+    L2: tuple = helm.HelmConfig.layer_sizes[-1:]
+    lam: tuple = (helm.HelmConfig.lam,)
+    C: tuple = (helm.HelmConfig.C,)
     width: tuple = (100,)
     l_pca: tuple = (10,)
-    ensemble_size: int = 5
+    ensemble_size: int = helm.HelmConfig.ensemble_size
 
     def __post_init__(self):
         """Every axis is checked whatever `models` holds, so a bad value

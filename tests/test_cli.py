@@ -321,7 +321,8 @@ def test_benchmark_cli_plans_like_run_benchmark(tmp_path):
     ["--ensemble", "0"], ["--p", "0"], ["--p", "150"], ["--n", "7"],
     ["--width", "0"], ["--models", "pca-elm", "--l-pca", "0"],
     ["--C", "-1"], ["--models", "helm", "--lam", "-1"], ["--seed", "-1"],
-    ["--jobs", "0"]],
+    ["--jobs", "0"], ["--models", "helm", "--lam", "nan"],
+    ["--models", "helm", "--lam", "inf"], ["--C", "nan"]],
     ids=lambda flags: "=".join(flags[-2:]))
 def test_benchmark_rejects_out_of_range_flags_before_work(tmp_path, capsys,
                                                           flags):
@@ -347,6 +348,17 @@ def test_negative_stream_id_is_usage_error_before_work(tmp_path, capsys,
     assert run(argv[command]) == cli.EXIT_USAGE
     assert argv[command][-2] in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--lam", "nan"], ["--lam", "inf"],
+                                   ["--C", "nan"]], ids="=".join)
+def test_train_rejects_non_finite_weights_before_reading_data(tmp_path, capsys,
+                                                               flags):
+    model = tmp_path / "out" / "model.json"
+    assert run(["train", "--data", str(tmp_path / "missing.csv"),
+                "--model", str(model), *flags]) == cli.EXIT_USAGE
+    assert "must be finite" in capsys.readouterr().err
+    assert not model.parent.exists()
 
 
 def test_config_file_defaults_yield_to_flags(tmp_path):
@@ -402,6 +414,29 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, command, key,
     assert not out.exists()
 
 
+# every required option of every subcommand: argparse wants it on the
+# command line whatever a config file sets
+REQUIRED_OPTIONS = [(command, a.dest, a.option_strings[0])
+                    for command, sub in _subcommands().items()
+                    for a in sub._actions if a.required]
+
+
+@pytest.mark.parametrize("command, key, flag", REQUIRED_OPTIONS, ids=str)
+def test_config_key_for_required_option_is_usage_error(tmp_path, capsys,
+                                                       command, key, flag):
+    cfg = tmp_path / "req.cfg"
+    cfg.write_text(f"{key} = {tmp_path / 'x'}\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg)]
+    for a in _subcommands()[command]._actions:
+        if a.required and a.dest != key:
+            argv += [a.option_strings[0], str(out / a.dest)]
+    assert run(argv) == cli.EXIT_USAGE
+    assert (f"config key {key}: pass {flag} on the command line"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_config_booleans_take_every_true_and_false_spelling(tmp_path, capsys):
     # n = 0 fails before any work: as off the menu while the flag is off,
     # with a hint to pass it, and as below 1 while it is on
@@ -421,5 +456,5 @@ def test_train_echoes_config(workspace):
     echo = json.loads((workspace / "train_config.json").read_text())
     assert echo["command"] == "train"
     assert echo["layers"] == [20, 100]
-    assert echo["lam"] == 0.01
+    assert echo["lam"] == 0.0
     assert echo["ensemble"] == 5

@@ -117,5 +117,8 @@ def test_large_scale_input_stays_finite():
 def test_params_validation():
     with pytest.raises(ValueError):
         FistaParams(lam=-1.0)
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            FistaParams(lam=lam)
     with pytest.raises(ValueError):
         FistaParams(lam=0.1, max_iter=0)

@@ -25,14 +25,7 @@ def small_training_matrix(seed=20, K=300, D=16):
     return latent @ mix + 0.05 * rng.normal(size=(K, D)) + 2.0
 
 
-SMALL_CFG = HelmConfig(layer_sizes=(6, 24), lam=1e-2, C=1e-5, ensemble_size=3)
-
-
-def hits_iteration_cap():
-    """The warning of a solve that hits FistaParams' default iteration cap,
-    as some on small_training_matrix do; the tests that train them declare
-    it."""
-    return pytest.warns(RuntimeWarning, match="did not converge")
+SMALL_CFG = HelmConfig(layer_sizes=(6, 24), C=1e-5, ensemble_size=3)
 
 
 def test_config_validation():
@@ -42,6 +35,10 @@ def test_config_validation():
         HelmConfig(layer_sizes=(10, 0))
     with pytest.raises(ValueError):
         HelmConfig(layer_sizes=(10, 20), lam=-1.0)
+    for bad in ({"lam": np.nan}, {"lam": np.inf}, {"C": np.nan},
+                {"C": np.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            HelmConfig(layer_sizes=(10, 20), **bad)
     with pytest.raises(ValueError):
         HelmConfig(layer_sizes=(10, 20), ensemble_size=0)
 
@@ -61,8 +58,7 @@ def test_training_is_deterministic_per_stream():
 
 def test_ensemble_members_are_distinct():
     X = small_training_matrix()
-    with hits_iteration_cap():
-        members = train_ensemble(X, SMALL_CFG, RngStream(4, (1,)))
+    members = train_ensemble(X, SMALL_CFG, RngStream(4, (1,)))
     outputs = [helm_run(m, X) for m in members]
     assert not np.array_equal(outputs[0], outputs[1])
     assert not np.array_equal(outputs[1], outputs[2])
@@ -70,13 +66,11 @@ def test_ensemble_members_are_distinct():
 
 def test_ensemble_replay_matches_member_streams():
     X = small_training_matrix()
-    with hits_iteration_cap():
-        members = train_ensemble(X, SMALL_CFG, RngStream(5, (1,)))
+    members = train_ensemble(X, SMALL_CFG, RngStream(5, (1,)))
     assert isinstance(members, Ensemble)
     assert len(members) == SMALL_CFG.ensemble_size
-    with hits_iteration_cap():
-        by_hand = [helm_train(X, SMALL_CFG, RngStream(5, (1, m)))
-                   for m in range(SMALL_CFG.ensemble_size)]
+    by_hand = [helm_train(X, SMALL_CFG, RngStream(5, (1, m)))
+               for m in range(SMALL_CFG.ensemble_size)]
     for a, b in zip(members, by_hand):
         assert np.array_equal(helm_run(a, X), helm_run(b, X))
 
@@ -104,9 +98,12 @@ def test_heavy_l1_penalty_matches_lasso_oracle(dataset0):
     assert capped.objective <= tight.objective * (1.0 + 1e-3)
 
 
-def test_shipped_solves_converge_without_warning(dataset0, monkeypatch):
-    # every autoencoder solve of the shipped configuration, on the
-    # benchmark's substreams, converges from the least-squares warm start
+@pytest.mark.parametrize("cfg", [HelmConfig(), HelmConfig(lam=1e-2)],
+                         ids=["shipped", "lam=1e-2"])
+def test_shipped_solves_converge_without_warning(dataset0, monkeypatch, cfg):
+    # every autoencoder solve on the benchmark's substreams converges from
+    # the least-squares warm start; at the shipped lam = 0 that start is the
+    # optimum, so FISTA stops after one iteration
     results = []
 
     def recording(*args, **kwargs):
@@ -115,13 +112,14 @@ def test_shipped_solves_converge_without_warning(dataset0, monkeypatch):
         return res
 
     monkeypatch.setattr(helm, "fista_solve", recording)
-    cfg = HelmConfig()
     tr = slice(*synth.SEGMENTS["train"])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         train_ensemble(dataset0.X[tr], cfg, RngStream(42, (1, 0)))
     assert len(results) == cfg.ensemble_size * (len(cfg.layer_sizes) - 1)
     assert all(r.converged for r in results)
+    if cfg.lam == 0.0:
+        assert all(r.iterations == 1 for r in results)
 
 
 def test_capped_solve_warns_with_layer_and_iterations(monkeypatch):
@@ -129,7 +127,7 @@ def test_capped_solve_warns_with_layer_and_iterations(monkeypatch):
         return fista_solve(H, X, dataclasses.replace(params, max_iter=3), beta0)
 
     monkeypatch.setattr(helm, "fista_solve", capped)
-    cfg = HelmConfig(layer_sizes=(6, 4, 24), ensemble_size=1)
+    cfg = HelmConfig(layer_sizes=(6, 4, 24), lam=1e-2, ensemble_size=1)
     with pytest.warns(RuntimeWarning) as caught:
         helm_train(small_training_matrix(), cfg, RngStream(7, (1,)))
     assert [str(w.message) for w in caught] == [
@@ -153,13 +151,18 @@ def test_rows_are_scored_independently():
     Y = helm_run(model, X)
     perm = np.random.default_rng(0).permutation(X.shape[0])
     assert np.array_equal(helm_run(model, X[perm]), Y[perm])
-    dup = helm_run(model, np.repeat(X[10:11], 50, axis=0))
-    assert np.ptp(dup) == 0.0
+    # copies of a row score alike, apart from the last two or three rows of
+    # a batch, which BLAS's matrix-vector kernel rounds by another path than
+    # its groups of four; there the scores are those of the member loop
+    dup = np.repeat(X[10:11], 50, axis=0)
+    scores = helm_run(model, dup)
+    assert np.ptp(scores[:48]) == 0.0
+    assert bitwise_equal(scores, member_loop([model], dup))
     # batches of different heights may take different BLAS kernels
     # (matrix-vector vs matrix-matrix), so only ulp-level agreement holds
     one = helm_run(model, X[10:11])
     assert np.isclose(one[0], Y[10], rtol=1e-12, atol=0.0)
-    assert np.isclose(dup[0], Y[10], rtol=1e-12, atol=0.0)
+    assert np.isclose(scores[0], Y[10], rtol=1e-12, atol=0.0)
 
 
 def test_forward_pass_is_the_stored_linear_maps():
@@ -303,9 +306,8 @@ def test_run_ensemble_rejects_empty():
 
 def test_ensemble_is_a_read_only_sequence():
     X = small_training_matrix()
-    with hits_iteration_cap():
-        members = [helm_train(X, SMALL_CFG, RngStream(14, (1, m)))
-                   for m in range(3)]
+    members = [helm_train(X, SMALL_CFG, RngStream(14, (1, m)))
+               for m in range(3)]
     ensemble = Ensemble(members)
     assert len(ensemble) == 3
     assert list(ensemble) == members
@@ -317,13 +319,11 @@ def test_ensemble_is_a_read_only_sequence():
 def test_ensemble_rejects_members_that_do_not_stack():
     X = small_training_matrix()
     a = helm_train(X, SMALL_CFG, RngStream(15, (1, 0)))
-    with hits_iteration_cap():
-        other_data = helm_train(X[:200], SMALL_CFG, RngStream(15, (1, 1)))
+    other_data = helm_train(X[:200], SMALL_CFG, RngStream(15, (1, 1)))
     with pytest.raises(ValueError, match="normalization"):
         Ensemble([a, other_data])
-    wider = HelmConfig(layer_sizes=(7, 24), lam=1e-2, C=1e-5, ensemble_size=3)
-    with hits_iteration_cap():
-        wide = helm_train(X, wider, RngStream(15, (1, 2)))
+    wider = HelmConfig(layer_sizes=(7, 24), C=1e-5, ensemble_size=3)
+    wide = helm_train(X, wider, RngStream(15, (1, 2)))
     with pytest.raises(ValueError, match="layer shape"):
         Ensemble([a, wide])
     with pytest.raises(ValueError, match="widths"):

@@ -300,7 +300,7 @@ class TestBenchmarkEngine:
             if r["fault"] == 1:
                 params[r["model"]].append(r["params"])
         assert params["helm"] == [
-            f"C={C!r};L1={L1!r};L2=100;lam=0.01"
+            f"C={C!r};L1={L1!r};L2=100;lam=0.0"
             for L1, C in itertools.product((10, 20), (1e-5, 1e-4))]
         assert params["elm"] == [
             f"C={C!r};width={w!r}"
