@@ -57,11 +57,17 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list) -> argpa
     pre-seeding would not work here: subcommands parse into a fresh namespace
     and copy it over the outer one, clobbering anything seeded."""
     # the first pass finds only the command and --config: the full parser
-    # would stop at a missing required option before the file is read
-    pre = argparse.ArgumentParser(add_help=False)
+    # would stop at a missing required option before the file is read. Any
+    # error of its own is left to the full parser, which reports it with the
+    # subcommand's usage.
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False,
+                                  exit_on_error=False)
     pre.add_argument("command", nargs="?")
     pre.add_argument("--config")
-    found, _ = pre.parse_known_args(argv)
+    try:
+        found, _ = pre.parse_known_args(argv)
+    except argparse.ArgumentError:
+        return parser.parse_args(argv)
     subs = next(a for a in parser._actions
                 if isinstance(a, argparse._SubParsersAction))
     sub = subs.choices.get(found.command)

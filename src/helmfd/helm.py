@@ -232,7 +232,10 @@ def _row_blocks(K: int):
     over all K: BLAS takes other kernels for short matrices, and its
     matrix-vector kernel handles rows in groups of four with another path
     for the rest, so the blocks are of near-equal height (at least half a
-    block when K needs more than one) and start at multiples of 4."""
+    block when K needs more than one) and start at multiples of 4.
+    run_ensemble pads a batch of more than one row to a multiple of 4, so no
+    row takes the other path and a row's score does not depend on its place
+    in the batch."""
     n = -(-K // SCORE_BLOCK_ROWS)
     bounds = [K * i // n // 4 * 4 for i in range(n)] + [K]
     return zip(bounds, bounds[1:])
@@ -243,6 +246,11 @@ def run_ensemble(models, X) -> np.ndarray:
     `models` is an Ensemble, or a sequence of members wrapped in one here."""
     ens = models if isinstance(models, Ensemble) else Ensemble(models)
     X = as_matrix(X, "X")
+    K = X.shape[0]
+    # zero rows fill the last group of four (see _row_blocks); a lone row,
+    # with no batch to differ from, keeps BLAS's cheaper vector kernels
+    if K > 1 and K % 4:
+        X = np.vstack((X, np.zeros((-K % 4, X.shape[1]))))
     Y = np.zeros(X.shape[0])
     for a, b in _row_blocks(X.shape[0]):
         x = apply_normalization(X[a:b], ens.norm)
@@ -251,6 +259,7 @@ def run_ensemble(models, X) -> np.ndarray:
         y = Y[a:b]
         for out in (hidden(ens.head, x) @ ens.head.beta)[..., 0]:
             y += out
+    Y = Y[:K]
     Y /= len(ens)
     return Y
 

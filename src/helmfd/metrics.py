@@ -240,14 +240,15 @@ class BenchmarkPlan:
     each model family runs every cell of the product of its own axes: HELM
     over (L1, L2, lam, C), the one-class ELM over (width, C) and PCA-ELM over
     (l_pca, width, C). C applies to all three families, width to ELM and
-    PCA-ELM. The defaults are the shipped configuration, one cell each; the
-    HELM axes and ensemble_size take theirs from HelmConfig."""
-    n: int = 5
-    reading: str = "identity"
+    PCA-ELM. The defaults are the shipped configuration, one cell each; n
+    and reading take theirs from GeneratorSpec, p from DetectorConfig, and
+    the HELM axes and ensemble_size from HelmConfig."""
+    n: int = synth.GeneratorSpec.n
+    reading: str = synth.GeneratorSpec.reading
     seed: int = 42
     reps: int = 20
     gammas: tuple = (1.0, 1.1, 1.2, 1.5, 1.7, 2.0, 2.5, 3.0)
-    p: float = 99.5
+    p: float = detector.DetectorConfig.p
     models: tuple = ("helm", "elm", "pca-elm")
     L1: tuple = helm.HelmConfig.layer_sizes[:1]
     L2: tuple = helm.HelmConfig.layer_sizes[-1:]

@@ -437,6 +437,17 @@ def test_config_key_for_required_option_is_usage_error(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_config_flag_without_value_shows_the_subcommand_usage(capsys,
+                                                              command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--config"])
+    assert exc.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"usage: {cli.build_parser().prog} {command} " in err
+    assert "--config: expected one argument" in err
+
+
 def test_config_booleans_take_every_true_and_false_spelling(tmp_path, capsys):
     # n = 0 fails before any work: as off the menu while the flag is off,
     # with a hint to pass it, and as below 1 while it is on
