@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import expit
 
 
 @dataclass
@@ -37,9 +36,24 @@ def random_layer(D: int, L: int, gen: np.random.Generator) -> ElmLayer:
     return ElmLayer(A=A, B=B)
 
 
+def sigmoid_inplace(Z: np.ndarray) -> np.ndarray:
+    """Overwrite the float64 array Z with 1 / (1 + exp(-Z)) and return it.
+
+    Four in-place ufunc passes, within a few ulp of scipy's expit at about
+    half its cost. For Z below about -709 exp(-Z) overflows to inf and the
+    result is 0, the exact limit, so the overflow is not reported; no other
+    floating-point state changes.
+    """
+    np.negative(Z, out=Z)
+    with np.errstate(over="ignore"):
+        np.exp(Z, out=Z)
+    Z += 1.0
+    return np.reciprocal(Z, out=Z)
+
+
 def hidden(layer: ElmLayer, X: np.ndarray) -> np.ndarray:
     """Hidden-layer matrix H = sigmoid(X·A + B), K x L, the sigmoid being
-    scipy's expit. X is a finite float64 K x D ndarray.
+    sigmoid_inplace on the product. X is a finite float64 K x D ndarray.
 
     A stacked layer takes X as K x D (shared by the members) or M x K x D
     and returns M x K x L, member m computed with the same BLAS call and
@@ -51,7 +65,7 @@ def hidden(layer: ElmLayer, X: np.ndarray) -> np.ndarray:
             f"layer expects {layer.A.shape[-2]}")
     Z = X @ layer.A
     Z += layer.B[..., None, :]
-    return expit(Z, out=Z)
+    return sigmoid_inplace(Z)
 
 
 def ridge_solve(H: np.ndarray, T: np.ndarray, C: float) -> np.ndarray:

@@ -47,6 +47,7 @@ def soft_threshold(c, t: float) -> np.ndarray:
 
 
 def lasso_objective(H, X, beta, lam: float) -> float:
+    """||H·beta - X||_F² + lam·||beta||_1, from the K x D residual."""
     R = H @ beta - X
     return float(np.sum(R * R) + lam * np.sum(np.abs(beta)))
 
@@ -71,6 +72,12 @@ def fista_solve(H: np.ndarray, X_target: np.ndarray, params: FistaParams,
     descent tolerates is not safe here. lambda_max is the top eigenvalue of
     the L x L Gram from eigvalsh, accurate to rounding; an iterative
     estimate approaches it from below, which would make gamma too large.
+
+    The reported objective is lasso_objective(H, X_target, beta, lambda)
+    computed from the Gram G = HᵀH and F = HᵀX that the iterations use:
+    ||X||² - 2·<beta, F> + <beta, G·beta> + lambda·||beta||_1. Its absolute
+    rounding error scales with ||X||², so when beta reconstructs X almost
+    exactly the relative error of a near-zero objective grows accordingly.
     """
     if H.shape[0] != X_target.shape[0]:
         raise ValueError("H and X_target row counts differ")
@@ -98,5 +105,7 @@ def fista_solve(H: np.ndarray, X_target: np.ndarray, params: FistaParams,
         if crit < params.eps:
             converged = True
             break
+    objective = (np.vdot(X_target, X_target) + np.vdot(beta, G @ beta - 2.0 * F)
+                 + params.lam * np.abs(beta).sum())
     return FistaResult(beta=beta, converged=converged, iterations=it,
-                       objective=lasso_objective(H, X_target, beta, params.lam))
+                       objective=float(objective))

@@ -231,6 +231,21 @@ def test_detect_on_fault2_magnifies(workspace, tmp_path):
     assert "seed" not in echo  # detect draws no random numbers
 
 
+def test_detect_flags_an_extreme_row(workspace, tmp_path):
+    # +-1e6 on every channel drives the head's pre-activations past where
+    # exp(-z) overflows; detect scores the row without a warning and flags it
+    header, _ = read_csv_matrix(workspace / "val.csv")
+    data = tmp_path / "extreme.csv"
+    write_csv_matrix(data, 1e6 * np.where(np.arange(len(header)) % 2, -1.0,
+                                          1.0)[None, :], header=header)
+    out = tmp_path / "extreme"
+    assert run(["detect", "--model", str(workspace / "model.json"),
+                "--data", str(data), "--out", str(out)]) == 0
+    labels, mags = read_detections(out / "detections.csv")
+    assert labels.tolist() == [-1]
+    assert np.all(np.isfinite(mags))
+
+
 def test_pipeline_reproduces_benchmark_cell(workspace, tmp_path):
     plan = metrics.BenchmarkPlan(reps=1, gammas=(1.5,), models=("helm",))
     rec = [r for r in metrics.benchmark_rep(plan, 0) if r["fault"] == 2][0]

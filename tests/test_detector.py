@@ -1,14 +1,16 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from helmfd import detector, synth
+from helmfd.data import apply_normalization
 from helmfd.detector import (Detection, DetectorConfig, calibrate, decide,
                              labels_of, residuals, write_detections_csv)
-from helmfd.helm import run_ensemble
+from helmfd.helm import Ensemble, run_ensemble
 
 
 def percentile_oracle(values, p):
@@ -153,3 +155,26 @@ def test_detections_csv_round_trip(tmp_path, monkeypatch):
     last = lines[3].split(",")
     assert last[2] == "-1"
     assert float(last[3]) == dets[2].magnification
+
+
+@pytest.mark.parametrize("K", [1, 4])
+def test_extreme_rows_score_finite_and_flagged(helm_ensemble0, dataset0, K):
+    # +-1e6 on every channel drives the head's pre-activations to about
+    # +-2e7, far past where exp(-z) overflows (z < -709); the sigmoid then
+    # reads exactly 0 or 1, and scoring neither warns nor loses the row
+    val = slice(*synth.SEGMENTS["val"])
+    cfg = calibrate(run_ensemble(helm_ensemble0, dataset0.X[val]), gamma=1.5)
+    D = dataset0.X.shape[1]
+    alt = np.where(np.arange(D) % 2, -1.0, 1.0)
+    rows = 1e6 * np.array([np.ones(D), -np.ones(D), alt, -alt])[:K]
+    ens = Ensemble(helm_ensemble0)
+    x = apply_normalization(rows, ens.norm)
+    for beta_t in ens.maps:
+        x = x @ beta_t
+    assert (x @ ens.head.A + ens.head.B[:, None, :]).min() < -709.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Y = run_ensemble(ens, rows)
+        dets = decide(Y, cfg)
+    assert np.all(np.isfinite(Y))
+    assert labels_of(dets).tolist() == [-1] * K

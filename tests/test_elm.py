@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import expit
 
 from helmfd.elm import ElmLayer, hidden, random_layer, ridge_solve
 
@@ -62,6 +64,22 @@ class TestHidden:
         H_hot = hidden(layer, rng.normal(size=(40, 6)) * 1e4)
         assert np.all(H_hot >= 0.0) and np.all(H_hot <= 1.0)
         assert np.all(np.isfinite(H_hot))
+
+    def test_negative_tail_matches_expit(self):
+        # one unit with A = 1 and B = 0, so the pre-activation is X itself.
+        # Down to z = -700 the result stays within 4 ulp of expit, which
+        # 0.5·tanh(z/2) + 0.5 misses (1.7e-4 relative at z = -30, and 0
+        # below about -37). Below about -709 exp(-z) overflows: the result
+        # is then the exact limit 0, with no RuntimeWarning.
+        layer = ElmLayer(A=np.ones((1, 1)), B=np.zeros(1))
+        z = np.concatenate((np.linspace(-700.0, 36.0, 100001), [-30.0, -100.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            H = hidden(layer, z[:, None])[:, 0]
+            far = hidden(layer, np.array([[-710.0], [-800.0], [-1e4]]))
+        want = expit(z)
+        assert np.all(np.abs(H - want) <= 4 * np.finfo(float).eps * want)
+        assert np.all(far == 0.0)
 
     def test_dimension_mismatch_rejected(self):
         layer = ElmLayer(A=np.eye(3), B=np.zeros(3))

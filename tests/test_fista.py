@@ -122,3 +122,17 @@ def test_params_validation():
             FistaParams(lam=lam)
     with pytest.raises(ValueError):
         FistaParams(lam=0.1, max_iter=0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-2, 1.0])
+def test_reported_objective_equals_lasso_objective(lam):
+    # fista_solve takes the objective from the Gram it iterates on; it must
+    # be the residual form's value, from a zero and a least-squares start
+    rng = np.random.default_rng(16)
+    H = 1.0 / (1.0 + np.exp(-rng.normal(size=(500, 20))))
+    X = rng.normal(size=(500, 40))
+    warm = np.linalg.lstsq(H, X, rcond=None)[0]
+    for beta0 in (None, warm):
+        res = fista_solve(H, X, FistaParams(lam=lam, max_iter=50), beta0=beta0)
+        want = lasso_objective(H, X, res.beta, lam)
+        assert abs(res.objective - want) <= 1e-12 * want

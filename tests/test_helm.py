@@ -4,13 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from helmfd import helm, synth
 from helmfd.baselines import one_class_train, pca_elm_train
 from helmfd.data import RngStream, apply_normalization, fit_normalization
 from helmfd.detector import DetectorConfig
-from helmfd.elm import hidden, random_layer
+from helmfd.elm import hidden, random_layer, sigmoid_inplace
 from helmfd.fista import FistaParams, fista_solve
 from helmfd.helm import (FEATURE_SPAN, SCORE_BLOCK_ROWS, Ensemble, HelmConfig,
                          helm_run, helm_train, load_ensemble, run_ensemble,
@@ -145,6 +144,26 @@ def test_overwhelming_l1_penalty_zeroes_every_weight(dataset0):
     assert np.all(model.ae_betas[0] == 0.0)
 
 
+def test_training_survives_preactivations_past_exp_overflow(dataset0):
+    # one spike row of +-1e6 on every channel normalizes to about
+    # +-sqrt(7000) and drives first-layer pre-activations below -709, where
+    # exp(-z) overflows; training must neither warn nor yield non-finite
+    # weights (HelmModel checks them) or scores
+    tr = slice(*synth.SEGMENTS["train"])
+    X = dataset0.X[tr].copy()
+    D = X.shape[1]
+    X[100] = 1e6 * np.where(np.arange(D) % 2, -1.0, 1.0)
+    cfg = HelmConfig(ensemble_size=2)
+    stream = RngStream(42, (1, 0))
+    layer = random_layer(D, cfg.layer_sizes[0], stream.child(0).generator())
+    x = apply_normalization(X, fit_normalization(X))
+    assert (x @ layer.A + layer.B).min() < -709.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Y = run_ensemble(train_ensemble(X, cfg, stream), X)
+    assert np.all(np.isfinite(Y))
+
+
 def test_rows_are_scored_independently():
     X = small_training_matrix()
     model = helm_train(X, SMALL_CFG, RngStream(6, (1,)))
@@ -203,7 +222,7 @@ TRAINERS = {
 
 def member_loop(members, X):
     """The ensemble output written out member by member: normalize, the
-    maps, expit(x @ A + B) @ beta, summed in member order, divided by M.
+    maps, sigmoid(x @ A + B) @ beta, summed in member order, divided by M.
     Like run_ensemble it pads more than one row of X with zero rows to a
     multiple of four, so every row takes BLAS's matrix-vector path for
     groups of four."""
@@ -216,7 +235,7 @@ def member_loop(members, X):
         for beta in m.ae_betas:
             x = x @ beta.T
         head = m.top_layer
-        Y += (expit(x @ head.A + head.B) @ head.beta).ravel()
+        Y += (sigmoid_inplace(x @ head.A + head.B) @ head.beta).ravel()
     return Y[:K] / len(members)
 
 
