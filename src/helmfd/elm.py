@@ -83,9 +83,7 @@ def ridge_solve(H: np.ndarray, T: np.ndarray, C: float) -> np.ndarray:
     HtT = H.T @ T
     try:
         return cho_solve(cho_factor(G, lower=True), HtT)
-    except np.linalg.LinAlgError:
-        pass
-    except ValueError:
+    except (np.linalg.LinAlgError, ValueError):
         pass
     if C > 0:
         raise np.linalg.LinAlgError("ridge system not positive definite")

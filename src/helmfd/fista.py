@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 # Fraction of the largest step acceleration tolerates (see fista_solve).
 STEP_FRACTION = 0.9
@@ -52,8 +53,8 @@ def lasso_objective(H, X, beta, lam: float) -> float:
     return float(np.sum(R * R) + lam * np.sum(np.abs(beta)))
 
 
-def fista_solve(H: np.ndarray, X_target: np.ndarray, params: FistaParams,
-                beta0: np.ndarray | None = None) -> FistaResult:
+def fista_solve(H: np.ndarray, X_target: np.ndarray,
+                params: FistaParams) -> FistaResult:
     """For finite float64 matrices H (K x L) and X_target (K x D), iterate
     the accelerated proximal-gradient scheme
 
@@ -62,7 +63,11 @@ def fista_solve(H: np.ndarray, X_target: np.ndarray, params: FistaParams,
         t_k+1    = (1 + sqrt(1 + 4·t_k²)) / 2
         y_k+1    = beta_k+1 + ((t_k - 1)/t_k+1)·(beta_k+1 - beta_k)
 
-    until ||beta_k - beta_k+1||_2 < eps or max_iter. The momentum term
+    from beta_0 = y_0 = G⁻¹F, the least-squares solution by Cholesky on the
+    Gram G = HᵀH with F = HᵀX (the optimum at lambda = 0), or from zero when
+    G is not positive definite; the iterates then stay in H's row space and
+    at lambda = 0 approach the minimum-norm least-squares solution. It stops
+    when ||beta_k - beta_k+1||_2 < eps or at max_iter. The momentum term
     extrapolates forward along the last step; with the difference reversed
     the method degrades to damped ISTA and stalls ~1e-4 short on
     rank-deficient problems. The step
@@ -74,23 +79,23 @@ def fista_solve(H: np.ndarray, X_target: np.ndarray, params: FistaParams,
     estimate approaches it from below, which would make gamma too large.
 
     The reported objective is lasso_objective(H, X_target, beta, lambda)
-    computed from the Gram G = HᵀH and F = HᵀX that the iterations use:
+    computed from the G and F that the iterations use:
     ||X||² - 2·<beta, F> + <beta, G·beta> + lambda·||beta||_1. Its absolute
     rounding error scales with ||X||², so when beta reconstructs X almost
     exactly the relative error of a near-zero objective grows accordingly.
     """
     if H.shape[0] != X_target.shape[0]:
         raise ValueError("H and X_target row counts differ")
-    L, D = H.shape[1], X_target.shape[1]
 
     G = H.T @ H
     F = H.T @ X_target
     gamma = STEP_FRACTION / (2.0 * (1.0 + np.linalg.eigvalsh(G)[-1]))
     thresh = params.lam * gamma
 
-    beta = np.zeros((L, D)) if beta0 is None else np.array(beta0, dtype=np.float64)
-    if beta.shape != (L, D):
-        raise ValueError("beta0 shape mismatch")
+    try:
+        beta = cho_solve(cho_factor(G, lower=True), F)
+    except np.linalg.LinAlgError:
+        beta = np.zeros_like(F)
     y = beta.copy()
     t = 1.0
     converged = False

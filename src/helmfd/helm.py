@@ -1,12 +1,13 @@
 """Hierarchical ELM: sparse autoencoders stacked under a one-class ELM head.
 
 Training (per model): for each autoencoder layer, draw a random hidden layer,
-solve the LASSO reconstruction problem for its output weights, and feed the
-learned features forward as x_{i+1} = x_i · beta_iᵀ. The final layer is a
-plain ELM trained by ridge regression against the constant target 1. At run
-time the autoencoder stages are the linear maps beta_iᵀ alone (no activation);
-only the head applies its nonlinearity. This asymmetry is deliberate and load
-bearing: the stored beta_i ARE the feature map.
+solve the LASSO reconstruction problem for its output weights by FISTA from
+their least-squares solution, and feed the learned features forward as
+x_{i+1} = x_i · beta_iᵀ. The final layer is a plain ELM trained by ridge
+regression against the constant target 1. At run time the autoencoder stages
+are the linear maps beta_iᵀ alone (no activation); only the head applies its
+nonlinearity. This asymmetry is deliberate and load bearing: the stored beta_i
+ARE the feature map.
 
 Detection quality depends on the head's sigmoids staying in their responsive
 range, so each learned feature column is rescaled to a fixed span before the
@@ -134,11 +135,7 @@ def _train_member(x, norm: NormalizationStats, config: HelmConfig,
     for i, L in enumerate(config.layer_sizes[:-1]):
         layer = random_layer(x.shape[1], L, gen)
         H = hidden(layer, x)
-        # warm start: the least-squares solution is the LASSO optimum at
-        # lam = 0, which FISTA confirms in one iteration, and a close one at
-        # small lam, which FISTA then refines
-        res = fista_solve(H, x, FistaParams(lam=config.lam),
-                          beta0=ridge_solve(H, x, 0.0))
+        res = fista_solve(H, x, FistaParams(lam=config.lam))
         if not res.converged:
             warnings.warn(f"autoencoder layer {i}: FISTA did not converge in "
                           f"{res.iterations} iterations", RuntimeWarning,
@@ -186,9 +183,6 @@ class Ensemble(Sequence):
         if not members:
             raise ValueError("empty ensemble")
         first = members[0]
-        widths = sorted({m.feature_dim() for m in members})
-        if len(widths) > 1:
-            raise ValueError(f"members expect different input widths {widths}")
         for i, m in enumerate(members[1:], 1):
             if not (_bitwise_equal(m.norm.mean, first.norm.mean)
                     and _bitwise_equal(m.norm.std, first.norm.std)):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from oracles import cd_lasso
 
+from helmfd.elm import ridge_solve
 from helmfd.fista import (STEP_FRACTION, FistaParams, fista_solve,
                           lasso_objective, soft_threshold)
 
@@ -86,14 +87,27 @@ def test_sparsity_monotone_in_lam():
     assert zeros == sorted(zeros)
 
 
-def test_restart_is_stable():
+def test_full_rank_solve_starts_at_least_squares_optimum():
+    # at lambda = 0 the least-squares start is the optimum, so one step
+    # confirms it and beta is the ridge solve's
     rng = np.random.default_rng(13)
     H = rng.normal(size=(40, 5))
     X = rng.normal(size=(40, 3))
-    params = FistaParams(lam=0.05, eps=1e-12, max_iter=20000)
-    first = fista_solve(H, X, params)
-    again = fista_solve(H, X, params, beta0=first.beta)
-    assert np.max(np.abs(again.beta - first.beta)) < 1e-8
+    res = fista_solve(H, X, FistaParams(lam=0.0))
+    assert res.converged and res.iterations == 1
+    assert np.max(np.abs(res.beta - ridge_solve(H, X, 0.0))) <= 1e-12
+
+
+def test_rank_deficient_solve_reaches_minimum_norm_least_squares():
+    # K < L: the Gram is singular and Cholesky rejects it, so the solve
+    # starts from zero and stays in H's row space
+    rng = np.random.default_rng(13)
+    H = rng.normal(size=(6, 9))
+    X = rng.normal(size=(6, 3))
+    res = fista_solve(H, X, FistaParams(lam=0.0, eps=1e-12, max_iter=20000))
+    assert res.converged
+    want = np.linalg.lstsq(H, X, rcond=None)[0]
+    assert np.max(np.abs(res.beta - want)) <= 1e-8
 
 
 def test_converged_flag_reflects_iteration_budget():
@@ -127,12 +141,10 @@ def test_params_validation():
 @pytest.mark.parametrize("lam", [0.0, 1e-2, 1.0])
 def test_reported_objective_equals_lasso_objective(lam):
     # fista_solve takes the objective from the Gram it iterates on; it must
-    # be the residual form's value, from a zero and a least-squares start
+    # be the residual form's value
     rng = np.random.default_rng(16)
     H = 1.0 / (1.0 + np.exp(-rng.normal(size=(500, 20))))
     X = rng.normal(size=(500, 40))
-    warm = np.linalg.lstsq(H, X, rcond=None)[0]
-    for beta0 in (None, warm):
-        res = fista_solve(H, X, FistaParams(lam=lam, max_iter=50), beta0=beta0)
-        want = lasso_objective(H, X, res.beta, lam)
-        assert abs(res.objective - want) <= 1e-12 * want
+    res = fista_solve(H, X, FistaParams(lam=lam, max_iter=50))
+    want = lasso_objective(H, X, res.beta, lam)
+    assert abs(res.objective - want) <= 1e-12 * want

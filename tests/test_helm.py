@@ -9,7 +9,7 @@ from helmfd import helm, synth
 from helmfd.baselines import one_class_train, pca_elm_train
 from helmfd.data import RngStream, apply_normalization, fit_normalization
 from helmfd.detector import DetectorConfig
-from helmfd.elm import hidden, random_layer, sigmoid_inplace
+from helmfd.elm import hidden, random_layer, ridge_solve, sigmoid_inplace
 from helmfd.fista import FistaParams, fista_solve
 from helmfd.helm import (FEATURE_SPAN, SCORE_BLOCK_ROWS, Ensemble, HelmConfig,
                          helm_run, helm_train, load_ensemble, run_ensemble,
@@ -101,7 +101,7 @@ def test_heavy_l1_penalty_matches_lasso_oracle(dataset0):
                          ids=["shipped", "lam=1e-2"])
 def test_shipped_solves_converge_without_warning(dataset0, monkeypatch, cfg):
     # every autoencoder solve on the benchmark's substreams converges from
-    # the least-squares warm start; at the shipped lam = 0 that start is the
+    # its least-squares start; at the shipped lam = 0 that start is the
     # optimum, so FISTA stops after one iteration
     results = []
 
@@ -121,9 +121,23 @@ def test_shipped_solves_converge_without_warning(dataset0, monkeypatch, cfg):
         assert all(r.iterations == 1 for r in results)
 
 
+def test_ridge_solves_only_the_heads(monkeypatch):
+    # the autoencoder layers take their least-squares start from FISTA's own
+    # Gram, so training makes one ridge solve per member, for its head
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return ridge_solve(*args)
+
+    monkeypatch.setattr(helm, "ridge_solve", counting)
+    train_ensemble(small_training_matrix(), SMALL_CFG, RngStream(7, (1,)))
+    assert len(calls) == SMALL_CFG.ensemble_size
+
+
 def test_capped_solve_warns_with_layer_and_iterations(monkeypatch):
-    def capped(H, X, params, beta0=None):
-        return fista_solve(H, X, dataclasses.replace(params, max_iter=3), beta0)
+    def capped(H, X, params):
+        return fista_solve(H, X, dataclasses.replace(params, max_iter=3))
 
     monkeypatch.setattr(helm, "fista_solve", capped)
     cfg = HelmConfig(layer_sizes=(6, 4, 24), lam=1e-2, ensemble_size=1)
@@ -346,5 +360,6 @@ def test_ensemble_rejects_members_that_do_not_stack():
     wide = helm_train(X, wider, RngStream(15, (1, 2)))
     with pytest.raises(ValueError, match="layer shape"):
         Ensemble([a, wide])
-    with pytest.raises(ValueError, match="widths"):
+    # a member of another input width has another normalization shape
+    with pytest.raises(ValueError, match="normalization"):
         Ensemble([a, helm_train(X[:, :-1], SMALL_CFG, RngStream(15, (1, 3)))])
