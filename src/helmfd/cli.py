@@ -190,11 +190,15 @@ def cmd_train(args) -> int:
 # --- calibrate --------------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
+    try:
+        settings = detector.DetectorConfig(gamma=args.gamma, p=args.p)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     members, _ = _load_model(args.model)
     _, X = _read_matrix(args.data)
     _check_width(members, X, args.data)
     Y = helm.run_ensemble(members, X)
-    cfg = detector.calibrate(Y, gamma=args.gamma, p=args.p)
+    cfg = detector.calibrate(Y, gamma=settings.gamma, p=settings.p)
     helm.save_ensemble(args.model, members, detector=cfg)
     _echo_config(Path(args.model).parent, "calibrate", args,
                  extra={"threshold": cfg.threshold})
@@ -329,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(c)
     c.add_argument("--model", required=True)
     c.add_argument("--data", required=True, help="disjoint healthy CSV")
-    c.add_argument("--gamma", type=float, default=1.5)
-    c.add_argument("--p", type=float, default=detector.DetectorConfig.p)
+    det = detector.DetectorConfig
+    c.add_argument("--gamma", type=float, default=det.gamma)
+    c.add_argument("--p", type=float, default=det.p)
     c.set_defaults(func=cmd_calibrate)
 
     d = sub.add_parser("detect", help="score a CSV with a calibrated model")

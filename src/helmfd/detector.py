@@ -16,7 +16,7 @@ from .data import CSV_CHUNK_ROWS, as_vector
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    gamma: float
+    gamma: float = 1.5
     p: float = 99.5
     threshold: float = 0.0   # > 0 once calibrated
 
@@ -55,7 +55,8 @@ def residuals(Y) -> np.ndarray:
     return np.abs(1.0 - as_vector(Y, "Y"))
 
 
-def calibrate(Y_val, gamma: float, p: float = 99.5) -> DetectorConfig:
+def calibrate(Y_val, gamma: float,
+              p: float = DetectorConfig.p) -> DetectorConfig:
     """Threshold = gamma · p-th percentile of validation residuals
     (linear interpolation between order statistics)."""
     r = residuals(Y_val)

@@ -173,11 +173,13 @@ class ExperimentReport:
             fh.write("\n")
 
     def table(self, gamma: float | None = None) -> str:
-        """Accuracy (TPR/FPR) table at one gamma, segment level, in percent."""
+        """Accuracy (TPR/FPR) table at one gamma, segment level, in percent.
+        Without a gamma, the report's gamma closest to the shipped one."""
         rows = self.rows()
         if gamma is None:
-            gammas = sorted({r["gamma"] for r in rows})
-            gamma = min(gammas, key=lambda g: abs(g - 1.5)) if gammas else 1.5
+            shipped = detector.DetectorConfig.gamma
+            gamma = min(sorted({r["gamma"] for r in rows}),
+                        key=lambda g: abs(g - shipped), default=shipped)
         faults = sorted({r["fault"] for r in rows})
         lines = [f"Accuracy (TPR/FPR) per fault, segment level, gamma={gamma:g}"]
         header = f"{'model / cell':44s}" + "".join(f"{'fault ' + str(f):>14s}" for f in faults)
@@ -286,11 +288,25 @@ class BenchmarkPlan:
 _FAMILY = {"data": 0, "helm": 1, "elm": 2, "pca-elm": 3}
 
 
+# The first timeline row any record reads: the records score the val, fp and
+# fault segments, and nothing before val.
+_SCORED_FROM = min(synth.SEGMENTS[s][0]
+                   for s in ("val", "fp", *synth.FAULT_NAMES))
+
+
+def _scored(segment: str) -> slice:
+    """A segment's rows within the scored tail X[_SCORED_FROM:]."""
+    a, b = synth.SEGMENTS[segment]
+    return slice(a - _SCORED_FROM, b - _SCORED_FROM)
+
+
 def _flag_records(model: str, params: dict, plan: "BenchmarkPlan", rep: int,
                   Y, train_seconds: float) -> list:
+    """Records from Y, the ensemble's outputs on the scored tail
+    X[_SCORED_FROM:]."""
     residual = detector.residuals(Y)
-    val = slice(*synth.SEGMENTS["val"])
-    fp_slice = slice(*synth.SEGMENTS["fp"])
+    val = _scored("val")
+    fp_slice = _scored("fp")
     out = []
     for gamma in plan.gammas:
         thr = detector.calibrate(Y[val], gamma, plan.p).threshold
@@ -298,7 +314,7 @@ def _flag_records(model: str, params: dict, plan: "BenchmarkPlan", rep: int,
         fp_flags = flagged[fp_slice]
         set_fp = segment_flagged(fp_flags, plan.p)
         for f in range(1, 6):
-            seg = slice(*synth.SEGMENTS[f"fault{f}"])
+            seg = _scored(f"fault{f}")
             seg_flags = flagged[seg]
             rates = score_rates(fp_flags, seg_flags)
             if seg_flags.any() and thr > 0:
@@ -345,7 +361,10 @@ def _cells(plan: BenchmarkPlan, model: str) -> list:
 
 def benchmark_rep(plan: BenchmarkPlan, rep: int) -> list:
     """All records for one repetition: fresh dataset, every model family and
-    parameter cell, every gamma."""
+    parameter cell, every gamma. Each ensemble scores only the rows the
+    records read, X[_SCORED_FROM:]; run_ensemble scores a row the same
+    wherever it sits in a batch, so the records equal those of scoring the
+    whole timeline."""
     spec = synth.GeneratorSpec(n=plan.n, reading=plan.reading, seed=plan.seed)
     ds = synth.generate(spec, RngStream(plan.seed, (_FAMILY["data"], rep)))
     X = ds.X
@@ -359,7 +378,7 @@ def benchmark_rep(plan: BenchmarkPlan, rep: int) -> list:
             dt = time.perf_counter() - t0
             # run_ensemble, not an ad-hoc mean: the train/calibrate/detect
             # pipeline must reproduce these numbers bitwise
-            Y = helm.run_ensemble(ensemble, X)
+            Y = helm.run_ensemble(ensemble, X[_SCORED_FROM:])
             records += _flag_records(model, params, plan, rep, Y, dt)
     return records
 

@@ -192,11 +192,25 @@ def test_corrupt_model_is_io_error(workspace, tmp_path, capsys, corrupt):
     assert str(model) in capsys.readouterr().err
 
 
-def test_invalid_gamma_is_numerical_error(workspace, capsys):
-    code = run(["calibrate", "--model", str(workspace / "model.json"),
+def test_invalid_gamma_is_usage_error(workspace, capsys):
+    model = workspace / "model.json"
+    before = model.read_bytes()
+    code = run(["calibrate", "--model", str(model),
                 "--data", str(workspace / "val.csv"), "--gamma", "-1"])
+    assert code == cli.EXIT_USAGE
+    assert "gamma must be > 0" in capsys.readouterr().err
+    assert model.read_bytes() == before
+
+
+def test_one_row_calibration_is_numerical_error(workspace, tmp_path, capsys):
+    # a percentile of one residual is no calibration
+    one_row = tmp_path / "one_row.csv"
+    with open(workspace / "val.csv") as fh:
+        one_row.write_text(fh.readline() + fh.readline())
+    code = run(["calibrate", "--model", str(workspace / "model.json"),
+                "--data", str(one_row)])
     assert code == cli.EXIT_NUMERICAL
-    assert "numerical" in capsys.readouterr().err
+    assert "numerical error: validation vector" in capsys.readouterr().err
 
 
 def test_error_codes_are_distinct():
@@ -374,6 +388,22 @@ def test_train_rejects_non_finite_weights_before_reading_data(tmp_path, capsys,
                 "--model", str(model), *flags]) == cli.EXIT_USAGE
     assert "must be finite" in capsys.readouterr().err
     assert not model.parent.exists()
+
+
+@pytest.mark.parametrize("flags", [["--gamma", "0"], ["--gamma", "-1"],
+                                   ["--gamma", "nan"], ["--gamma", "inf"],
+                                   ["--p", "0"], ["--p", "101"],
+                                   ["--p", "nan"]], ids="=".join)
+def test_calibrate_rejects_bad_settings_before_reading_model(tmp_path, capsys,
+                                                             flags):
+    # the model file is missing: reading it first would exit 3
+    assert run(["calibrate", "--model", str(tmp_path / "missing.json"),
+                "--data", str(tmp_path / "missing.csv"),
+                *flags]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    with pytest.raises(ValueError) as exc:
+        detector.DetectorConfig(**{flags[0][2:]: float(flags[1])})
+    assert f"error: {exc.value}" in err
 
 
 def test_config_file_defaults_yield_to_flags(tmp_path):

@@ -23,6 +23,14 @@ def count_calls(monkeypatch, fn):
     return calls
 
 
+def canon(record):
+    """A record or report row without its wall-clock train_seconds, which
+    is the one field that may differ run to run; nan magnification maps to
+    None so that it compares equal to itself."""
+    return {k: None if isinstance(v, float) and np.isnan(v) else v
+            for k, v in record.items() if k != "train_seconds"}
+
+
 def flags(flag_count, size):
     out = np.zeros(size, dtype=bool)
     out[:flag_count] = True
@@ -208,25 +216,73 @@ class TestBenchmarkEngine:
 
     def test_degenerate_sweep_equals_direct_scoring(self, dataset0,
                                                     helm_ensemble0):
+        # one cell per family, every gamma and fault; the reference scores
+        # all 14000 rows and slices out the segments, where benchmark_rep
+        # scores only the rows from val on
         from helmfd import synth
+        from helmfd.data import RngStream
         from helmfd.detector import calibrate, decide, labels_of
         from helmfd.helm import run_ensemble
 
-        plan = BenchmarkPlan(reps=1, gammas=(1.5,), models=("helm",))
-        rec = [r for r in benchmark_rep(plan, 0) if r["fault"] == 2][0]
+        plan = BenchmarkPlan(reps=1)
+        X = dataset0.X
+        tr = slice(*synth.SEGMENTS["train"])
+        width, C, l_pca = plan.width[0], plan.C[0], plan.l_pca[0]
+        families = {
+            "helm": (helm_ensemble0, {"L1": plan.L1[0], "L2": plan.L2[0],
+                                      "lam": plan.lam[0], "C": C}),
+            "elm": (baselines.one_class_train_ensemble(
+                X[tr], width, C, RngStream(plan.seed, (2, 0)),
+                plan.ensemble_size), {"width": width, "C": C}),
+            "pca-elm": (baselines.pca_elm_train_ensemble(
+                X[tr], l_pca, width, C, RngStream(plan.seed, (3, 0)),
+                plan.ensemble_size), {"l_pca": l_pca, "width": width, "C": C}),
+        }
+        assert set(families) == set(plan.models)
+        lo = synth.SEGMENTS["val"][0]
+        want = {}
+        for model, (ensemble, params) in families.items():
+            Y = run_ensemble(ensemble, X)
+            assert run_ensemble(ensemble, X[lo:]).tobytes() == Y[lo:].tobytes()
+            seg = {k: Y[slice(*v)] for k, v in synth.SEGMENTS.items()}
+            for gamma in plan.gammas:
+                cfg = calibrate(seg["val"], gamma=gamma, p=plan.p)
+                fp = labels_of(decide(seg["fp"], cfg)) == -1
+                for f in range(1, 6):
+                    dets = decide(seg[f"fault{f}"], cfg)
+                    fault = labels_of(dets) == -1
+                    rates = score_rates(fp, fault)
+                    mags = [d.magnification for d in dets if d.label == -1]
+                    want[model, gamma, f] = {
+                        "model": model, "params": metrics._params_str(params),
+                        "n": plan.n, "reading": plan.reading,
+                        "gamma": gamma, "fault": f, "rep": 0,
+                        "point_tpr": rates.tpr, "point_fpr": rates.fpr,
+                        "point_precision": rates.precision,
+                        "point_f1": rates.f1,
+                        "set_tp": int(segment_flagged(fault, plan.p)),
+                        "set_fp": int(segment_flagged(fp, plan.p)),
+                        "magnification": (float(np.mean(mags)) if mags
+                                          else float("nan"))}
+        got = {(r["model"], r["gamma"], r["fault"]): canon(r)
+               for r in benchmark_rep(plan, 0)}
+        assert len(got) == 3 * len(plan.gammas) * 5
+        assert got == {k: canon(v) for k, v in want.items()}
 
-        Y = run_ensemble(helm_ensemble0, dataset0.X)
-        val = slice(*synth.SEGMENTS["val"])
-        fp = slice(*synth.SEGMENTS["fp"])
-        f2 = slice(*synth.SEGMENTS["fault2"])
-        cfg = calibrate(Y[val], gamma=1.5, p=99.5)
-        healthy = labels_of(decide(Y[fp], cfg)) == -1
-        fault = labels_of(decide(Y[f2], cfg)) == -1
-        direct = score_rates(healthy, fault)
-        assert rec["point_tpr"] == direct.tpr
-        assert rec["point_fpr"] == direct.fpr
-        assert rec["point_precision"] == direct.precision
-        assert rec["point_f1"] == direct.f1
+    def test_rep_scores_only_the_rows_its_records_read(self, monkeypatch):
+        # the records read rows [7000, 14000), val through fault 5; each of
+        # the three ensembles scores those and no others
+        rows = []
+        run_ensemble = helm.run_ensemble
+
+        def counted(models, X):
+            rows.append(len(X))
+            return run_ensemble(models, X)
+        monkeypatch.setattr(helm, "run_ensemble", counted)
+        plan = BenchmarkPlan()
+        benchmark_rep(plan, 0)
+        assert len(plan.models) == 3
+        assert rows == [7000] * 3
 
     def test_rep_does_shared_training_work_once_per_ensemble(self,
                                                               monkeypatch):
@@ -259,13 +315,8 @@ class TestBenchmarkEngine:
         plan = BenchmarkPlan(reps=2, gammas=(1.5,), models=("elm",))
         serial = run_benchmark(plan, jobs=1)
         parallel = run_benchmark(plan, jobs=2)
-        # train_seconds is wall clock, everything else must agree exactly
-        # (nan magnification mapped to None so it compares equal to itself)
-        def canon(rows):
-            return [{k: None if isinstance(v, float) and np.isnan(v) else v
-                     for k, v in r.items() if k != "train_seconds"}
-                    for r in rows]
-        assert canon(serial.rows()) == canon(parallel.rows())
+        assert ([canon(r) for r in serial.rows()]
+                == [canon(r) for r in parallel.rows()])
 
     def test_grid_sweep_runs_lattice(self):
         report = run_benchmark(BenchmarkPlan(reps=1, gammas=(1.2, 1.5),
