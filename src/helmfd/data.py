@@ -66,7 +66,9 @@ def apply_normalization(X, stats: NormalizationStats) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: X has {X.shape[1]} columns, "
             f"stats has {stats.mean.shape[0]}")
-    return (X - stats.mean) / stats.std
+    x = X - stats.mean
+    x /= stats.std
+    return x
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ coefficient (residual / threshold) grades how far past the boundary it lies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +45,7 @@ class DetectorConfig:
         return cls(**d)
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     score: float           # |1 - Y|
     label: int             # +1 healthy, -1 abnormal
     magnification: float   # score / threshold

@@ -221,15 +221,18 @@ def _shape(m: HelmModel) -> tuple:
 
 
 def _row_blocks(K: int):
-    """[start, stop) blocks of about SCORE_BLOCK_ROWS rows covering K rows.
-    With one BLAS thread each row's arithmetic is the same as in one pass
-    over all K: BLAS takes other kernels for short matrices, and its
-    matrix-vector kernel handles rows in groups of four with another path
-    for the rest, so the blocks are of near-equal height (at least half a
-    block when K needs more than one) and start at multiples of 4.
+    """[start, stop) blocks of about SCORE_BLOCK_ROWS rows covering K rows:
+    the one block (0, K) when K <= SCORE_BLOCK_ROWS, as a single-row call
+    needs it. With one BLAS thread each row's arithmetic is the same as in
+    one pass over all K: BLAS takes other kernels for short matrices, and
+    its matrix-vector kernel handles rows in groups of four with another
+    path for the rest, so the blocks are of near-equal height (at least half
+    a block when K needs more than one) and start at multiples of 4.
     run_ensemble pads a batch of more than one row to a multiple of 4, so no
     row takes the other path and a row's score does not depend on its place
     in the batch."""
+    if K <= SCORE_BLOCK_ROWS:
+        return ((0, K),)
     n = -(-K // SCORE_BLOCK_ROWS)
     bounds = [K * i // n // 4 * 4 for i in range(n)] + [K]
     return zip(bounds, bounds[1:])
@@ -237,7 +240,10 @@ def _row_blocks(K: int):
 
 def run_ensemble(models, X) -> np.ndarray:
     """Ensemble output: the member outputs Y averaged before thresholding.
-    `models` is an Ensemble, or a sequence of members wrapped in one here."""
+    `models` is an Ensemble, or a sequence of members wrapped in one here.
+    A running sum adds a block's member outputs in member order (a reduce
+    sums 8 or more members of one row pairwise): the bits of adding them one
+    by one, but for the sign of an all-zero sum."""
     ens = models if isinstance(models, Ensemble) else Ensemble(models)
     X = as_matrix(X, "X")
     K = X.shape[0]
@@ -245,14 +251,13 @@ def run_ensemble(models, X) -> np.ndarray:
     # with no batch to differ from, keeps BLAS's cheaper vector kernels
     if K > 1 and K % 4:
         X = np.vstack((X, np.zeros((-K % 4, X.shape[1]))))
-    Y = np.zeros(X.shape[0])
+    Y = np.empty(X.shape[0])
     for a, b in _row_blocks(X.shape[0]):
         x = apply_normalization(X[a:b], ens.norm)
         for beta_t in ens.maps:
             x = x @ beta_t
-        y = Y[a:b]
-        for out in (hidden(ens.head, x) @ ens.head.beta)[..., 0]:
-            y += out
+        Y[a:b] = np.add.accumulate(
+            (hidden(ens.head, x) @ ens.head.beta)[..., 0], axis=0)[-1]
     Y = Y[:K]
     Y /= len(ens)
     return Y

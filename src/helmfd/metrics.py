@@ -305,11 +305,12 @@ def _flag_records(model: str, params: dict, plan: "BenchmarkPlan", rep: int,
     """Records from Y, the ensemble's outputs on the scored tail
     X[_SCORED_FROM:]."""
     residual = detector.residuals(Y)
-    val = _scored("val")
     fp_slice = _scored("fp")
+    # q does not depend on gamma; gamma * q is the product calibrate forms
+    q = detector.calibrate(Y[_scored("val")], 1.0, plan.p).threshold
     out = []
     for gamma in plan.gammas:
-        thr = detector.calibrate(Y[val], gamma, plan.p).threshold
+        thr = gamma * q
         flagged = residual > thr
         fp_flags = flagged[fp_slice]
         set_fp = segment_flagged(fp_flags, plan.p)

@@ -110,6 +110,16 @@ def test_entry_points_reject_bad_matrices(tmp_path, entry, bad):
     assert not any(tmp_path.iterdir())
 
 
+def test_apply_normalization_is_the_formula_and_leaves_input():
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(37, 6)) * 1e3 + 7.0
+    kept = X.copy()
+    stats = fit_normalization(X)
+    x = apply_normalization(X, stats)
+    assert x.tobytes() == ((X - stats.mean) / stats.std).tobytes()
+    assert X.tobytes() == kept.tobytes()
+
+
 def test_normalization_stats_validates_std():
     with pytest.raises(ValueError):
         NormalizationStats(mean=np.zeros(2), std=np.array([1.0, 0.0]))

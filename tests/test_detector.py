@@ -85,6 +85,20 @@ def test_decide_equals_row_loop():
                and type(d.magnification) is float for d in dets)
 
 
+def test_detection_is_an_immutable_record():
+    cfg = DetectorConfig(gamma=1.0, p=99.5, threshold=0.125)
+    Y = np.array([1.0, 1.25, 0.9])
+    dets = decide(Y, cfg)
+    assert Detection._fields == ("score", "label", "magnification")
+    assert dets == decide_loop(Y, cfg)
+    d = Detection(score=0.25, label=-1, magnification=2.0)
+    assert d == dets[1]
+    assert (d.score, d.label, d.magnification) == (0.25, -1, 2.0)
+    for field in Detection._fields:
+        with pytest.raises(AttributeError):
+            setattr(d, field, 0.0)
+
+
 def test_boundary_point_counts_healthy():
     # score exactly at the threshold: sign convention keeps the +1 label
     cfg = DetectorConfig(gamma=1.0, p=99.5, threshold=0.25)

@@ -262,8 +262,9 @@ def bitwise_equal(a, b):
 # splits a matrix-vector product at points that depend on the row count, so
 # at other counts an unblocked pass may differ from a blocked one by an ulp
 # (as it may between thread counts); at one thread every count agrees.
-ROW_COUNTS = (1, SCORE_BLOCK_ROWS - 1, SCORE_BLOCK_ROWS, SCORE_BLOCK_ROWS + 1,
-              14000)
+# 2, 3 and 5 are small batches padded to a multiple of four.
+ROW_COUNTS = (1, 2, 3, 5, SCORE_BLOCK_ROWS - 1, SCORE_BLOCK_ROWS,
+              SCORE_BLOCK_ROWS + 1, 14000)
 
 
 @pytest.mark.parametrize("family", TRAINERS)
@@ -276,6 +277,33 @@ def test_batched_scores_equal_member_loop_bitwise(dataset0, family):
         want = member_loop(members, X[:K])
         assert bitwise_equal(run_ensemble(ensemble, X[:K]), want), K
         assert bitwise_equal(run_ensemble(members, X[:K]), want), K
+
+
+def test_many_members_sum_in_member_order_bitwise():
+    # np.add.reduce sums one row's 8 or more members pairwise, so a single
+    # row would round differently from the member loop; run_ensemble's
+    # running sum adds them in order at any M and row count
+    X = small_training_matrix()
+    cfg = dataclasses.replace(SMALL_CFG, ensemble_size=12)
+    members = list(train_ensemble(X, cfg, RngStream(17, (1,))))
+    ensemble = Ensemble(members)
+    for r in range(40):
+        assert bitwise_equal(run_ensemble(ensemble, X[r:r + 1]),
+                             member_loop(members, X[r:r + 1])), r
+    assert bitwise_equal(run_ensemble(ensemble, X[:7]),
+                         member_loop(members, X[:7]))
+
+
+def test_row_blocks_cover_rows_in_aligned_blocks():
+    for K in range(1, 3 * SCORE_BLOCK_ROWS + 8):
+        blocks = list(helm._row_blocks(K))
+        starts = [a for a, _ in blocks]
+        assert starts[0] == 0 and blocks[-1][1] == K, K
+        assert all(b == a2 for (_, b), (a2, _) in zip(blocks, blocks[1:])), K
+        assert all(a % 4 == 0 for a in starts), K
+        assert (len(blocks) == 1) == (K <= SCORE_BLOCK_ROWS), K
+        if len(blocks) > 1:
+            assert min(b - a for a, b in blocks) >= SCORE_BLOCK_ROWS // 2, K
 
 
 @pytest.mark.parametrize("family", TRAINERS)

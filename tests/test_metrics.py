@@ -296,6 +296,21 @@ class TestBenchmarkEngine:
         assert len(norms) == 3
         assert len(pcas) == 1
 
+    def test_rep_takes_each_validation_percentile_once(self, monkeypatch):
+        # the percentile does not depend on gamma: one per family, where a
+        # percentile per family and gamma would be 24
+        calls = []
+        percentile = np.percentile
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return percentile(*args, **kwargs)
+        monkeypatch.setattr(np, "percentile", counted)
+        plan = BenchmarkPlan()
+        benchmark_rep(plan, 0)
+        assert len(plan.models) == 3 and len(plan.gammas) == 8
+        assert len(calls) == 3
+
     def test_inputs_are_checked_once_where_they_enter(self, monkeypatch):
         # per family one check of the training matrix as it enters the
         # ensemble trainer and one of the timeline as it enters run_ensemble;
