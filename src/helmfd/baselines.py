@@ -1,13 +1,13 @@
 """Reference detectors the hierarchical model is compared against.
 
-Both baselines train helm.HelmModel members, so helm_run scores them and
+Both baselines train a helm.Ensemble, so run_ensemble scores them and
 helm's persistence stores them:
-  * the one-class ELM is a member with no feature map, straight on the
+  * the one-class ELM's members have no feature map, straight on the
     (normalized) inputs, and
-  * PCA-ELM is a member whose one map is a rescaled PCA basis.
-Each has a single-member trainer and an ensemble trainer. The ensemble
-trainer does the work its members share once: the normalization, and for
-PCA-ELM the PCA and the code scaling.
+  * PCA-ELM's members have one map, a rescaled PCA basis.
+Each has a single-member trainer, which returns a 1-member Ensemble, and an
+ensemble trainer. Both do the work the members share once: the
+normalization, and for PCA-ELM the PCA and the code scaling.
 Both receive the same fairness treatment as the hierarchical model: their
 head inputs are rescaled so the random layer's pre-activations land in the
 sigmoid's responsive range, with the rescale folded into stored parameters
@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import (NormalizationStats, RngStream, apply_normalization,
                    as_matrix, fit_normalization)
-from .helm import Ensemble, HelmModel, helm_run, train_head
+from .helm import Ensemble, run_ensemble, train_head
 
 # Target standard deviation of the head's pre-activations. A random +-1
 # uniform weight vector against D unit-variance inputs has pre-activation
@@ -82,50 +82,47 @@ def pca_fit(X: np.ndarray, l_pca: int) -> PcaModel:
 
 # --- one-class ELM ----------------------------------------------------------
 
-def one_class_train(X_train, width: int, C: float, rng: RngStream) -> HelmModel:
-    """Single random layer plus ridge head against the constant target 1: a
-    member with no feature map. The spread-pinning input scale for the data's
-    width is folded into the stored normalization."""
-    (model,) = _one_class_members(X_train, width, C, [rng])
-    return model
+def one_class_train(X_train, width: int, C: float, rng: RngStream) -> Ensemble:
+    """Single random layer plus ridge head against the constant target 1,
+    drawn from rng's generator: a 1-member Ensemble with no feature map. The
+    spread-pinning input scale for the data's width is folded into the
+    stored normalization."""
+    return _one_class_members(X_train, width, C, [rng])
 
 
 def one_class_train_ensemble(X_train, width: int, C: float, stream: RngStream,
                              size: int) -> Ensemble:
     """`size` members: member m is bitwise one_class_train on
     stream.child(m), with X_train normalized once for all of them."""
-    return Ensemble(_one_class_members(
-        X_train, width, C, [stream.child(m) for m in range(size)]))
+    return _one_class_members(X_train, width, C,
+                              [stream.child(m) for m in range(size)])
 
 
-def _one_class_members(X_train, width: int, C: float, streams) -> list:
+def _one_class_members(X_train, width: int, C: float, streams) -> Ensemble:
     X = as_matrix(X_train, "X_train")
     norm = fit_normalization(X)
     norm = NormalizationStats(mean=norm.mean,
                               std=norm.std / input_scale(X.shape[1]))
     x = apply_normalization(X, norm)
-    return [HelmModel(ae_betas=[],
-                      top_layer=train_head(x, width, C, s.generator()),
-                      norm=norm)
-            for s in streams]
+    return Ensemble.stack(
+        norm, [([], train_head(x, width, C, s.generator())) for s in streams])
 
 
-def one_class_run(model: HelmModel, X) -> np.ndarray:
-    """helm_run under its old name. Only bench/tracing.py's TARGETS still
-    names it; nothing in helmfd calls it."""
-    return helm_run(model, X)
+def one_class_run(model: Ensemble, X) -> np.ndarray:
+    """run_ensemble under its old name. Only bench/tracing.py's TARGETS
+    still names it; nothing in helmfd calls it."""
+    return run_ensemble(model, X)
 
 
 # --- PCA + one-class ELM ----------------------------------------------------
 
 def pca_elm_train(X_train, l_pca: int, width: int, C: float,
-                  rng: RngStream) -> HelmModel:
+                  rng: RngStream) -> Ensemble:
     """PCA on z-scored inputs, codes rescaled to unit train std, then the
-    one-class head. The member's one map is (components / code_scale)ᵀ,
-    C-contiguous like a map read back from a model file, and its
-    normalization mean absorbs the PCA mean."""
-    (model,) = _pca_elm_members(X_train, l_pca, width, C, [rng])
-    return model
+    one-class head drawn from rng's generator, as a 1-member Ensemble. Its
+    one map is (components / code_scale)ᵀ, and its normalization mean
+    absorbs the PCA mean."""
+    return _pca_elm_members(X_train, l_pca, width, C, [rng])
 
 
 def pca_elm_train_ensemble(X_train, l_pca: int, width: int, C: float,
@@ -133,12 +130,12 @@ def pca_elm_train_ensemble(X_train, l_pca: int, width: int, C: float,
     """`size` members: member m is bitwise pca_elm_train on stream.child(m).
     The normalization, PCA and code scaling are deterministic, so they are
     done once and the members share them; only the heads differ."""
-    return Ensemble(_pca_elm_members(
-        X_train, l_pca, width, C, [stream.child(m) for m in range(size)]))
+    return _pca_elm_members(X_train, l_pca, width, C,
+                            [stream.child(m) for m in range(size)])
 
 
 def _pca_elm_members(X_train, l_pca: int, width: int, C: float,
-                     streams) -> list:
+                     streams) -> Ensemble:
     X = as_matrix(X_train, "X_train")
     norm = fit_normalization(X)
     x = apply_normalization(X, norm)
@@ -147,16 +144,15 @@ def _pca_elm_members(X_train, l_pca: int, width: int, C: float,
     code_scale = codes.std(axis=0)
     code_scale = np.where(code_scale < 1e-12, 1.0, code_scale)
     codes = codes / code_scale
-    beta = np.ascontiguousarray((pca.components / code_scale).T)
+    beta = (pca.components / code_scale).T
     norm = NormalizationStats(mean=norm.mean + pca.mean * norm.std,
                               std=norm.std)
-    return [HelmModel(ae_betas=[beta],
-                      top_layer=train_head(codes, width, C, s.generator()),
-                      norm=norm)
-            for s in streams]
+    return Ensemble.stack(
+        norm, [([beta], train_head(codes, width, C, s.generator()))
+               for s in streams])
 
 
-def pca_elm_run(model: HelmModel, X) -> np.ndarray:
-    """helm_run under its old name. Only bench/tracing.py's TARGETS still
-    names it; nothing in helmfd calls it."""
-    return helm_run(model, X)
+def pca_elm_run(model: Ensemble, X) -> np.ndarray:
+    """run_ensemble under its old name. Only bench/tracing.py's TARGETS
+    still names it; nothing in helmfd calls it."""
+    return run_ensemble(model, X)

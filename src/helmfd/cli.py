@@ -103,12 +103,10 @@ def _echo_config(outdir: Path, command: str, args: argparse.Namespace,
         fh.write("\n")
 
 
-def _outdir(args, required=True) -> Path:
+def _outdir(args) -> Path:
     out = args.out or os.environ.get(OUT_ENV)
     if not out:
-        if required:
-            raise UsageError(f"--out is required (or set {OUT_ENV})")
-        return Path(".")
+        raise UsageError(f"--out is required (or set {OUT_ENV})")
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path

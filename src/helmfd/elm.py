@@ -15,7 +15,7 @@ from scipy.linalg import cho_factor, cho_solve
 class ElmLayer:
     """One layer, or M layers of one shape stacked over a leading member
     axis: A is then M x D x L, B M x L and beta M x L x D_Y. Only shapes are
-    checked here; helm.HelmModel checks that the entries are finite."""
+    checked here; helm.Ensemble checks that the entries are finite."""
     A: np.ndarray                 # D x L input weights, fixed after draw
     B: np.ndarray                 # L biases
     beta: np.ndarray | None = field(default=None)  # L x D_Y, set by training

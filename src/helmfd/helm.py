@@ -1,6 +1,6 @@
 """Hierarchical ELM: sparse autoencoders stacked under a one-class ELM head.
 
-Training (per model): for each autoencoder layer, draw a random hidden layer,
+Training (per member): for each autoencoder layer, draw a random hidden layer,
 solve the LASSO reconstruction problem for its output weights by FISTA from
 their least-squares solution, and feed the learned features forward as
 x_{i+1} = x_i · beta_iᵀ. The final layer is a plain ELM trained by ridge
@@ -13,6 +13,11 @@ Detection quality depends on the head's sigmoids staying in their responsive
 range, so each learned feature column is rescaled to a fixed span before the
 head sees it; the rescale is folded into beta_i, keeping the run-time math
 exactly x_{i+1} = x_i · beta_iᵀ.
+
+A trained detector is an Ensemble: members trained on disjoint substreams
+around one normalization, each array stacked over the members and held once.
+The model file stores each member on its own (helmfd-model-v1), so loading
+is where separately stored members are checked and stacked.
 """
 from __future__ import annotations
 
@@ -62,75 +67,110 @@ class HelmConfig:
             raise ValueError("ensemble_size must be >= 1")
 
 
-@dataclass
-class HelmModel:
-    """One member of any of the three detectors (see baselines.py for the
-    other two): normalization, the linear feature maps x <- x · beta_iᵀ, then
-    the one-class ELM head. Construction checks that the arrays are finite
-    and chain, so trained and loaded members pass the same check."""
-    ae_betas: list                    # beta_i, each L_i x D_i
-    top_layer: ElmLayer               # head with trained beta (one column)
-    norm: NormalizationStats
-    config: HelmConfig | None = None  # None for baseline members
+class Ensemble(Sequence):
+    """A trained detector, any of the three (see baselines.py for the other
+    two): the normalization, then per member the linear feature maps
+    x <- x · beta_iᵀ and the one-class ELM head, each map and the head
+    stacked over the M members so that one batched pass scores them all.
 
-    def __post_init__(self):
-        head = self.top_layer
+    maps[i] is M x L_i x D_i, member m's beta_i being maps[i][m]; head is an
+    ElmLayer stacked the same way (A M x D x L, B M x L, beta M x L x 1);
+    config is the HelmConfig the maps were trained with, None for the
+    baselines. Every member's arithmetic is the BLAS call and elementwise
+    steps it would take alone, so the scores are bitwise those of the member
+    outputs summed in order and divided by M.
+
+    A read-only sequence: ens[m] is member m as a 1-member Ensemble of
+    [m:m+1] views of these arrays. Construction checks that the arrays are
+    finite and chain, so trained and loaded detectors pass the same check.
+    """
+
+    def __init__(self, norm: NormalizationStats, maps: list, head: ElmLayer,
+                 config: HelmConfig | None = None):
         if head.beta is None:
             raise ValueError("head has no trained beta")
-        mean, std = self.norm.mean, self.norm.std
+        M = len(head.A)
+        if M < 1:
+            raise ValueError("empty ensemble")
+        mean, std = norm.mean, norm.std
         if not all(np.isfinite(a).all() for a in
-                   (mean, std, *self.ae_betas, head.A, head.B, head.beta)):
+                   (mean, std, *maps, head.A, head.B, head.beta)):
             raise ValueError("non-finite entries")
         if mean.ndim != 1 or mean.shape != std.shape:
             raise ValueError(f"norm mean has shape {mean.shape}, "
                              f"std {std.shape}")
-        # every stage as (outputs x inputs); the last one gives the output Y
-        stages = [*((f"map {i}", b) for i, b in enumerate(self.ae_betas)),
-                  ("head A", head.A.T), ("head beta", head.beta.T)]
+        # every stage as M x outputs x inputs; the last one gives the output Y
+        stages = [*((f"map {i}", b) for i, b in enumerate(maps)),
+                  ("head A", head.A.mT), ("head beta", head.beta.mT)]
         width = mean.shape[0]
         for name, m in stages:
-            if m.ndim != 2:
-                raise ValueError(f"{name} is not a matrix")
-            if m.shape[1] != width:
-                raise ValueError(f"{name} takes {m.shape[1]} inputs, "
+            if m.ndim != 3 or len(m) != M:
+                raise ValueError(f"{name} is not a stack of {M} matrices")
+            if m.shape[2] != width:
+                raise ValueError(f"{name} takes {m.shape[2]} inputs, "
                                  f"expected {width}")
-            width = m.shape[0]
+            width = m.shape[1]
         if width != 1:
             raise ValueError(f"head beta has {width} columns, expected 1")
+        self.norm, self.maps, self.head, self.config = norm, maps, head, config
+
+    @classmethod
+    def stack(cls, norm: NormalizationStats, members,
+              config: HelmConfig | None = None) -> "Ensemble":
+        """The Ensemble of members given as (maps, head) pairs, each map an
+        L_i x D_i beta_i and each head an ElmLayer of its own, around the
+        normalization they share."""
+        maps, heads = zip(*members)
+        return cls(norm, [np.stack(betas) for betas in zip(*maps)],
+                   ElmLayer(A=np.stack([h.A for h in heads]),
+                            B=np.stack([h.B for h in heads]),
+                            beta=np.stack([h.beta for h in heads])),
+                   config)
+
+    def __len__(self) -> int:
+        return len(self.head.A)
+
+    def __getitem__(self, i) -> "Ensemble":
+        m = range(len(self))[i]   # IndexError outside [-M, M)
+        s, h = slice(m, m + 1), self.head
+        return Ensemble(self.norm, [b[s] for b in self.maps],
+                        ElmLayer(A=h.A[s], B=h.B[s], beta=h.beta[s]),
+                        self.config)
 
     def feature_dim(self) -> int:
         return self.norm.mean.shape[0]
 
 
-def helm_train(X_train, config: HelmConfig, rng: RngStream) -> HelmModel:
-    """Train one HELM on healthy data. Normalization is fit here and stored
-    with the model; callers pass raw matrices."""
-    (model,) = _train_members(X_train, config, [rng])
-    return model
+def helm_train(X_train, config: HelmConfig, rng: RngStream) -> Ensemble:
+    """Train one HELM on healthy data, drawn from rng's generator, as a
+    1-member Ensemble. Normalization is fit here and stored with the model;
+    callers pass raw matrices."""
+    return _train_members(X_train, config, [rng])
 
 
-def train_ensemble(X_train, config: HelmConfig, stream: RngStream) -> "Ensemble":
-    """ensemble_size models on disjoint substreams of `stream`: member m is
+def train_ensemble(X_train, config: HelmConfig, stream: RngStream) -> Ensemble:
+    """ensemble_size HELMs on disjoint substreams of `stream`: member m is
     bitwise helm_train on stream.child(m), but X_train is validated and
-    normalized once and all members hold the same NormalizationStats."""
-    return Ensemble(_train_members(
+    normalized once and all members share that normalization."""
+    return _train_members(
         X_train, config,
-        [stream.child(m) for m in range(config.ensemble_size)]))
+        [stream.child(m) for m in range(config.ensemble_size)])
 
 
-def _train_members(X_train, config: HelmConfig, streams) -> list:
+def _train_members(X_train, config: HelmConfig, streams) -> Ensemble:
     """One HELM per stream, each drawing from that stream's generator, on
     X_train normalized once for all of them."""
     X = as_matrix(X_train, "X_train")
     norm = fit_normalization(X)
     x = apply_normalization(X, norm)
-    return [_train_member(x, norm, config, s.generator()) for s in streams]
+    return Ensemble.stack(
+        norm, [_train_member(x, config, s.generator()) for s in streams],
+        config)
 
 
-def _train_member(x, norm: NormalizationStats, config: HelmConfig,
-                  gen: np.random.Generator) -> HelmModel:
-    """The autoencoder maps and the head on normalized inputs x; x itself is
-    left as it is, so members can share it."""
+def _train_member(x, config: HelmConfig, gen: np.random.Generator) -> tuple:
+    """The autoencoder maps and the head on normalized inputs x, as a (maps,
+    head) pair; x itself is left as it is, so members can share it."""
     ae_betas = []
     for i, L in enumerate(config.layer_sizes[:-1]):
         layer = random_layer(x.shape[1], L, gen)
@@ -147,9 +187,7 @@ def _train_member(x, norm: NormalizationStats, config: HelmConfig,
         beta = beta * (FEATURE_SPAN / span)[:, None]
         x = feat * (FEATURE_SPAN / span)
         ae_betas.append(beta)
-
-    top = train_head(x, config.layer_sizes[-1], config.C, gen)
-    return HelmModel(ae_betas=ae_betas, top_layer=top, norm=norm, config=config)
+    return ae_betas, train_head(x, config.layer_sizes[-1], config.C, gen)
 
 
 def train_head(x, width: int, C: float, gen: np.random.Generator) -> ElmLayer:
@@ -161,63 +199,10 @@ def train_head(x, width: int, C: float, gen: np.random.Generator) -> ElmLayer:
     return top
 
 
-def helm_run(model: HelmModel, X) -> np.ndarray:
-    """Forward pass of one member: normalize, apply the linear feature maps,
-    then the head. Returns the one-class output Y as a length-K vector."""
-    return run_ensemble((model,), X)
-
-
-class Ensemble(Sequence):
-    """The members of one detector, stacked so that one batched pass scores
-    them all. A read-only sequence of HelmModel.
-
-    The members must share one normalization, bitwise, and one layer shape;
-    the maps are stacked as M x D_i x L_i arrays and the heads as one stacked
-    ElmLayer. Every member's arithmetic is then the BLAS call and elementwise
-    steps it would take alone, so the scores are bitwise those of the member
-    outputs summed in order and divided by M.
-    """
-
-    def __init__(self, members):
-        members = tuple(members)
-        if not members:
-            raise ValueError("empty ensemble")
-        first = members[0]
-        for i, m in enumerate(members[1:], 1):
-            if not (_bitwise_equal(m.norm.mean, first.norm.mean)
-                    and _bitwise_equal(m.norm.std, first.norm.std)):
-                raise ValueError(f"member {i} has another normalization "
-                                 "than member 0")
-            if _shape(m) != _shape(first):
-                raise ValueError(f"member {i} has layer shape {_shape(m)}, "
-                                 f"member 0 {_shape(first)}")
-        self._members = members
-        self.norm = first.norm
-        # each map as x <- x @ beta.T: a transposed view keeps the strides,
-        # and so the BLAS call, of a member's own beta.T
-        self.maps = [np.stack(betas).transpose(0, 2, 1)
-                     for betas in zip(*(m.ae_betas for m in members))]
-        heads = [m.top_layer for m in members]
-        self.head = ElmLayer(A=np.stack([h.A for h in heads]),
-                             B=np.stack([h.B for h in heads]),
-                             beta=np.stack([h.beta for h in heads]))
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __getitem__(self, i):
-        return self._members[i]
-
-    def feature_dim(self) -> int:
-        return self.norm.mean.shape[0]
-
-
-def _bitwise_equal(a, b) -> bool:
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def _shape(m: HelmModel) -> tuple:
-    return (*(b.shape for b in m.ae_betas), m.top_layer.A.shape)
+def helm_run(model: Ensemble, X) -> np.ndarray:
+    """run_ensemble under its old name. Only bench/tracing.py's TARGETS still
+    names it; nothing in helmfd calls it."""
+    return run_ensemble(model, X)
 
 
 def _row_blocks(K: int):
@@ -238,13 +223,11 @@ def _row_blocks(K: int):
     return zip(bounds, bounds[1:])
 
 
-def run_ensemble(models, X) -> np.ndarray:
+def run_ensemble(ens: Ensemble, X) -> np.ndarray:
     """Ensemble output: the member outputs Y averaged before thresholding.
-    `models` is an Ensemble, or a sequence of members wrapped in one here.
     A running sum adds a block's member outputs in member order (a reduce
     sums 8 or more members of one row pairwise): the bits of adding them one
     by one, but for the sign of an all-zero sum."""
-    ens = models if isinstance(models, Ensemble) else Ensemble(models)
     X = as_matrix(X, "X")
     K = X.shape[0]
     # zero rows fill the last group of four (see _row_blocks); a lone row,
@@ -254,8 +237,8 @@ def run_ensemble(models, X) -> np.ndarray:
     Y = np.empty(X.shape[0])
     for a, b in _row_blocks(X.shape[0]):
         x = apply_normalization(X[a:b], ens.norm)
-        for beta_t in ens.maps:
-            x = x @ beta_t
+        for beta in ens.maps:
+            x = x @ beta.mT
         Y[a:b] = np.add.accumulate(
             (hidden(ens.head, x) @ ens.head.beta)[..., 0], axis=0)[-1]
     Y = Y[:K]
@@ -272,52 +255,55 @@ FORMAT = "helmfd-model-v1"
 ACTIVATION = "sigmoid"
 
 
-def _layer_to_dict(layer: ElmLayer) -> dict:
-    return {"A": layer.A.tolist(), "B": layer.B.tolist(),
-            "activation": ACTIVATION, "beta": layer.beta.tolist()}
-
-
-def _layer_from_dict(d: dict) -> ElmLayer:
-    if d["activation"] != ACTIVATION:
-        raise ValueError(f"head activation {d['activation']!r}, "
-                         f"expected {ACTIVATION!r}")
-    return ElmLayer(A=np.array(d["A"], dtype=np.float64),
-                    B=np.array(d["B"], dtype=np.float64),
-                    beta=np.array(d["beta"], dtype=np.float64))
-
-
-def _model_to_dict(model: HelmModel) -> dict:
-    cfg = model.config
+def _member_to_dict(ens: Ensemble, m: int) -> dict:
+    """Member m's v1 document, read from the stacks."""
+    cfg, head = ens.config, ens.head
     return {
-        "ae_betas": [b.tolist() for b in model.ae_betas],
-        "top_layer": _layer_to_dict(model.top_layer),
-        "norm": {"mean": model.norm.mean.tolist(),
-                 "std": model.norm.std.tolist()},
+        "ae_betas": [b[m].tolist() for b in ens.maps],
+        "top_layer": {"A": head.A[m].tolist(), "B": head.B[m].tolist(),
+                      "activation": ACTIVATION, "beta": head.beta[m].tolist()},
+        "norm": {"mean": ens.norm.mean.tolist(), "std": ens.norm.std.tolist()},
         "config": None if cfg is None else {
             "layer_sizes": list(cfg.layer_sizes), "lam": cfg.lam, "C": cfg.C,
             "ensemble_size": cfg.ensemble_size, "seed": cfg.seed},
     }
 
 
-def _model_from_dict(d: dict) -> HelmModel:
-    cfg = d["config"]
-    return HelmModel(
-        ae_betas=[np.array(b, dtype=np.float64) for b in d["ae_betas"]],
-        top_layer=_layer_from_dict(d["top_layer"]),
-        norm=NormalizationStats(
-            mean=np.array(d["norm"]["mean"], dtype=np.float64),
-            std=np.array(d["norm"]["std"], dtype=np.float64)),
-        config=None if cfg is None else HelmConfig(
-            layer_sizes=tuple(cfg["layer_sizes"]), lam=cfg["lam"], C=cfg["C"],
-            ensemble_size=cfg["ensemble_size"], seed=cfg["seed"]))
+def _member_from_dict(d: dict) -> tuple:
+    """(norm, maps, head, config) of one member's v1 document."""
+    top, cfg = d["top_layer"], d["config"]
+    if top["activation"] != ACTIVATION:
+        raise ValueError(f"head activation {top['activation']!r}, "
+                         f"expected {ACTIVATION!r}")
+    return (NormalizationStats(
+                mean=np.array(d["norm"]["mean"], dtype=np.float64),
+                std=np.array(d["norm"]["std"], dtype=np.float64)),
+            [np.array(b, dtype=np.float64) for b in d["ae_betas"]],
+            ElmLayer(A=np.array(top["A"], dtype=np.float64),
+                     B=np.array(top["B"], dtype=np.float64),
+                     beta=np.array(top["beta"], dtype=np.float64)),
+            None if cfg is None else HelmConfig(
+                layer_sizes=tuple(cfg["layer_sizes"]), lam=cfg["lam"],
+                C=cfg["C"], ensemble_size=cfg["ensemble_size"],
+                seed=cfg["seed"]))
 
 
-def save_ensemble(path, models: list,
+def _bitwise_equal(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _shape(maps, head: ElmLayer) -> tuple:
+    return (*(b.shape for b in maps), head.A.shape, head.B.shape,
+            head.beta.shape)
+
+
+def save_ensemble(path, ens: Ensemble,
                   detector: DetectorConfig | None = None) -> None:
-    """Write the model JSON to a temp file next to `path`, then os.replace it
-    over `path`: a write that fails midway leaves the old file intact."""
+    """Write the model JSON, one v1 member document per member, to a temp
+    file next to `path`, then os.replace it over `path`: a write that fails
+    midway leaves the old file intact."""
     doc = {"format": FORMAT, "kind": "helm-ensemble",
-           "members": [_model_to_dict(m) for m in models],
+           "members": [_member_to_dict(ens, m) for m in range(len(ens))],
            "detector": None if detector is None else asdict(detector)}
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -332,15 +318,31 @@ def save_ensemble(path, models: list,
 
 
 def load_ensemble(path) -> tuple[Ensemble, DetectorConfig | None]:
-    """Members and detector settings of a model file; None for the settings
-    of a model not yet calibrated. Raises ValueError when a member fails
-    HelmModel's check or has a head other than a sigmoid layer, when the
-    members do not form an Ensemble, or when the detector settings fail
+    """The Ensemble and detector settings of a model file; None for the
+    settings of a model not yet calibrated. The file stores each member on
+    its own, so the members must share one normalization (bitwise), one
+    layer shape and one config to stack. Raises ValueError when they do
+    not, when a head is other than a sigmoid layer, when the stacked
+    arrays fail Ensemble's check, or when the detector settings fail
     DetectorConfig.from_dict."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ValueError(f"{path}: not a {FORMAT} document")
-    members = Ensemble(_model_from_dict(d) for d in doc["members"])
+    members = [_member_from_dict(d) for d in doc["members"]]
+    if not members:
+        raise ValueError("empty ensemble")
+    norm, maps, head, config = members[0]
+    for i, (n, b, h, c) in enumerate(members[1:], 1):
+        if not (_bitwise_equal(n.mean, norm.mean)
+                and _bitwise_equal(n.std, norm.std)):
+            raise ValueError(f"member {i} has another normalization "
+                             "than member 0")
+        if _shape(b, h) != _shape(maps, head):
+            raise ValueError(f"member {i} has layer shape {_shape(b, h)}, "
+                             f"member 0 {_shape(maps, head)}")
+        if c != config:
+            raise ValueError(f"member {i} has another config than member 0")
+    ens = Ensemble.stack(norm, [(b, h) for _, b, h, _ in members], config)
     det = doc.get("detector")
-    return members, (None if det is None else DetectorConfig.from_dict(det))
+    return ens, (None if det is None else DetectorConfig.from_dict(det))

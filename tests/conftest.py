@@ -19,10 +19,9 @@ def dataset0():
 def helm_ensemble0(dataset0):
     """The shipped-configuration ensemble for repetition 0, drawn from the
     same substreams the benchmark engine uses."""
-    cfg = helm.HelmConfig()
     tr = slice(*synth.SEGMENTS["train"])
-    return [helm.helm_train(dataset0.X[tr], cfg, RngStream(BENCH_SEED, (1, 0, m)))
-            for m in range(cfg.ensemble_size)]
+    return helm.train_ensemble(dataset0.X[tr], helm.HelmConfig(),
+                               RngStream(BENCH_SEED, (1, 0)))
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ from helmfd.baselines import (input_scale, one_class_train,
                               one_class_train_ensemble, pca_elm_train,
                               pca_elm_train_ensemble, pca_fit)
 from helmfd.data import RngStream, apply_normalization, fit_normalization
-from helmfd.helm import helm_run
+from helmfd.helm import run_ensemble
 
 
 def test_rank_one_data_keeps_single_component():
@@ -100,14 +100,14 @@ class TestOneClassElm:
     def test_output_tracks_constant_target(self):
         X = small_matrix()
         model = one_class_train(X, width=40, C=1e-5, rng=RngStream(1, (0,)))
-        Y = helm_run(model, X)
+        Y = run_ensemble(model, X)
         assert abs(float(Y.mean()) - 1.0) < 0.1
 
     def test_deterministic_per_stream(self):
         X = small_matrix()
         a = one_class_train(X, 30, 1e-5, RngStream(2, (0,)))
         b = one_class_train(X, 30, 1e-5, RngStream(2, (0,)))
-        assert np.array_equal(helm_run(a, X), helm_run(b, X))
+        assert np.array_equal(run_ensemble(a, X), run_ensemble(b, X))
 
     def test_input_scale_folded_into_normalization(self):
         X = small_matrix()
@@ -116,7 +116,7 @@ class TestOneClassElm:
         s = input_scale(X.shape[1])
         assert np.allclose(model.norm.std, raw.std / s)
         assert np.allclose(model.norm.mean, raw.mean)
-        assert model.ae_betas == []
+        assert model.maps == []
 
 
 class TestPcaElm:
@@ -125,7 +125,8 @@ class TestPcaElm:
         # orthonormality of the basis is pca_fit's, tested above
         X = small_matrix()
         model = pca_elm_train(X, 4, 30, 1e-5, RngStream(5, (0,)))
-        (beta,) = model.ae_betas
+        (stack,) = model.maps
+        (beta,) = stack
         assert beta.shape[1] == X.shape[1] and beta.flags.c_contiguous
         z = apply_normalization(X, model.norm) @ beta.T
         assert np.allclose(z.std(axis=0), 1.0, atol=1e-9)
@@ -133,14 +134,14 @@ class TestPcaElm:
     def test_output_tracks_constant_target(self):
         X = small_matrix()
         model = pca_elm_train(X, 4, 30, 1e-5, RngStream(6, (0,)))
-        Y = helm_run(model, X)
+        Y = run_ensemble(model, X)
         assert abs(float(Y.mean()) - 1.0) < 0.1
 
     def test_deterministic_per_stream(self):
         X = small_matrix()
         a = pca_elm_train(X, 3, 20, 1e-5, RngStream(7, (0,)))
         b = pca_elm_train(X, 3, 20, 1e-5, RngStream(7, (0,)))
-        assert np.array_equal(helm_run(a, X), helm_run(b, X))
+        assert np.array_equal(run_ensemble(a, X), run_ensemble(b, X))
 
 
 # (single-member trainer, ensemble trainer) per baseline family
@@ -166,12 +167,12 @@ def test_ensemble_member_equals_single_member_trainer(family):
     assert len(members) == 3
     for m, got in enumerate(members):
         want = single(X, stream.child(m))
-        assert got.norm is members[0].norm
+        assert len(want) == 1
+        assert got.norm is members.norm
         pairs = [(got.norm.mean, want.norm.mean), (got.norm.std, want.norm.std),
-                 (got.top_layer.A, want.top_layer.A),
-                 (got.top_layer.B, want.top_layer.B),
-                 (got.top_layer.beta, want.top_layer.beta)]
-        assert len(got.ae_betas) == len(want.ae_betas)
-        pairs += list(zip(got.ae_betas, want.ae_betas))
+                 (got.head.A, want.head.A), (got.head.B, want.head.B),
+                 (got.head.beta, want.head.beta)]
+        assert len(got.maps) == len(want.maps)
+        pairs += list(zip(got.maps, want.maps))
         for a, b in pairs:
             assert bitwise_equal(a, b), m

@@ -159,6 +159,9 @@ CORRUPTIONS = {
         lambda d: setitem(d["members"][1]["norm"]["mean"], 0,
                           d["members"][1]["norm"]["mean"][0] + 1.0),
     "mixed_L1": lambda d: _drop_last_feature(d["members"][1]),
+    "mixed_config":
+        lambda d: setitem(d["members"][1]["config"], "C",
+                          10 * d["members"][1]["config"]["C"]),
     "head_identity_activation":
         lambda d: setitem(d["members"][1]["top_layer"], "activation",
                           "identity"),

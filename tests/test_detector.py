@@ -10,7 +10,7 @@ from helmfd import detector, synth
 from helmfd.data import apply_normalization
 from helmfd.detector import (Detection, DetectorConfig, calibrate, decide,
                              labels_of, residuals, write_detections_csv)
-from helmfd.helm import Ensemble, run_ensemble
+from helmfd.helm import run_ensemble
 
 
 def percentile_oracle(values, p):
@@ -181,10 +181,10 @@ def test_extreme_rows_score_finite_and_flagged(helm_ensemble0, dataset0, K):
     D = dataset0.X.shape[1]
     alt = np.where(np.arange(D) % 2, -1.0, 1.0)
     rows = 1e6 * np.array([np.ones(D), -np.ones(D), alt, -alt])[:K]
-    ens = Ensemble(helm_ensemble0)
+    ens = helm_ensemble0
     x = apply_normalization(rows, ens.norm)
-    for beta_t in ens.maps:
-        x = x @ beta_t
+    for beta in ens.maps:
+        x = x @ beta.mT
     assert (x @ ens.head.A + ens.head.B[:, None, :]).min() < -709.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")

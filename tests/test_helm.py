@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from helmfd import helm, synth
-from helmfd.baselines import one_class_train, pca_elm_train
-from helmfd.data import RngStream, apply_normalization, fit_normalization
+from helmfd.baselines import one_class_train_ensemble, pca_elm_train_ensemble
+from helmfd.data import (NormalizationStats, RngStream, apply_normalization,
+                         fit_normalization)
 from helmfd.detector import DetectorConfig
-from helmfd.elm import hidden, random_layer, ridge_solve, sigmoid_inplace
+from helmfd.elm import ElmLayer, hidden, random_layer, ridge_solve, sigmoid_inplace
 from helmfd.fista import FistaParams, fista_solve
 from helmfd.helm import (FEATURE_SPAN, SCORE_BLOCK_ROWS, Ensemble, HelmConfig,
-                         helm_run, helm_train, load_ensemble, run_ensemble,
-                         save_ensemble, train_ensemble)
+                         helm_train, load_ensemble, run_ensemble, save_ensemble,
+                         train_ensemble)
 
 
 def small_training_matrix(seed=20, K=300, D=16):
@@ -52,13 +53,13 @@ def test_training_is_deterministic_per_stream():
     X = small_training_matrix()
     a = helm_train(X, SMALL_CFG, RngStream(3, (1,)))
     b = helm_train(X, SMALL_CFG, RngStream(3, (1,)))
-    assert np.array_equal(helm_run(a, X), helm_run(b, X))
+    assert np.array_equal(run_ensemble(a, X), run_ensemble(b, X))
 
 
 def test_ensemble_members_are_distinct():
     X = small_training_matrix()
     members = train_ensemble(X, SMALL_CFG, RngStream(4, (1,)))
-    outputs = [helm_run(m, X) for m in members]
+    outputs = [run_ensemble(m, X) for m in members]
     assert not np.array_equal(outputs[0], outputs[1])
     assert not np.array_equal(outputs[1], outputs[2])
 
@@ -71,7 +72,7 @@ def test_ensemble_replay_matches_member_streams():
     by_hand = [helm_train(X, SMALL_CFG, RngStream(5, (1, m)))
                for m in range(SMALL_CFG.ensemble_size)]
     for a, b in zip(members, by_hand):
-        assert np.array_equal(helm_run(a, X), helm_run(b, X))
+        assert np.array_equal(run_ensemble(a, X), run_ensemble(b, X))
 
 
 def test_heavy_l1_penalty_matches_lasso_oracle(dataset0):
@@ -155,14 +156,14 @@ def test_overwhelming_l1_penalty_zeroes_every_weight(dataset0):
     tr = slice(*synth.SEGMENTS["train"])
     cfg = HelmConfig(layer_sizes=(20, 100), lam=1e6, C=1e-5, ensemble_size=1)
     model = helm_train(dataset0.X[tr], cfg, RngStream(9, (1,)))
-    assert np.all(model.ae_betas[0] == 0.0)
+    assert np.all(model.maps[0] == 0.0)
 
 
 def test_training_survives_preactivations_past_exp_overflow(dataset0):
     # one spike row of +-1e6 on every channel normalizes to about
     # +-sqrt(7000) and drives first-layer pre-activations below -709, where
     # exp(-z) overflows; training must neither warn nor yield non-finite
-    # weights (HelmModel checks them) or scores
+    # weights (Ensemble checks them) or scores
     tr = slice(*synth.SEGMENTS["train"])
     X = dataset0.X[tr].copy()
     D = X.shape[1]
@@ -181,14 +182,14 @@ def test_training_survives_preactivations_past_exp_overflow(dataset0):
 def test_rows_are_scored_independently():
     X = small_training_matrix()
     model = helm_train(X, SMALL_CFG, RngStream(6, (1,)))
-    Y = helm_run(model, X)
+    Y = run_ensemble(model, X)
     perm = np.random.default_rng(0).permutation(X.shape[0])
-    assert np.array_equal(helm_run(model, X[perm]), Y[perm])
-    dup = helm_run(model, np.repeat(X[10:11], 50, axis=0))
+    assert np.array_equal(run_ensemble(model, X[perm]), Y[perm])
+    dup = run_ensemble(model, np.repeat(X[10:11], 50, axis=0))
     assert np.ptp(dup) == 0.0
     # batches of different heights may take different BLAS kernels
     # (matrix-vector vs matrix-matrix), so only ulp-level agreement holds
-    one = helm_run(model, X[10:11])
+    one = run_ensemble(model, X[10:11])
     assert np.isclose(one[0], Y[10], rtol=1e-12, atol=0.0)
     assert np.isclose(dup[0], Y[10], rtol=1e-12, atol=0.0)
 
@@ -197,23 +198,24 @@ def test_forward_pass_is_the_stored_linear_maps():
     X = small_training_matrix()
     model = helm_train(X, SMALL_CFG, RngStream(7, (1,)))
     x = apply_normalization(X, model.norm)
-    for beta in model.ae_betas:
+    for (beta,) in model.maps:
         x = x @ beta.T
-    manual = (hidden(model.top_layer, x) @ model.top_layer.beta).ravel()
-    assert np.array_equal(manual, helm_run(model, X))
+    (A,), (B,), (beta,) = model.head.A, model.head.B, model.head.beta
+    manual = (hidden(ElmLayer(A=A, B=B), x) @ beta).ravel()
+    assert np.array_equal(manual, run_ensemble(model, X))
 
 
 def test_learned_features_are_span_bounded():
     X = small_training_matrix()
     model = helm_train(X, SMALL_CFG, RngStream(8, (1,)))
     x = apply_normalization(X, model.norm)
-    feats = x @ model.ae_betas[0].T
+    feats = x @ model.maps[0][0].T
     assert np.abs(feats).max() <= FEATURE_SPAN + 1e-9
 
 
 def test_ensemble_variance_no_worse_than_median_member(helm_ensemble0, dataset0):
     val = slice(*synth.SEGMENTS["val"])
-    member_vars = [np.var(helm_run(m, dataset0.X[val])) for m in helm_ensemble0]
+    member_vars = [np.var(run_ensemble(m, dataset0.X[val])) for m in helm_ensemble0]
     ens_var = np.var(run_ensemble(helm_ensemble0, dataset0.X[val]))
     assert ens_var <= np.median(member_vars)
 
@@ -226,11 +228,12 @@ def test_fault_two_scores_above_healthy(helm_ensemble0, dataset0):
     assert r[f2].mean() > r[fp].mean()
 
 
-# one member trainer per model family; all three build a HelmModel
+# one 3-member ensemble trainer per model family; all three build an Ensemble
 TRAINERS = {
-    "helm": lambda X, rng: helm_train(X, SMALL_CFG, rng),
-    "elm": lambda X, rng: one_class_train(X, 30, 1e-5, rng),
-    "pca-elm": lambda X, rng: pca_elm_train(X, 4, 30, 1e-5, rng),
+    "helm": lambda X, stream: train_ensemble(X, SMALL_CFG, stream),
+    "elm": lambda X, stream: one_class_train_ensemble(X, 30, 1e-5, stream, 3),
+    "pca-elm": lambda X, stream: pca_elm_train_ensemble(X, 4, 30, 1e-5,
+                                                        stream, 3),
 }
 
 
@@ -246,10 +249,10 @@ def member_loop(members, X):
     Y = np.zeros(X.shape[0])
     for m in members:
         x = (X - m.norm.mean) / m.norm.std
-        for beta in m.ae_betas:
+        for (beta,) in m.maps:
             x = x @ beta.T
-        head = m.top_layer
-        Y += (sigmoid_inplace(x @ head.A + head.B) @ head.beta).ravel()
+        (A,), (B,), (beta,) = m.head.A, m.head.B, m.head.beta
+        Y += (sigmoid_inplace(x @ A + B) @ beta).ravel()
     return Y[:K] / len(members)
 
 
@@ -271,12 +274,14 @@ ROW_COUNTS = (1, 2, 3, 5, SCORE_BLOCK_ROWS - 1, SCORE_BLOCK_ROWS,
 def test_batched_scores_equal_member_loop_bitwise(dataset0, family):
     tr = slice(*synth.SEGMENTS["train"])
     X = dataset0.X
-    members = [TRAINERS[family](X[tr], RngStream(13, (1, m))) for m in range(3)]
-    ensemble = Ensemble(members)
+    ensemble = TRAINERS[family](X[tr], RngStream(13, (1,)))
     for K in ROW_COUNTS:
-        want = member_loop(members, X[:K])
-        assert bitwise_equal(run_ensemble(ensemble, X[:K]), want), K
-        assert bitwise_equal(run_ensemble(members, X[:K]), want), K
+        assert bitwise_equal(run_ensemble(ensemble, X[:K]),
+                             member_loop(ensemble, X[:K])), K
+        # a member, [m:m+1] views of the stacks, scores as it would alone
+        member = ensemble[1]
+        assert bitwise_equal(run_ensemble(member, X[:K]),
+                             member_loop(member, X[:K])), K
 
 
 def test_many_members_sum_in_member_order_bitwise():
@@ -285,13 +290,12 @@ def test_many_members_sum_in_member_order_bitwise():
     # running sum adds them in order at any M and row count
     X = small_training_matrix()
     cfg = dataclasses.replace(SMALL_CFG, ensemble_size=12)
-    members = list(train_ensemble(X, cfg, RngStream(17, (1,))))
-    ensemble = Ensemble(members)
+    ensemble = train_ensemble(X, cfg, RngStream(17, (1,)))
     for r in range(40):
         assert bitwise_equal(run_ensemble(ensemble, X[r:r + 1]),
-                             member_loop(members, X[r:r + 1])), r
+                             member_loop(ensemble, X[r:r + 1])), r
     assert bitwise_equal(run_ensemble(ensemble, X[:7]),
-                         member_loop(members, X[:7]))
+                         member_loop(ensemble, X[:7]))
 
 
 def test_row_blocks_cover_rows_in_aligned_blocks():
@@ -309,22 +313,25 @@ def test_row_blocks_cover_rows_in_aligned_blocks():
 @pytest.mark.parametrize("family", TRAINERS)
 def test_json_round_trip_is_bitwise(tmp_path, family):
     X = small_training_matrix()
-    members = [TRAINERS[family](X, RngStream(11, (1, m))) for m in range(3)]
-    before = run_ensemble(members, X)
+    built = TRAINERS[family](X, RngStream(11, (1,)))
+    before = run_ensemble(built, X)
     path = tmp_path / "model.json"
     cfg = DetectorConfig(gamma=1.5, p=99.5, threshold=0.125)
-    save_ensemble(path, members, detector=cfg)
+    save_ensemble(path, built, detector=cfg)
     loaded, det = load_ensemble(path)
     assert det == cfg
     assert isinstance(loaded, Ensemble)
     assert np.array_equal(run_ensemble(loaded, X), before)
-    built = Ensemble(members)
-    for a, b in zip((*built.maps, built.head.A, built.head.B, built.head.beta),
-                    (*loaded.maps, loaded.head.A, loaded.head.B,
-                     loaded.head.beta)):
+    for a, b in zip((built.norm.mean, built.norm.std, *built.maps,
+                     built.head.A, built.head.B, built.head.beta),
+                    (loaded.norm.mean, loaded.norm.std, *loaded.maps,
+                     loaded.head.A, loaded.head.B, loaded.head.beta)):
         assert bitwise_equal(a, b)
-    assert [m.config for m in loaded] == [m.config for m in members]
-    assert loaded[0].config == (SMALL_CFG if family == "helm" else None)
+    assert loaded.config == (SMALL_CFG if family == "helm" else None)
+    # the loaded ensemble writes the same file
+    again = tmp_path / "again.json"
+    save_ensemble(again, loaded, detector=det)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_failed_save_leaves_old_model_intact(tmp_path, monkeypatch):
@@ -358,36 +365,60 @@ def test_run_rejects_wrong_width():
     X = small_training_matrix()
     model = helm_train(X, SMALL_CFG, RngStream(12, (1,)))
     with pytest.raises(ValueError, match="dimension"):
-        helm_run(model, X[:, :-1])
+        run_ensemble(model, X[:, :-1])
 
 
 def test_run_ensemble_rejects_empty():
+    # run_ensemble takes an Ensemble, and no Ensemble has zero members
+    norm = NormalizationStats(mean=np.zeros(2), std=np.ones(2))
+    with pytest.raises(ValueError, match="empty ensemble"):
+        Ensemble(norm, [], ElmLayer(A=np.zeros((0, 2, 3)), B=np.zeros((0, 3)),
+                                    beta=np.zeros((0, 3, 1))))
     with pytest.raises(ValueError):
-        run_ensemble([], np.ones((2, 2)))
+        Ensemble.stack(norm, [])
 
 
 def test_ensemble_is_a_read_only_sequence():
     X = small_training_matrix()
-    members = [helm_train(X, SMALL_CFG, RngStream(14, (1, m)))
-               for m in range(3)]
-    ensemble = Ensemble(members)
+    ensemble = train_ensemble(X, SMALL_CFG, RngStream(14, (1,)))
     assert len(ensemble) == 3
-    assert list(ensemble) == members
-    assert ensemble[1] is members[1] and ensemble[-1] is members[2]
+    assert [len(m) for m in ensemble] == [1, 1, 1]
+    last = ensemble[-1]
+    assert last.norm is ensemble.norm and last.config is ensemble.config
+    # a member's arrays are [2:3] views of the stacks, not copies
+    for a, b in zip((*last.maps, last.head.A, last.head.B, last.head.beta),
+                    (*ensemble.maps, ensemble.head.A, ensemble.head.B,
+                     ensemble.head.beta)):
+        assert np.shares_memory(a, b) and bitwise_equal(a, b[2:3])
+    with pytest.raises(IndexError):
+        ensemble[3]
     with pytest.raises(TypeError):
-        ensemble[0] = members[1]
+        ensemble[0] = ensemble[1]
 
 
-def test_ensemble_rejects_members_that_do_not_stack():
+def test_ensemble_rejects_members_that_do_not_stack(tmp_path):
+    # a model file stores each member on its own, so loading is where
+    # members that do not form one Ensemble are turned away
     X = small_training_matrix()
-    a = helm_train(X, SMALL_CFG, RngStream(15, (1, 0)))
-    other_data = helm_train(X[:200], SMALL_CFG, RngStream(15, (1, 1)))
-    with pytest.raises(ValueError, match="normalization"):
-        Ensemble([a, other_data])
-    wider = HelmConfig(layer_sizes=(7, 24), C=1e-5, ensemble_size=3)
-    wide = helm_train(X, wider, RngStream(15, (1, 2)))
-    with pytest.raises(ValueError, match="layer shape"):
-        Ensemble([a, wide])
-    # a member of another input width has another normalization shape
-    with pytest.raises(ValueError, match="normalization"):
-        Ensemble([a, helm_train(X[:, :-1], SMALL_CFG, RngStream(15, (1, 3)))])
+    path = tmp_path / "model.json"
+
+    def member(X, cfg):
+        save_ensemble(path, train_ensemble(X, cfg, RngStream(15, (1,))))
+        return json.loads(path.read_text())["members"][0]
+
+    doc = {"format": "helmfd-model-v1", "kind": "helm-ensemble",
+           "members": [member(X, SMALL_CFG), None], "detector": None}
+    others = [
+        (X[:200], SMALL_CFG, "member 1 has another normalization"),
+        (X, dataclasses.replace(SMALL_CFG, layer_sizes=(7, 24)),
+         "member 1 has layer shape"),
+        # a member of another input width has another normalization shape
+        (X[:, :-1], SMALL_CFG, "member 1 has another normalization"),
+        (X, dataclasses.replace(SMALL_CFG, C=1e-3),
+         "member 1 has another config"),
+    ]
+    for X_other, cfg, match in others:
+        doc["members"][1] = member(X_other, cfg)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
+            load_ensemble(path)
