@@ -157,7 +157,8 @@ def cmd_generate(args) -> int:
     csv_path = outdir / synth.DATA_FILE
     if csv_path.exists() and not args.force:
         raise OSError(f"{csv_path} exists; pass --force to overwrite")
-    ds = synth.generate(spec, RngStream(args.seed, (0, args.rep)))
+    ds = synth.generate(spec, RngStream(args.seed,
+                                         (metrics.DATA_STREAM, args.rep)))
     synth.write_dataset(ds, outdir)
     _echo_config(outdir, "generate", args)
     print(f"wrote {csv_path} ({ds.X.shape[0]}x{ds.X.shape[1]}) and split files")
@@ -173,13 +174,12 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     _, X = _read_matrix(args.data)
-    stream = RngStream(args.seed, (1, args.rep))
+    stream = RngStream(args.seed, (metrics.FAMILIES["helm"].stream, args.rep))
     members = helm.train_ensemble(X, cfg, stream)
     model_path = Path(args.model)
     model_path.parent.mkdir(parents=True, exist_ok=True)
     helm.save_ensemble(model_path, members)
-    args_ns = argparse.Namespace(**{**vars(args), "layers": list(args.layers)})
-    _echo_config(model_path.parent, "train", args_ns)
+    _echo_config(model_path.parent, "train", args)
     print(f"trained {cfg.ensemble_size}-member ensemble on "
           f"{X.shape[0]}x{X.shape[1]} -> {model_path}")
     return EXIT_OK

@@ -25,7 +25,7 @@ import json
 import os
 import warnings
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -263,9 +263,7 @@ def _member_to_dict(ens: Ensemble, m: int) -> dict:
         "top_layer": {"A": head.A[m].tolist(), "B": head.B[m].tolist(),
                       "activation": ACTIVATION, "beta": head.beta[m].tolist()},
         "norm": {"mean": ens.norm.mean.tolist(), "std": ens.norm.std.tolist()},
-        "config": None if cfg is None else {
-            "layer_sizes": list(cfg.layer_sizes), "lam": cfg.lam, "C": cfg.C,
-            "ensemble_size": cfg.ensemble_size, "seed": cfg.seed},
+        "config": None if cfg is None else asdict(cfg),
     }
 
 
@@ -275,6 +273,9 @@ def _member_from_dict(d: dict) -> tuple:
     if top["activation"] != ACTIVATION:
         raise ValueError(f"head activation {top['activation']!r}, "
                          f"expected {ACTIVATION!r}")
+    if cfg is not None and set(cfg) != {f.name for f in fields(HelmConfig)}:
+        raise ValueError(f"config keys {sorted(cfg)}, expected those of "
+                         "HelmConfig")
     return (NormalizationStats(
                 mean=np.array(d["norm"]["mean"], dtype=np.float64),
                 std=np.array(d["norm"]["std"], dtype=np.float64)),
@@ -282,10 +283,7 @@ def _member_from_dict(d: dict) -> tuple:
             ElmLayer(A=np.array(top["A"], dtype=np.float64),
                      B=np.array(top["B"], dtype=np.float64),
                      beta=np.array(top["beta"], dtype=np.float64)),
-            None if cfg is None else HelmConfig(
-                layer_sizes=tuple(cfg["layer_sizes"]), lam=cfg["lam"],
-                C=cfg["C"], ensemble_size=cfg["ensemble_size"],
-                seed=cfg["seed"]))
+            None if cfg is None else HelmConfig(**cfg))
 
 
 def _bitwise_equal(a, b) -> bool:

@@ -18,7 +18,9 @@ import csv
 import functools
 import itertools
 import json
+import operator
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,16 +70,24 @@ def segment_flagged(flags, p: float) -> bool:
 
 # --- experiment report -------------------------------------------------------
 
-# One record per (model, parameter cell, gamma, fault, repetition).
-RECORD_FIELDS = ("model", "params", "n", "reading", "gamma", "fault", "rep",
+# A report row's key: one row per (model, parameter cell, n, reading, gamma,
+# fault), and one record per key and repetition.
+ROW_KEY = ("model", "params", "n", "reading", "gamma", "fault")
+
+RECORD_FIELDS = (*ROW_KEY, "rep",
                  "point_tpr", "point_fpr", "point_precision", "point_f1",
                  "set_tp", "set_fp", "magnification", "train_seconds")
 
-ROW_FIELDS = ("model", "params", "n", "reading", "gamma", "fault", "reps",
+ROW_FIELDS = (*ROW_KEY, "reps",
               "point_tpr", "point_fpr", "point_tnr", "point_fnr",
               "point_accuracy", "point_precision", "point_f1",
               "set_tpr", "set_fpr", "set_accuracy",
               "magnification", "train_seconds")
+
+# row field <- the record field it averages over the row's repetitions
+_MEANS = {"set_tpr": "set_tp", "set_fpr": "set_fp", **{f: f for f in (
+    "point_tpr", "point_fpr", "point_precision", "point_f1", "train_seconds")}}
+_row_key = operator.itemgetter(*ROW_KEY)
 
 # Columns of the main report CSV. Wall-clock time is excluded: the file must
 # be identical across same-seed runs, and timing is hardware noise. It ships
@@ -99,41 +109,28 @@ class ExperimentReport:
         self.records = list(records or [])
 
     def _sorted(self) -> list:
-        return sorted(self.records,
-                      key=lambda r: (r["model"], r["params"], r["n"],
-                                     r["reading"], r["gamma"], r["fault"],
-                                     r["rep"]))
+        return sorted(self.records, key=operator.itemgetter(*ROW_KEY, "rep"))
 
     def rows(self) -> list:
-        """Aggregate to one row per (model, cell, n, reading, gamma, fault):
-        means of per-repetition rates, nan-mean of magnification."""
+        """Aggregate to one row per ROW_KEY: means of per-repetition rates,
+        nan-mean of magnification."""
         groups: dict = {}
         for r in self._sorted():
-            key = (r["model"], r["params"], r["n"], r["reading"],
-                   r["gamma"], r["fault"])
-            groups.setdefault(key, []).append(r)
+            groups.setdefault(_row_key(r), []).append(r)
         out = []
-        for key, recs in sorted(groups.items()):
+        for key, recs in groups.items():
+            row = dict(zip(ROW_KEY, key), reps=len(recs))
+            row.update({k: float(np.mean([r[field] for r in recs]))
+                        for k, field in _MEANS.items()})
             mags = np.array([r["magnification"] for r in recs], dtype=float)
-            mag = float(np.nanmean(mags)) if np.any(np.isfinite(mags)) else float("nan")
-            ptpr = float(np.mean([r["point_tpr"] for r in recs]))
-            pfpr = float(np.mean([r["point_fpr"] for r in recs]))
-            stpr = float(np.mean([r["set_tp"] for r in recs]))
-            sfpr = float(np.mean([r["set_fp"] for r in recs]))
-            out.append({
-                "model": key[0], "params": key[1], "n": key[2],
-                "reading": key[3], "gamma": key[4], "fault": key[5],
-                "reps": len(recs),
-                "point_tpr": ptpr, "point_fpr": pfpr,
-                "point_tnr": 1.0 - pfpr, "point_fnr": 1.0 - ptpr,
-                "point_accuracy": (ptpr + 1.0 - pfpr) / 2.0,
-                "point_precision": float(np.mean([r["point_precision"] for r in recs])),
-                "point_f1": float(np.mean([r["point_f1"] for r in recs])),
-                "set_tpr": stpr, "set_fpr": sfpr,
-                "set_accuracy": (stpr + 1.0 - sfpr) / 2.0,
-                "magnification": mag,
-                "train_seconds": float(np.mean([r["train_seconds"] for r in recs])),
-            })
+            ptpr, pfpr = row["point_tpr"], row["point_fpr"]
+            row.update(
+                point_tnr=1.0 - pfpr, point_fnr=1.0 - ptpr,
+                point_accuracy=(ptpr + 1.0 - pfpr) / 2.0,
+                set_accuracy=(row["set_tpr"] + 1.0 - row["set_fpr"]) / 2.0,
+                magnification=(float(np.nanmean(mags))
+                               if np.any(np.isfinite(mags)) else float("nan")))
+            out.append(row)
         return out
 
     def _write_rows(self, path, cols) -> None:
@@ -162,10 +159,10 @@ class ExperimentReport:
                             repr(float(np.mean(vals)))))
 
     def sweep_csv(self, path) -> None:
-        """Gamma-sweep projection: per model x gamma x fault rates."""
-        self._write_rows(path, ("model", "gamma", "fault", "point_tpr",
-                                "point_fpr", "set_tpr", "set_fpr",
-                                "set_accuracy"))
+        """Gamma-sweep projection: per model cell x gamma x fault rates."""
+        self._write_rows(path, ("model", "params", "gamma", "fault",
+                                "point_tpr", "point_fpr", "set_tpr",
+                                "set_fpr", "set_accuracy"))
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -181,9 +178,9 @@ class ExperimentReport:
             gamma = min(sorted({r["gamma"] for r in rows}),
                         key=lambda g: abs(g - shipped), default=shipped)
         faults = sorted({r["fault"] for r in rows})
-        lines = [f"Accuracy (TPR/FPR) per fault, segment level, gamma={gamma:g}"]
-        header = f"{'model / cell':44s}" + "".join(f"{'fault ' + str(f):>14s}" for f in faults)
-        lines.append(header)
+        lines = [f"Accuracy (TPR/FPR) per fault, segment level, gamma={gamma:g}",
+                 f"{'model / cell':44s}"
+                 + "".join(f"{'fault ' + str(f):>14s}" for f in faults)]
         keys = sorted({(r["model"], r["params"]) for r in rows})
         multi = len({k[0] for k in keys}) < len(keys)
         for model, params in keys:
@@ -194,64 +191,83 @@ class ExperimentReport:
             line = f"{name:44.44s}"
             for f in faults:
                 r = cells.get(f)
-                if r is None:
-                    line += f"{'-':>14s}"
-                else:
-                    line += "{:>14s}".format(
-                        f"{100 * r['set_accuracy']:.0f} ({100 * r['set_tpr']:.0f}/{100 * r['set_fpr']:.0f})")
+                text = "-" if r is None else (
+                    f"{100 * r['set_accuracy']:.0f} "
+                    f"({100 * r['set_tpr']:.0f}/{100 * r['set_fpr']:.0f})")
+                line += f"{text:>14s}"
             lines.append(line)
         return "\n".join(lines)
 
 
+def _argmax(accuracy: dict) -> dict:
+    """The (gamma, params) cell of highest accuracy. Ties break
+    lexicographically on (gamma, params), so selection is deterministic."""
+    gamma, params = max(sorted(accuracy), key=accuracy.get)
+    return {"gamma": gamma, "params": params,
+            "accuracy": accuracy[gamma, params]}
+
+
 def winning_cells(report: ExperimentReport, model: str) -> dict:
     """Two reporting modes over an aggregated report: the argmax-mean-accuracy
-    (gamma, cell) across faults, and the per-fault argmaxes. Ties break
-    lexicographically on (gamma, params) so selection is deterministic."""
+    (gamma, cell) across faults, and the per-fault argmaxes."""
     rows = [r for r in report.rows() if r["model"] == model]
     if not rows:
         raise ValueError(f"no rows for model {model!r}")
     cells: dict = {}
     for r in rows:
-        cells.setdefault((r["gamma"], r["params"]), {})[r["fault"]] = r
-    mean_best = None
-    for key in sorted(cells):
-        accs = [r["set_accuracy"] for r in cells[key].values()]
-        mean_acc = float(np.mean(accs))
-        if mean_best is None or mean_acc > mean_best[0]:
-            mean_best = (mean_acc, key)
-    per_fault = {}
-    faults = sorted({r["fault"] for r in rows})
-    for f in faults:
-        best = None
-        for key in sorted(cells):
-            r = cells[key].get(f)
-            if r is not None and (best is None or r["set_accuracy"] > best[0]):
-                best = (r["set_accuracy"], key)
-        per_fault[f] = {"gamma": best[1][0], "params": best[1][1],
-                        "accuracy": best[0]}
-    return {"mean": {"gamma": mean_best[1][0], "params": mean_best[1][1],
-                     "accuracy": mean_best[0]},
-            "per_fault": per_fault}
+        accs = cells.setdefault((r["gamma"], r["params"]), {})
+        accs[r["fault"]] = r["set_accuracy"]
+    return {"mean": _argmax({k: float(np.mean(list(accs.values())))
+                             for k, accs in cells.items()}),
+            "per_fault": {f: _argmax({k: accs[f] for k, accs in cells.items()
+                                      if f in accs})
+                          for f in sorted({r["fault"] for r in rows})}}
 
 
 # --- benchmark engine ---------------------------------------------------------
 
 @dataclass(frozen=True)
+class Family:
+    """A model family: its substream id, its hyperparameter axes (plan
+    fields) and trainer(plan, cell), which returns the cell's ensemble
+    trainer of (X_train, stream); member m draws from stream.child(m)."""
+    stream: int
+    axes: tuple
+    trainer: Callable
+
+
+# Repetition r draws its dataset from (DATA_STREAM, r) and model m from
+# (FAMILIES[m].stream, r, member), so adding or dropping a model never shifts
+# any other model's draws.
+DATA_STREAM = 0
+FAMILIES = {
+    "helm": Family(1, ("L1", "L2", "lam", "C"), lambda plan, cell: (
+        functools.partial(helm.train_ensemble, config=helm.HelmConfig(
+            layer_sizes=(cell["L1"], cell["L2"]), lam=cell["lam"],
+            C=cell["C"], ensemble_size=plan.ensemble_size, seed=plan.seed)))),
+    "elm": Family(2, ("width", "C"), lambda plan, cell: functools.partial(
+        baselines.one_class_train_ensemble, **cell, size=plan.ensemble_size)),
+    "pca-elm": Family(3, ("l_pca", "width", "C"), lambda plan, cell: (
+        functools.partial(baselines.pca_elm_train_ensemble, **cell,
+                          size=plan.ensemble_size))),
+}
+_AXES = tuple(dict.fromkeys(a for f in FAMILIES.values() for a in f.axes))
+
+
+@dataclass(frozen=True)
 class BenchmarkPlan:
     """One repeated experiment. The tuple fields are hyperparameter axes and
-    each model family runs every cell of the product of its own axes: HELM
-    over (L1, L2, lam, C), the one-class ELM over (width, C) and PCA-ELM over
-    (l_pca, width, C). C applies to all three families, width to ELM and
-    PCA-ELM. The defaults are the shipped configuration, one cell each; n
-    and reading take theirs from GeneratorSpec, p from DetectorConfig, and
-    the HELM axes and ensemble_size from HelmConfig."""
+    each model family runs every cell of the product of its own axes, as
+    FAMILIES names them. The defaults are the shipped configuration, one
+    cell each; n and reading take theirs from GeneratorSpec, p from
+    DetectorConfig, and the HELM axes and ensemble_size from HelmConfig."""
     n: int = synth.GeneratorSpec.n
     reading: str = synth.GeneratorSpec.reading
     seed: int = 42
     reps: int = 20
     gammas: tuple = (1.0, 1.1, 1.2, 1.5, 1.7, 2.0, 2.5, 3.0)
     p: float = detector.DetectorConfig.p
-    models: tuple = ("helm", "elm", "pca-elm")
+    models: tuple = tuple(FAMILIES)
     L1: tuple = helm.HelmConfig.layer_sizes[:1]
     L2: tuple = helm.HelmConfig.layer_sizes[-1:]
     lam: tuple = (helm.HelmConfig.lam,)
@@ -262,16 +278,19 @@ class BenchmarkPlan:
 
     def __post_init__(self):
         """Every axis is checked whatever `models` holds, so a bad value
-        fails here rather than after repetitions have run."""
+        fails here rather than after repetitions have run. A repeated value
+        would make two cells with one report key, so it is rejected."""
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        unknown = set(self.models) - {"helm", "elm", "pca-elm"}
+        unknown = set(self.models) - FAMILIES.keys()
         if unknown:
             raise ValueError(f"unknown models: {sorted(unknown)}")
-        for axis in ("models", "gammas", "L1", "L2", "lam", "C", "width",
-                     "l_pca"):
-            if not getattr(self, axis):
+        for axis in ("models", "gammas", *_AXES):
+            values = getattr(self, axis)
+            if not values:
                 raise ValueError(f"{axis} must hold at least one value")
+            if len(set(values)) < len(values):
+                raise ValueError(f"{axis} repeats a value: {values}")
         if min(self.width) < 1 or min(self.l_pca) < 1:
             raise ValueError("width and l_pca must be >= 1")
         synth.GeneratorSpec(n=self.n, reading=self.reading, seed=self.seed)
@@ -280,12 +299,6 @@ class BenchmarkPlan:
         # builds, and so checks, each HELM cell's HelmConfig, ensemble_size
         # included; the axes are non-empty, so there is at least one
         _cells(self, "helm")
-
-
-# Substream ids per model family; repetition r of model m draws from
-# (family, r, member) so adding or dropping a model never shifts any other
-# model's draws.
-_FAMILY = {"data": 0, "helm": 1, "elm": 2, "pca-elm": 3}
 
 
 # The first timeline row any record reads: the records score the val, fp and
@@ -314,8 +327,8 @@ def _flag_records(model: str, params: dict, plan: "BenchmarkPlan", rep: int,
         flagged = residual > thr
         fp_flags = flagged[fp_slice]
         set_fp = segment_flagged(fp_flags, plan.p)
-        for f in range(1, 6):
-            seg = _scored(f"fault{f}")
+        for f, name in enumerate(synth.FAULT_NAMES, 1):
+            seg = _scored(name)
             seg_flags = flagged[seg]
             rates = score_rates(fp_flags, seg_flags)
             if seg_flags.any() and thr > 0:
@@ -337,27 +350,12 @@ def _flag_records(model: str, params: dict, plan: "BenchmarkPlan", rep: int,
 
 
 def _cells(plan: BenchmarkPlan, model: str) -> list:
-    """(record params, trainer) per parameter cell of one model family. A
-    trainer takes (X_train, stream) and returns the cell's helm.Ensemble of
-    plan.ensemble_size members, member m drawn from stream.child(m)."""
-    size = plan.ensemble_size
-    if model == "helm":
-        return [({"L1": L1, "L2": L2, "lam": lam, "C": C},
-                 functools.partial(helm.train_ensemble, config=helm.HelmConfig(
-                     layer_sizes=(L1, L2), lam=lam, C=C,
-                     ensemble_size=size, seed=plan.seed)))
-                for L1, L2, lam, C in itertools.product(plan.L1, plan.L2,
-                                                        plan.lam, plan.C)]
-    if model == "elm":
-        return [({"width": width, "C": C},
-                 functools.partial(baselines.one_class_train_ensemble,
-                                   width=width, C=C, size=size))
-                for width, C in itertools.product(plan.width, plan.C)]
-    return [({"l_pca": l_pca, "width": width, "C": C},
-             functools.partial(baselines.pca_elm_train_ensemble, l_pca=l_pca,
-                               width=width, C=C, size=size))
-            for l_pca, width, C in itertools.product(plan.l_pca, plan.width,
-                                                     plan.C)]
+    """(cell, trainer) per parameter cell of one model family, in
+    itertools.product order of its axes."""
+    family = FAMILIES[model]
+    cells = [dict(zip(family.axes, values)) for values in
+             itertools.product(*(getattr(plan, a) for a in family.axes))]
+    return [(cell, family.trainer(plan, cell)) for cell in cells]
 
 
 def benchmark_rep(plan: BenchmarkPlan, rep: int) -> list:
@@ -367,12 +365,11 @@ def benchmark_rep(plan: BenchmarkPlan, rep: int) -> list:
     wherever it sits in a batch, so the records equal those of scoring the
     whole timeline."""
     spec = synth.GeneratorSpec(n=plan.n, reading=plan.reading, seed=plan.seed)
-    ds = synth.generate(spec, RngStream(plan.seed, (_FAMILY["data"], rep)))
-    X = ds.X
+    X = synth.generate(spec, RngStream(plan.seed, (DATA_STREAM, rep))).X
     tr = slice(*synth.SEGMENTS["train"])
     records = []
     for model in plan.models:
-        stream = RngStream(plan.seed, (_FAMILY[model], rep))
+        stream = RngStream(plan.seed, (FAMILIES[model].stream, rep))
         for params, train in _cells(plan, model):
             t0 = time.perf_counter()
             ensemble = train(X[tr], stream=stream)

@@ -112,14 +112,15 @@ def _render(spec: GeneratorSpec, rng: RngStream) -> tuple:
     base_eps = gen.uniform(0.0, 3.0, size=n)
     fault4_eps = float(gen.uniform(0.0, 3.0))
     base = gen.normal(size=(n, K))
-    fault4_signal = gen.normal(size=1000)
+    f1, f2, f3, f4 = (slice(*SEGMENTS[f]) for f in FAULT_NAMES[:4])
+    fault4_signal = gen.normal(size=f4.stop - f4.start)
 
     # n x K base signals with faults 1-4 applied
     base = base_alpha[:, None] * base + base_eps[:, None]
-    base[0, 9000:10000] *= 1.2
-    base[0, 10000:11000] *= 1.5
-    base[0, 11000:12000] += 0.2 * base_alpha[0]
-    base[0, 12000:13000] = fault4_alpha * fault4_signal + fault4_eps
+    base[0, f1] *= 1.2
+    base[0, f2] *= 1.5
+    base[0, f3] += 0.2 * base_alpha[0]
+    base[0, f4] = fault4_alpha * fault4_signal + fault4_eps
 
     sensor_alpha = gen.uniform(0.0, 1.0, size=D)
     sensor_source = gen.integers(0, n, size=D)

@@ -162,6 +162,11 @@ CORRUPTIONS = {
     "mixed_config":
         lambda d: setitem(d["members"][1]["config"], "C",
                           10 * d["members"][1]["config"]["C"]),
+    # a config block must name exactly HelmConfig's fields
+    "config_extra_key":
+        lambda d: [setitem(m["config"], "bogus", 1) for m in d["members"]],
+    "config_key_missing":
+        lambda d: [m["config"].pop("seed") for m in d["members"]],
     "head_identity_activation":
         lambda d: setitem(d["members"][1]["top_layer"], "activation",
                           "identity"),
@@ -354,7 +359,9 @@ def test_benchmark_cli_plans_like_run_benchmark(tmp_path):
     ["--width", "0"], ["--models", "pca-elm", "--l-pca", "0"],
     ["--C", "-1"], ["--models", "helm", "--lam", "-1"], ["--seed", "-1"],
     ["--jobs", "0"], ["--models", "helm", "--lam", "nan"],
-    ["--models", "helm", "--lam", "inf"], ["--C", "nan"]],
+    ["--models", "helm", "--lam", "inf"], ["--C", "nan"],
+    ["--gammas", "1.5,1.5"], ["--models", "elm,elm"], ["--width", "50,50"],
+    ["--C", "1e-5,1e-05"]],
     ids=lambda flags: "=".join(flags[-2:]))
 def test_benchmark_rejects_out_of_range_flags_before_work(tmp_path, capsys,
                                                           flags):
@@ -366,6 +373,29 @@ def test_benchmark_rejects_out_of_range_flags_before_work(tmp_path, capsys,
     # benchmark has no --allow-any-n, so no message may offer it
     assert "allow" not in err
     assert not (out / "report.csv").exists()
+
+
+def test_interrupted_benchmark_flushes_finished_reps(tmp_path, monkeypatch,
+                                                     capsys):
+    benchmark_rep = metrics.benchmark_rep
+
+    def interrupted(plan, rep):
+        if rep == 1:
+            raise KeyboardInterrupt
+        return benchmark_rep(plan, rep)
+    monkeypatch.setattr(metrics, "benchmark_rep", interrupted)
+    out = tmp_path / "bench"
+    assert run(["benchmark", "--out", str(out), "--reps", "3",
+                "--models", "elm", "--gammas", "1.5",
+                "--ensemble", "1"]) == cli.EXIT_INTERRUPT
+    assert "interrupted" in capsys.readouterr().err
+    with open(out / "report.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5 and all(r["reps"] == "1" for r in rows)
+    records = json.loads((out / "records.json").read_text())["records"]
+    assert {r["rep"] for r in records} == {0}
+    echo = json.loads((out / "benchmark_config.json").read_text())
+    assert echo["partial"] is True
 
 
 @pytest.mark.parametrize("command", ["generate", "train"])

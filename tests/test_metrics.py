@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 
@@ -355,6 +356,40 @@ class TestBenchmarkEngine:
             BenchmarkPlan(models=("elm",), L1=())
         with pytest.raises(TypeError):
             BenchmarkPlan(bogus=(1,))
+
+    @pytest.mark.parametrize("axis", ["models", "gammas", "L1", "L2", "lam",
+                                      "C", "width", "l_pca"])
+    def test_plan_rejects_a_repeated_axis_value(self, axis):
+        # two equal values would make two cells under one report key
+        value = getattr(BenchmarkPlan, axis)[0]
+        with pytest.raises(ValueError, match=f"{axis} repeats a value"):
+            BenchmarkPlan(**{axis: (value, value)})
+
+    def test_grid_sweep_csv_keys_are_unique(self, tmp_path):
+        plan = BenchmarkPlan(reps=1, gammas=(1.5,), L1=(10, 20),
+                             C=(1e-5, 1e-4), width=(50, 100), l_pca=(5, 10),
+                             ensemble_size=1)
+        run_benchmark(plan).sweep_csv(tmp_path / "sweep.csv")
+        with open(tmp_path / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        keys = [(r["model"], r["params"], r["gamma"], r["fault"])
+                for r in rows]
+        # 4 HELM, 4 ELM and 8 PCA-ELM cells, one gamma, five faults
+        assert len(keys) == (4 + 4 + 8) * 5
+        assert len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupt_keeps_the_finished_repetitions(self, jobs):
+        plan = BenchmarkPlan(reps=2, gammas=(1.5,), models=("elm",),
+                             ensemble_size=1)
+
+        def progress(rep):
+            raise KeyboardInterrupt
+        with pytest.raises(KeyboardInterrupt) as info:
+            run_benchmark(plan, jobs=jobs, progress=progress)
+        partial = info.value.partial_report.records
+        assert ([canon(r) for r in partial]
+                == [canon(r) for r in benchmark_rep(plan, 0)])
 
     def test_cells_follow_product_order(self):
         # pins the params strings of report.csv: one record per cell, cells
