@@ -119,6 +119,15 @@ def _read_matrix(path):
         raise OSError(f"{path}: {exc}") from exc
 
 
+def _settings(cls, **values):
+    """cls(**values), a ValueError being a usage error: a command checks its
+    settings before it reads any file."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _parse_floats(text: str) -> tuple:
     try:
         return tuple(float(v) for v in text.split(",") if v.strip())
@@ -168,11 +177,8 @@ def cmd_generate(args) -> int:
 # --- train ------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    try:
-        cfg = helm.HelmConfig(layer_sizes=args.layers, lam=args.lam, C=args.C,
-                              ensemble_size=args.ensemble, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = _settings(helm.HelmConfig, layer_sizes=args.layers, lam=args.lam,
+                    C=args.C, ensemble_size=args.ensemble, seed=args.seed)
     _, X = _read_matrix(args.data)
     stream = RngStream(args.seed, (metrics.FAMILIES["helm"].stream, args.rep))
     members = helm.train_ensemble(X, cfg, stream)
@@ -188,18 +194,11 @@ def cmd_train(args) -> int:
 # --- calibrate --------------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
-    try:
-        settings = detector.DetectorConfig(gamma=args.gamma, p=args.p)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    members, _ = _load_model(args.model)
-    _, X = _read_matrix(args.data)
-    _check_width(members, X, args.data)
-    Y = helm.run_ensemble(members, X)
+    settings = _settings(detector.DetectorConfig, gamma=args.gamma, p=args.p)
+    members, _, outdir, Y = _score(args, detect=False)
     cfg = detector.calibrate(Y, gamma=settings.gamma, p=settings.p)
     helm.save_ensemble(args.model, members, detector=cfg)
-    _echo_config(Path(args.model).parent, "calibrate", args,
-                 extra={"threshold": cfg.threshold})
+    _echo_config(outdir, "calibrate", args, extra={"threshold": cfg.threshold})
     print(f"threshold = {cfg.threshold!r} (gamma={cfg.gamma:g}, p={cfg.p:g}) "
           f"-> {args.model}")
     return EXIT_OK
@@ -208,14 +207,7 @@ def cmd_calibrate(args) -> int:
 # --- detect -----------------------------------------------------------------
 
 def cmd_detect(args) -> int:
-    members, cfg = _load_model(args.model)
-    if cfg is None:
-        raise UsageError(f"uncalibrated model: {args.model} "
-                         "(run the calibrate command first)")
-    _, X = _read_matrix(args.data)
-    _check_width(members, X, args.data)
-    outdir = _outdir(args)
-    Y = helm.run_ensemble(members, X)
+    _, cfg, outdir, Y = _score(args, detect=True)
     dets = detector.decide(Y, cfg)
     detector.write_detections_csv(outdir / "detections.csv", dets)
     _echo_config(outdir, "detect", args, extra={"threshold": cfg.threshold})
@@ -229,33 +221,36 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _load_model(path):
+def _score(args, detect: bool) -> tuple:
+    """(model, detector settings, output directory, Y) of args.model on
+    args.data, checked in this order before scoring: model, calibration
+    (detect), data, width, then --out (detect; calibrate writes by the
+    model)."""
     try:
-        return helm.load_ensemble(path)
+        members, cfg = helm.load_ensemble(args.model)
     except (ValueError, KeyError, TypeError) as exc:
-        raise OSError(f"{path}: not a readable model file ({exc})") from exc
-
-
-def _check_width(members: helm.Ensemble, X, path) -> None:
-    want = members.feature_dim()
+        raise OSError(f"{args.model}: not a readable model file ({exc})") from exc
+    if detect and cfg is None:
+        raise UsageError(f"uncalibrated model: {args.model} "
+                         "(run the calibrate command first)")
+    _, X = _read_matrix(args.data)
+    want = len(members.norm.mean)
     if X.shape[1] != want:
         raise UsageError(f"schema mismatch: model expects {want} columns, "
-                         f"{path} has {X.shape[1]}")
+                         f"{args.data} has {X.shape[1]}")
+    outdir = _outdir(args) if detect else Path(args.model).parent
+    return members, cfg, outdir, helm.run_ensemble(members, X)
 
 
 # --- benchmark ----------------------------------------------------------------
 
 def cmd_benchmark(args) -> int:
-    try:
-        plan = metrics.BenchmarkPlan(
-            n=args.n, reading=args.reading, seed=args.seed, reps=args.reps,
-            gammas=args.gammas, p=args.p,
-            models=tuple(m.strip() for m in args.models.split(",")
-                         if m.strip()),
-            L1=args.L1, L2=args.L2, lam=args.lam, C=args.C, width=args.width,
-            l_pca=args.l_pca, ensemble_size=args.ensemble)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    plan = _settings(
+        metrics.BenchmarkPlan, n=args.n, reading=args.reading,
+        seed=args.seed, reps=args.reps, gammas=args.gammas, p=args.p,
+        models=tuple(m.strip() for m in args.models.split(",") if m.strip()),
+        L1=args.L1, L2=args.L2, lam=args.lam, C=args.C, width=args.width,
+        l_pca=args.l_pca, ensemble_size=args.ensemble)
     outdir = _outdir(args)
 
     def progress(rep):

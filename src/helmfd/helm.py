@@ -17,11 +17,12 @@ exactly x_{i+1} = x_i · beta_iᵀ.
 A trained detector is an Ensemble: members trained on disjoint substreams
 around one normalization, each array stacked over the members and held once.
 The model file stores each member on its own (helmfd-model-v1), so loading
-is where separately stored members are checked and stacked.
+checks the members against member 0 and stacks each array once.
 """
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import warnings
 from collections.abc import Sequence
@@ -56,7 +57,16 @@ class HelmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_sizes", tuple(int(v) for v in self.layer_sizes))
+        # a model file's config block arrives as parsed, so no bool,
+        # string or fraction may pass for a size, seed, lam or C
+        sizes = tuple(self.layer_sizes)
+        ints, reals = (*sizes, self.ensemble_size, self.seed), (self.lam, self.C)
+        if any(isinstance(v, bool) for v in (*ints, *reals)) or not (
+                all(isinstance(v, numbers.Integral) for v in ints)
+                and all(isinstance(v, numbers.Real) for v in reals)):
+            raise ValueError("layer_sizes, ensemble_size and seed must be "
+                             "integers, and lam and C numbers")
+        object.__setattr__(self, "layer_sizes", tuple(map(int, sizes)))
         if len(self.layer_sizes) < 2:
             raise ValueError("layer_sizes needs at least one autoencoder and the head")
         if any(v < 1 for v in self.layer_sizes):
@@ -75,10 +85,11 @@ class Ensemble(Sequence):
 
     maps[i] is M x L_i x D_i, member m's beta_i being maps[i][m]; head is an
     ElmLayer stacked the same way (A M x D x L, B M x L, beta M x L x 1);
-    config is the HelmConfig the maps were trained with, None for the
-    baselines. Every member's arithmetic is the BLAS call and elementwise
-    steps it would take alone, so the scores are bitwise those of the member
-    outputs summed in order and divided by M.
+    config is the HelmConfig the maps were trained with, its layer_sizes
+    their widths and the head's, None for the baselines. Every member's
+    arithmetic is the BLAS call and elementwise steps it would take alone,
+    so the scores are bitwise those of the member outputs summed in order
+    and divided by M.
 
     A read-only sequence: ens[m] is member m as a 1-member Ensemble of
     [m:m+1] views of these arrays. Construction checks that the arrays are
@@ -112,6 +123,10 @@ class Ensemble(Sequence):
             width = m.shape[1]
         if width != 1:
             raise ValueError(f"head beta has {width} columns, expected 1")
+        if config is not None and config.layer_sizes != tuple(
+                m.shape[1] for _, m in stages[:-1]):
+            raise ValueError(f"config layer_sizes {config.layer_sizes} are "
+                             "not the layer widths")
         self.norm, self.maps, self.head, self.config = norm, maps, head, config
 
     @classmethod
@@ -136,9 +151,6 @@ class Ensemble(Sequence):
         return Ensemble(self.norm, [b[s] for b in self.maps],
                         ElmLayer(A=h.A[s], B=h.B[s], beta=h.beta[s]),
                         self.config)
-
-    def feature_dim(self) -> int:
-        return self.norm.mean.shape[0]
 
 
 def helm_train(X_train, config: HelmConfig, rng: RngStream) -> Ensemble:
@@ -214,8 +226,9 @@ def _row_blocks(K: int):
     path for the rest, so the blocks are of near-equal height (at least half
     a block when K needs more than one) and start at multiples of 4.
     run_ensemble pads a batch of more than one row to a multiple of 4, so no
-    row takes the other path and a row's score does not depend on its place
-    in the batch."""
+    row takes the other path. A batch of 500 rows or fewer (at 20 -> 100)
+    may still score a row a few ulp off a larger batch: its head x·A takes
+    BLAS's small-matrix kernel."""
     if K <= SCORE_BLOCK_ROWS:
         return ((0, K),)
     n = -(-K // SCORE_BLOCK_ROWS)
@@ -255,53 +268,21 @@ FORMAT = "helmfd-model-v1"
 ACTIVATION = "sigmoid"
 
 
-def _member_to_dict(ens: Ensemble, m: int) -> dict:
-    """Member m's v1 document, read from the stacks."""
-    cfg, head = ens.config, ens.head
-    return {
-        "ae_betas": [b[m].tolist() for b in ens.maps],
-        "top_layer": {"A": head.A[m].tolist(), "B": head.B[m].tolist(),
-                      "activation": ACTIVATION, "beta": head.beta[m].tolist()},
-        "norm": {"mean": ens.norm.mean.tolist(), "std": ens.norm.std.tolist()},
-        "config": None if cfg is None else asdict(cfg),
-    }
-
-
-def _member_from_dict(d: dict) -> tuple:
-    """(norm, maps, head, config) of one member's v1 document."""
-    top, cfg = d["top_layer"], d["config"]
-    if top["activation"] != ACTIVATION:
-        raise ValueError(f"head activation {top['activation']!r}, "
-                         f"expected {ACTIVATION!r}")
-    if cfg is not None and set(cfg) != {f.name for f in fields(HelmConfig)}:
-        raise ValueError(f"config keys {sorted(cfg)}, expected those of "
-                         "HelmConfig")
-    return (NormalizationStats(
-                mean=np.array(d["norm"]["mean"], dtype=np.float64),
-                std=np.array(d["norm"]["std"], dtype=np.float64)),
-            [np.array(b, dtype=np.float64) for b in d["ae_betas"]],
-            ElmLayer(A=np.array(top["A"], dtype=np.float64),
-                     B=np.array(top["B"], dtype=np.float64),
-                     beta=np.array(top["beta"], dtype=np.float64)),
-            None if cfg is None else HelmConfig(**cfg))
-
-
-def _bitwise_equal(a, b) -> bool:
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def _shape(maps, head: ElmLayer) -> tuple:
-    return (*(b.shape for b in maps), head.A.shape, head.B.shape,
-            head.beta.shape)
-
-
 def save_ensemble(path, ens: Ensemble,
                   detector: DetectorConfig | None = None) -> None:
     """Write the model JSON, one v1 member document per member, to a temp
     file next to `path`, then os.replace it over `path`: a write that fails
     midway leaves the old file intact."""
-    doc = {"format": FORMAT, "kind": "helm-ensemble",
-           "members": [_member_to_dict(ens, m) for m in range(len(ens))],
+    head = ens.head
+    shared = {"norm": {"mean": ens.norm.mean.tolist(),
+                       "std": ens.norm.std.tolist()},
+              "config": None if ens.config is None else asdict(ens.config)}
+    members = [{"ae_betas": [b[m].tolist() for b in ens.maps],
+                "top_layer": {"A": head.A[m].tolist(), "B": head.B[m].tolist(),
+                              "activation": ACTIVATION,
+                              "beta": head.beta[m].tolist()},
+                **shared} for m in range(len(ens))]
+    doc = {"format": FORMAT, "kind": "helm-ensemble", "members": members,
            "detector": None if detector is None else asdict(detector)}
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -317,30 +298,54 @@ def save_ensemble(path, ens: Ensemble,
 
 def load_ensemble(path) -> tuple[Ensemble, DetectorConfig | None]:
     """The Ensemble and detector settings of a model file; None for the
-    settings of a model not yet calibrated. The file stores each member on
-    its own, so the members must share one normalization (bitwise), one
-    layer shape and one config to stack. Raises ValueError when they do
-    not, when a head is other than a sigmoid layer, when the stacked
-    arrays fail Ensemble's check, or when the detector settings fail
-    DetectorConfig.from_dict."""
+    settings of a model not yet calibrated. Every member repeats the head
+    activation, the normalization, the array row counts (its layer shape)
+    and the config, and each must match member 0's, the normalization
+    bitwise; each array is then stacked once over the members. Raises
+    ValueError when a member does not match, or when the config, the
+    stacked arrays or the detector settings fail their class's check."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ValueError(f"{path}: not a {FORMAT} document")
-    members = [_member_from_dict(d) for d in doc["members"]]
+    members = doc["members"]
     if not members:
         raise ValueError("empty ensemble")
-    norm, maps, head, config = members[0]
-    for i, (n, b, h, c) in enumerate(members[1:], 1):
-        if not (_bitwise_equal(n.mean, norm.mean)
-                and _bitwise_equal(n.std, norm.std)):
+
+    def blocks(d):   # the normalization as bytes: -0.0 is not 0.0
+        top = d["top_layer"]
+        return (top["activation"],
+                [np.array(d["norm"][k], dtype=np.float64).tobytes()
+                 for k in ("mean", "std")],
+                [len(v) for v in (*d["ae_betas"], top["A"], top["B"],
+                                  top["beta"])],
+                d["config"])
+    first = members[0]
+    _, norm, shape, cfg = blocks(first)
+    for i, d in enumerate(members):
+        activation, d_norm, d_shape, d_cfg = blocks(d)
+        if activation != ACTIVATION:
+            raise ValueError(f"head activation {activation!r}, "
+                             f"expected {ACTIVATION!r}")
+        if d_norm != norm:
             raise ValueError(f"member {i} has another normalization "
                              "than member 0")
-        if _shape(b, h) != _shape(maps, head):
-            raise ValueError(f"member {i} has layer shape {_shape(b, h)}, "
-                             f"member 0 {_shape(maps, head)}")
-        if c != config:
+        if d_shape != shape:
+            raise ValueError(f"member {i} has layer shape {d_shape}, "
+                             f"member 0 {shape}")
+        if d_cfg != cfg:
             raise ValueError(f"member {i} has another config than member 0")
-    ens = Ensemble.stack(norm, [(b, h) for _, b, h, _ in members], config)
+    if cfg is not None and set(cfg) != {f.name for f in fields(HelmConfig)}:
+        raise ValueError(f"config keys {sorted(cfg)}, expected those of "
+                         "HelmConfig")
+
+    ens = Ensemble(
+        NormalizationStats(*(np.array(first["norm"][k], dtype=np.float64)
+                             for k in ("mean", "std"))),
+        [np.array(b, dtype=np.float64)
+         for b in zip(*(d["ae_betas"] for d in members))],
+        ElmLayer(*(np.array([d["top_layer"][k] for d in members],
+                            dtype=np.float64) for k in ("A", "B", "beta"))),
+        None if cfg is None else HelmConfig(**cfg))
     det = doc.get("detector")
     return ens, (None if det is None else DetectorConfig.from_dict(det))

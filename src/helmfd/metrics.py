@@ -14,6 +14,7 @@ across repetitions, so every repetition carries equal weight.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import itertools
@@ -21,6 +22,7 @@ import json
 import operator
 import time
 from collections.abc import Callable
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -361,9 +363,10 @@ def _cells(plan: BenchmarkPlan, model: str) -> list:
 def benchmark_rep(plan: BenchmarkPlan, rep: int) -> list:
     """All records for one repetition: fresh dataset, every model family and
     parameter cell, every gamma. Each ensemble scores only the rows the
-    records read, X[_SCORED_FROM:]; run_ensemble scores a row the same
-    wherever it sits in a batch, so the records equal those of scoring the
-    whole timeline."""
+    records read, X[_SCORED_FROM:]. At one BLAS thread run_ensemble scores
+    a row of a batch of more than 500 rows (at the shipped 20 -> 100
+    shape) the same wherever the batch starts, so the records equal those
+    of scoring the whole timeline."""
     spec = synth.GeneratorSpec(n=plan.n, reading=plan.reading, seed=plan.seed)
     X = synth.generate(spec, RngStream(plan.seed, (DATA_STREAM, rep))).X
     tr = slice(*synth.SEGMENTS["train"])
@@ -392,19 +395,14 @@ def run_benchmark(plan: BenchmarkPlan, jobs: int = 1,
     report = ExperimentReport()
     reps = range(plan.reps)
     try:
-        if jobs <= 1:
-            for rep in reps:
-                report.records.extend(benchmark_rep(plan, rep))
+        with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
+              else contextlib.nullcontext()) as pool:
+            results = (pool.map if pool else map)(
+                benchmark_rep, [plan] * len(reps), reps)
+            for rep, recs in zip(reps, results):
+                report.records.extend(recs)
                 if progress:
                     progress(rep)
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for rep, recs in zip(reps, pool.map(benchmark_rep,
-                                                    [plan] * len(reps), reps)):
-                    report.records.extend(recs)
-                    if progress:
-                        progress(rep)
     except KeyboardInterrupt as exc:
         exc.partial_report = report
         raise

@@ -167,6 +167,17 @@ CORRUPTIONS = {
         lambda d: [setitem(m["config"], "bogus", 1) for m in d["members"]],
     "config_key_missing":
         lambda d: [m["config"].pop("seed") for m in d["members"]],
+    # a config block, alike in every member, that does not fit the model
+    "config_layer_sizes_not_the_layers":
+        lambda d: [setitem(m["config"], "layer_sizes", [7, 9])
+                   for m in d["members"]],
+    "config_seed_string":
+        lambda d: [setitem(m["config"], "seed", "x") for m in d["members"]],
+    "config_lam_bool":
+        lambda d: [setitem(m["config"], "lam", True) for m in d["members"]],
+    "config_ensemble_size_fractional":
+        lambda d: [setitem(m["config"], "ensemble_size", 2.5)
+                   for m in d["members"]],
     "head_identity_activation":
         lambda d: setitem(d["members"][1]["top_layer"], "activation",
                           "identity"),
@@ -314,6 +325,18 @@ def test_missing_out_dir_is_usage_error(workspace, monkeypatch, capsys):
     assert run(["detect", "--model", str(workspace / "model.json"),
                 "--data", str(workspace / "val.csv")]) == cli.EXIT_USAGE
     assert cli.OUT_ENV in capsys.readouterr().err
+
+
+def test_detect_names_a_corrupt_model_before_a_missing_out_dir(
+        workspace, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(cli.OUT_ENV, raising=False)
+    doc = json.loads((workspace / "model.json").read_text())
+    CORRUPTIONS["mixed_config"](doc)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    assert run(["detect", "--model", str(model),
+                "--data", str(workspace / "val.csv")]) == cli.EXIT_IO
+    assert str(model) in capsys.readouterr().err
 
 
 def test_benchmark_writes_reports(tmp_path):

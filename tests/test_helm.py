@@ -41,6 +41,12 @@ def test_config_validation():
             HelmConfig(layer_sizes=(10, 20), **bad)
     with pytest.raises(ValueError):
         HelmConfig(layer_sizes=(10, 20), ensemble_size=0)
+    # a model file's config block comes unconverted: no value is coerced
+    for bad in ({"layer_sizes": (20.7, 100)}, {"seed": "x"}, {"seed": 1.0},
+                {"ensemble_size": 2.5}, {"ensemble_size": True},
+                {"lam": True}, {"C": "1e-5"}):
+        with pytest.raises(ValueError, match="integers, and lam and C"):
+            HelmConfig(**bad)
 
 
 def test_training_output_tracks_constant_target(helm_ensemble0, dataset0):
@@ -412,6 +418,9 @@ def test_ensemble_rejects_members_that_do_not_stack(tmp_path):
         (X[:200], SMALL_CFG, "member 1 has another normalization"),
         (X, dataclasses.replace(SMALL_CFG, layer_sizes=(7, 24)),
          "member 1 has layer shape"),
+        # one map more than member 0
+        (X, dataclasses.replace(SMALL_CFG, layer_sizes=(6, 6, 24)),
+         "member 1 has layer shape"),
         # a member of another input width has another normalization shape
         (X[:, :-1], SMALL_CFG, "member 1 has another normalization"),
         (X, dataclasses.replace(SMALL_CFG, C=1e-3),
@@ -422,3 +431,31 @@ def test_ensemble_rejects_members_that_do_not_stack(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=match):
             load_ensemble(path)
+
+
+def test_load_compares_normalizations_bitwise(tmp_path):
+    # -0.0 == 0.0, so a check by value would take these for one normalization
+    path = tmp_path / "model.json"
+    X = small_training_matrix()
+    save_ensemble(path, train_ensemble(X, SMALL_CFG, RngStream(15, (1,))))
+    doc = json.loads(path.read_text())
+    for m in doc["members"]:
+        m["norm"]["mean"][0] = 0.0
+    path.write_text(json.dumps(doc))
+    assert load_ensemble(path)[0].norm.mean[0] == 0.0
+    doc["members"][1]["norm"]["mean"][0] = -0.0
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="member 1 has another normalization"):
+        load_ensemble(path)
+
+
+def test_large_batches_score_as_the_whole_timeline(helm_ensemble0, dataset0):
+    # what the benchmark's 7000-row tail and detect on a split file rely on:
+    # a batch of 1000 rows or more, starting anywhere, scores each row
+    # bitwise as the whole timeline does
+    X = dataset0.X
+    whole = run_ensemble(helm_ensemble0, X)
+    for start, K in ((1, 1000), (2, 1023), (3, 1025), (1001, 1000),
+                     (7000, 7000), (7001, 2049), (9003, 1000), (12345, 1655)):
+        assert bitwise_equal(run_ensemble(helm_ensemble0, X[start:start + K]),
+                             whole[start:start + K]), (start, K)
