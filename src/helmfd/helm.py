@@ -44,8 +44,10 @@ from .fista import FistaParams, fista_solve
 FEATURE_SPAN = 0.6
 
 # Rows scored per block: bounds the forward pass's working set (about 6 MB
-# for 5 members of the shipped shape), not the input size.
-SCORE_BLOCK_ROWS = 1024
+# for 5 members of the shipped shape), not the input size. It divides every
+# synth.SEGMENTS bound, so no file generate writes and no benchmark batch
+# scores padding rows; a test fails when a change to either value would.
+SCORE_BLOCK_ROWS = 1000
 
 
 @dataclass(frozen=True)
@@ -217,42 +219,27 @@ def helm_run(model: Ensemble, X) -> np.ndarray:
     return run_ensemble(model, X)
 
 
-def _row_blocks(K: int):
-    """[start, stop) blocks of about SCORE_BLOCK_ROWS rows covering K rows:
-    the one block (0, K) when K <= SCORE_BLOCK_ROWS, as a single-row call
-    needs it. With one BLAS thread each row's arithmetic is the same as in
-    one pass over all K: BLAS takes other kernels for short matrices, and
-    its matrix-vector kernel handles rows in groups of four with another
-    path for the rest, so the blocks are of near-equal height (at least half
-    a block when K needs more than one) and start at multiples of 4.
-    run_ensemble pads a batch of more than one row to a multiple of 4, so no
-    row takes the other path. A batch of 500 rows or fewer (at 20 -> 100)
-    may still score a row a few ulp off a larger batch: its head x·A takes
-    BLAS's small-matrix kernel."""
-    if K <= SCORE_BLOCK_ROWS:
-        return ((0, K),)
-    n = -(-K // SCORE_BLOCK_ROWS)
-    bounds = [K * i // n // 4 * 4 for i in range(n)] + [K]
-    return zip(bounds, bounds[1:])
-
-
 def run_ensemble(ens: Ensemble, X) -> np.ndarray:
     """Ensemble output: the member outputs Y averaged before thresholding.
-    A running sum adds a block's member outputs in member order (a reduce
-    sums 8 or more members of one row pairwise): the bits of adding them one
-    by one, but for the sign of an all-zero sum."""
+    A lone row is scored on its own. Any other batch is scored in blocks of
+    exactly SCORE_BLOCK_ROWS rows, the last one padded with zero rows, so
+    BLAS takes the same kernels for every block and a row scores bitwise the
+    same in any batch of two or more rows. A running sum adds a block's
+    member outputs in member order (a reduce sums 8 or more members of one
+    row pairwise): the bits of adding them one by one, but for the sign of
+    an all-zero sum."""
     X = as_matrix(X, "X")
     K = X.shape[0]
-    # zero rows fill the last group of four (see _row_blocks); a lone row,
-    # with no batch to differ from, keeps BLAS's cheaper vector kernels
-    if K > 1 and K % 4:
-        X = np.vstack((X, np.zeros((-K % 4, X.shape[1]))))
-    Y = np.empty(X.shape[0])
-    for a, b in _row_blocks(X.shape[0]):
-        x = apply_normalization(X[a:b], ens.norm)
+    n = SCORE_BLOCK_ROWS if K > 1 else 1
+    Y = np.empty(-(-K // n) * n)
+    for a in range(0, K, n):
+        x = X[a:a + n]
+        if len(x) < n:
+            x = np.vstack((x, np.zeros((n - len(x), X.shape[1]))))
+        x = apply_normalization(x, ens.norm)
         for beta in ens.maps:
             x = x @ beta.mT
-        Y[a:b] = np.add.accumulate(
+        Y[a:a + n] = np.add.accumulate(
             (hidden(ens.head, x) @ ens.head.beta)[..., 0], axis=0)[-1]
     Y = Y[:K]
     Y /= len(ens)

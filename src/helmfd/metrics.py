@@ -363,10 +363,9 @@ def _cells(plan: BenchmarkPlan, model: str) -> list:
 def benchmark_rep(plan: BenchmarkPlan, rep: int) -> list:
     """All records for one repetition: fresh dataset, every model family and
     parameter cell, every gamma. Each ensemble scores only the rows the
-    records read, X[_SCORED_FROM:]. At one BLAS thread run_ensemble scores
-    a row of a batch of more than 500 rows (at the shipped 20 -> 100
-    shape) the same wherever the batch starts, so the records equal those
-    of scoring the whole timeline."""
+    records read, X[_SCORED_FROM:]. run_ensemble scores a row of any batch
+    of two rows or more the same wherever the batch starts, so the records
+    equal those of scoring the whole timeline."""
     spec = synth.GeneratorSpec(n=plan.n, reading=plan.reading, seed=plan.seed)
     X = synth.generate(spec, RngStream(plan.seed, (DATA_STREAM, rep))).X
     tr = slice(*synth.SEGMENTS["train"])

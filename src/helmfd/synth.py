@@ -16,7 +16,7 @@ threshold, and rows [8000, 9000) measure false positives.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -88,14 +88,9 @@ class SyntheticDataset:
             "spec": {"K": ROWS, "D": SENSORS, "n": self.spec.n,
                      "reading": self.spec.reading, "seed": self.spec.seed},
             "segments": {k: list(v) for k, v in SEGMENTS.items()},
-            "base_alpha": self.base_alpha.tolist(),
-            "base_eps": self.base_eps.tolist(),
-            "fault4_alpha": self.fault4_alpha,
-            "fault4_eps": self.fault4_eps,
-            "sensor_alpha": self.sensor_alpha.tolist(),
-            "sensor_source": self.sensor_source.tolist(),
-            "fault_sensors": self.fault_sensors.tolist(),
-            "noise_std": self.noise_std.tolist(),
+            # the generator's draws: every field after X and spec
+            **{f.name: np.asarray(getattr(self, f.name)).tolist()
+               for f in fields(self)[2:]},
         }
 
 

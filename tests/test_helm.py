@@ -192,12 +192,11 @@ def test_rows_are_scored_independently():
     perm = np.random.default_rng(0).permutation(X.shape[0])
     assert np.array_equal(run_ensemble(model, X[perm]), Y[perm])
     dup = run_ensemble(model, np.repeat(X[10:11], 50, axis=0))
-    assert np.ptp(dup) == 0.0
-    # batches of different heights may take different BLAS kernels
-    # (matrix-vector vs matrix-matrix), so only ulp-level agreement holds
+    assert bitwise_equal(dup, np.full(50, Y[10]))
+    # a lone row is scored on its own, where BLAS takes its vector kernels,
+    # so only ulp-level agreement with a batch holds
     one = run_ensemble(model, X[10:11])
     assert np.isclose(one[0], Y[10], rtol=1e-12, atol=0.0)
-    assert np.isclose(dup[0], Y[10], rtol=1e-12, atol=0.0)
 
 
 def test_forward_pass_is_the_stored_linear_maps():
@@ -247,11 +246,11 @@ def member_loop(members, X):
     """The ensemble output written out member by member: normalize, the
     maps, sigmoid(x @ A + B) @ beta, summed in member order, divided by M.
     Like run_ensemble it pads more than one row of X with zero rows to a
-    multiple of four, so every row takes BLAS's matrix-vector path for
-    groups of four."""
+    multiple of SCORE_BLOCK_ROWS, but it makes one BLAS call per product
+    over all rows."""
     K = X.shape[0]
     if K > 1:
-        X = np.vstack((X, np.zeros((-K % 4, X.shape[1]))))
+        X = np.vstack((X, np.zeros((-K % SCORE_BLOCK_ROWS, X.shape[1]))))
     Y = np.zeros(X.shape[0])
     for m in members:
         x = (X - m.norm.mean) / m.norm.std
@@ -266,12 +265,12 @@ def bitwise_equal(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# Row counts around the scoring block and the whole timeline. The member
-# loop is one BLAS call per product; with several BLAS threads OpenBLAS
-# splits a matrix-vector product at points that depend on the row count, so
-# at other counts an unblocked pass may differ from a blocked one by an ulp
+# Row counts around the scoring block and the whole timeline: a lone row,
+# small batches padded to one block, and counts just off a block boundary.
+# The member loop is one BLAS call per product over all blocks; with several
+# BLAS threads OpenBLAS splits a product at points that depend on the row
+# count, so there an unblocked pass may differ from a blocked one by an ulp
 # (as it may between thread counts); at one thread every count agrees.
-# 2, 3 and 5 are small batches padded to a multiple of four.
 ROW_COUNTS = (1, 2, 3, 5, SCORE_BLOCK_ROWS - 1, SCORE_BLOCK_ROWS,
               SCORE_BLOCK_ROWS + 1, 14000)
 
@@ -304,16 +303,11 @@ def test_many_members_sum_in_member_order_bitwise():
                          member_loop(ensemble, X[:7]))
 
 
-def test_row_blocks_cover_rows_in_aligned_blocks():
-    for K in range(1, 3 * SCORE_BLOCK_ROWS + 8):
-        blocks = list(helm._row_blocks(K))
-        starts = [a for a, _ in blocks]
-        assert starts[0] == 0 and blocks[-1][1] == K, K
-        assert all(b == a2 for (_, b), (a2, _) in zip(blocks, blocks[1:])), K
-        assert all(a % 4 == 0 for a in starts), K
-        assert (len(blocks) == 1) == (K <= SCORE_BLOCK_ROWS), K
-        if len(blocks) > 1:
-            assert min(b - a for a, b in blocks) >= SCORE_BLOCK_ROWS // 2, K
+def test_segment_bounds_are_whole_scoring_blocks():
+    # the split files, the benchmark's scored tail and the timeline then
+    # fill whole blocks, and no shipped batch scores padding rows
+    for seg, bounds in synth.SEGMENTS.items():
+        assert all(b % SCORE_BLOCK_ROWS == 0 for b in bounds), seg
 
 
 @pytest.mark.parametrize("family", TRAINERS)
@@ -449,13 +443,16 @@ def test_load_compares_normalizations_bitwise(tmp_path):
         load_ensemble(path)
 
 
-def test_large_batches_score_as_the_whole_timeline(helm_ensemble0, dataset0):
-    # what the benchmark's 7000-row tail and detect on a split file rely on:
-    # a batch of 1000 rows or more, starting anywhere, scores each row
-    # bitwise as the whole timeline does
+def test_batches_of_two_or_more_rows_score_as_the_whole_timeline(
+        helm_ensemble0, dataset0):
+    # what the benchmark's 7000-row tail and detect on any CSV rely on: a
+    # batch of two rows or more, of any height and starting anywhere, scores
+    # each row bitwise as the whole timeline does
     X = dataset0.X
     whole = run_ensemble(helm_ensemble0, X)
-    for start, K in ((1, 1000), (2, 1023), (3, 1025), (1001, 1000),
-                     (7000, 7000), (7001, 2049), (9003, 1000), (12345, 1655)):
+    for start, K in ((5, 2), (13, 5), (100, 7), (3, 60), (777, 499),
+                     (1, 500), (1234, 999), (1, 1000), (2, 1023), (3, 1025),
+                     (1001, 1000), (7000, 7000), (7001, 2049), (9003, 1000),
+                     (12345, 1655)):
         assert bitwise_equal(run_ensemble(helm_ensemble0, X[start:start + K]),
                              whole[start:start + K]), (start, K)
