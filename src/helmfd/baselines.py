@@ -1,12 +1,12 @@
 """Reference detectors the hierarchical model is compared against.
 
-Both baselines train a helm.Ensemble, so run_ensemble scores them and
-helm's persistence stores them:
+Both baselines are HELMs without autoencoder layers, trained by
+helm.train_members into a helm.Ensemble that run_ensemble scores and helm's
+persistence stores:
   * the one-class ELM's members have no feature map, straight on the
     (normalized) inputs, and
-  * PCA-ELM's members have one map, a rescaled PCA basis.
-Each has a single-member trainer, which returns a 1-member Ensemble, and an
-ensemble trainer. Both do the work the members share once: the
+  * PCA-ELM's members share one map, a rescaled PCA basis.
+Each family's trainers only prepare the inputs, once for all members: the
 normalization, and for PCA-ELM the PCA and the code scaling.
 Both receive the same fairness treatment as the hierarchical model: their
 head inputs are rescaled so the random layer's pre-activations land in the
@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import (NormalizationStats, RngStream, apply_normalization,
                    as_matrix, fit_normalization)
-from .helm import Ensemble, run_ensemble, train_head
+from .helm import Ensemble, run_ensemble, train_members
 
 # Target standard deviation of the head's pre-activations. A random +-1
 # uniform weight vector against D unit-variance inputs has pre-activation
@@ -103,9 +103,8 @@ def _one_class_members(X_train, width: int, C: float, streams) -> Ensemble:
     norm = fit_normalization(X)
     norm = NormalizationStats(mean=norm.mean,
                               std=norm.std / input_scale(X.shape[1]))
-    x = apply_normalization(X, norm)
-    return Ensemble.stack(
-        norm, [([], train_head(x, width, C, s.generator())) for s in streams])
+    return train_members(norm, apply_normalization(X, norm), streams,
+                         (width,), 0.0, C)
 
 
 def one_class_run(model: Ensemble, X) -> np.ndarray:
@@ -147,9 +146,7 @@ def _pca_elm_members(X_train, l_pca: int, width: int, C: float,
     beta = (pca.components / code_scale).T
     norm = NormalizationStats(mean=norm.mean + pca.mean * norm.std,
                               std=norm.std)
-    return Ensemble.stack(
-        norm, [([beta], train_head(codes, width, C, s.generator()))
-               for s in streams])
+    return train_members(norm, codes, streams, (width,), 0.0, C, maps=[beta])
 
 
 def pca_elm_run(model: Ensemble, X) -> np.ndarray:

@@ -73,7 +73,8 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list) -> argpa
     sub = subs.choices.get(found.command)
     if found.config and sub is not None:
         raw = _load_config_file(found.config)
-        types = {a.dest: a.type for a in sub._actions}
+        types = {a.dest: a.type for a in sub._actions
+                 if a.dest not in ("help", "config")}
         flags = {a.dest for a in sub._actions
                  if isinstance(a, (argparse._StoreTrueAction, argparse._StoreFalseAction))}
         required = {a.dest: a.option_strings[0] for a in sub._actions

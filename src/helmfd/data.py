@@ -3,7 +3,7 @@
 A sensor matrix is a plain float64 ndarray, rows = time samples, columns =
 sensors. as_matrix enforces the invariants (finite entries, K >= 1, D >= 1)
 where data enters helmfd, and only there: read_csv_matrix, write_csv_matrix,
-the member trainers of helm and baselines, and helm.run_ensemble. The
+the trainers of the three model families, and helm.run_ensemble. The
 numeric kernels behind them take the checked arrays as they are.
 """
 from __future__ import annotations

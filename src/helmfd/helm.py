@@ -16,6 +16,8 @@ exactly x_{i+1} = x_i · beta_iᵀ.
 
 A trained detector is an Ensemble: members trained on disjoint substreams
 around one normalization, each array stacked over the members and held once.
+train_members trains the members of all three families: the one-class ELM is
+a HELM with no autoencoder layer, and PCA-ELM is one behind a shared PCA map.
 The model file stores each member on its own (helmfd-model-v1), so loading
 checks the members against member 0 and stacks each array once.
 """
@@ -131,19 +133,6 @@ class Ensemble(Sequence):
                              "not the layer widths")
         self.norm, self.maps, self.head, self.config = norm, maps, head, config
 
-    @classmethod
-    def stack(cls, norm: NormalizationStats, members,
-              config: HelmConfig | None = None) -> "Ensemble":
-        """The Ensemble of members given as (maps, head) pairs, each map an
-        L_i x D_i beta_i and each head an ElmLayer of its own, around the
-        normalization they share."""
-        maps, heads = zip(*members)
-        return cls(norm, [np.stack(betas) for betas in zip(*maps)],
-                   ElmLayer(A=np.stack([h.A for h in heads]),
-                            B=np.stack([h.B for h in heads]),
-                            beta=np.stack([h.beta for h in heads])),
-                   config)
-
     def __len__(self) -> int:
         return len(self.head.A)
 
@@ -159,58 +148,60 @@ def helm_train(X_train, config: HelmConfig, rng: RngStream) -> Ensemble:
     """Train one HELM on healthy data, drawn from rng's generator, as a
     1-member Ensemble. Normalization is fit here and stored with the model;
     callers pass raw matrices."""
-    return _train_members(X_train, config, [rng])
+    return _helm_members(X_train, config, [rng])
 
 
 def train_ensemble(X_train, config: HelmConfig, stream: RngStream) -> Ensemble:
     """ensemble_size HELMs on disjoint substreams of `stream`: member m is
     bitwise helm_train on stream.child(m), but X_train is validated and
     normalized once and all members share that normalization."""
-    return _train_members(
+    return _helm_members(
         X_train, config,
         [stream.child(m) for m in range(config.ensemble_size)])
 
 
-def _train_members(X_train, config: HelmConfig, streams) -> Ensemble:
-    """One HELM per stream, each drawing from that stream's generator, on
-    X_train normalized once for all of them."""
+def _helm_members(X_train, config: HelmConfig, streams) -> Ensemble:
     X = as_matrix(X_train, "X_train")
     norm = fit_normalization(X)
-    x = apply_normalization(X, norm)
-    return Ensemble.stack(
-        norm, [_train_member(x, config, s.generator()) for s in streams],
-        config)
+    return train_members(norm, apply_normalization(X, norm), streams,
+                         config.layer_sizes, config.lam, config.C,
+                         config=config)
 
 
-def _train_member(x, config: HelmConfig, gen: np.random.Generator) -> tuple:
-    """The autoencoder maps and the head on normalized inputs x, as a (maps,
-    head) pair; x itself is left as it is, so members can share it."""
-    ae_betas = []
-    for i, L in enumerate(config.layer_sizes[:-1]):
-        layer = random_layer(x.shape[1], L, gen)
-        H = hidden(layer, x)
-        res = fista_solve(H, x, FistaParams(lam=config.lam))
-        if not res.converged:
-            warnings.warn(f"autoencoder layer {i}: FISTA did not converge in "
-                          f"{res.iterations} iterations", RuntimeWarning,
-                          stacklevel=2)
-        beta = res.beta
-        feat = x @ beta.T
-        span = np.abs(feat).max(axis=0)
-        span = np.where(span < 1e-12, 1.0, span)
-        beta = beta * (FEATURE_SPAN / span)[:, None]
-        x = feat * (FEATURE_SPAN / span)
-        ae_betas.append(beta)
-    return ae_betas, train_head(x, config.layer_sizes[-1], config.C, gen)
-
-
-def train_head(x, width: int, C: float, gen: np.random.Generator) -> ElmLayer:
-    """The one-class head on features x: a random sigmoid layer whose beta is
-    the ridge solution against the constant target 1."""
-    top = random_layer(x.shape[1], width, gen)
-    H = hidden(top, x)
-    top.beta = ridge_solve(H, np.ones((x.shape[0], 1)), C)
-    return top
+def train_members(norm: NormalizationStats, x, streams, layer_sizes,
+                  lam: float, C: float, maps=(),
+                  config: HelmConfig | None = None) -> Ensemble:
+    """The member trainer of all three families: one member per stream on the
+    features x that `norm` and then the shared `maps` (each an L_i x D_i
+    beta_i) make of the training data; x itself is left as it is. Each
+    member draws from its stream's generator, first its own autoencoder
+    layers, of widths layer_sizes[:-1], then the one-class head, of width
+    layer_sizes[-1], whose beta is the ridge solution against the constant
+    target 1. Raises ValueError when there are no streams."""
+    own, heads = [], []
+    for s in streams:
+        gen, h, betas = s.generator(), x, []
+        for i, L in enumerate(layer_sizes[:-1]):
+            layer = random_layer(h.shape[1], L, gen)
+            res = fista_solve(hidden(layer, h), h, FistaParams(lam=lam))
+            if not res.converged:
+                warnings.warn(f"autoencoder layer {i}: FISTA did not converge "
+                              f"in {res.iterations} iterations",
+                              RuntimeWarning, stacklevel=2)
+            feat = h @ res.beta.T
+            span = np.abs(feat).max(axis=0)
+            span = np.where(span < 1e-12, 1.0, span)
+            betas.append(res.beta * (FEATURE_SPAN / span)[:, None])
+            h = feat * (FEATURE_SPAN / span)
+        head = random_layer(h.shape[1], layer_sizes[-1], gen)
+        head.beta = ridge_solve(hidden(head, h), np.ones((h.shape[0], 1)), C)
+        own.append(betas)
+        heads.append(head)
+    return Ensemble(norm, [*(np.stack([b] * len(heads)) for b in maps),
+                           *map(np.stack, zip(*own))],
+                    ElmLayer(*(np.stack([getattr(h, k) for h in heads])
+                               for k in ("A", "B", "beta"))),
+                    config)
 
 
 def helm_run(model: Ensemble, X) -> np.ndarray:

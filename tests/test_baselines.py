@@ -5,7 +5,7 @@ from helmfd.baselines import (input_scale, one_class_train,
                               one_class_train_ensemble, pca_elm_train,
                               pca_elm_train_ensemble, pca_fit)
 from helmfd.data import RngStream, apply_normalization, fit_normalization
-from helmfd.helm import run_ensemble
+from helmfd.helm import HelmConfig, helm_train, run_ensemble, train_ensemble
 
 
 def test_rank_one_data_keeps_single_component():
@@ -144,8 +144,12 @@ class TestPcaElm:
         assert np.array_equal(run_ensemble(a, X), run_ensemble(b, X))
 
 
-# (single-member trainer, ensemble trainer) per baseline family
+SMALL_HELM = HelmConfig(layer_sizes=(6, 30), ensemble_size=3)
+
+# (single-member trainer, ensemble trainer) per model family
 TRAINER_PAIRS = {
+    "helm": (lambda X, rng: helm_train(X, SMALL_HELM, rng),
+             lambda X, stream: train_ensemble(X, SMALL_HELM, stream)),
     "elm": (lambda X, rng: one_class_train(X, 30, 1e-5, rng),
             lambda X, stream: one_class_train_ensemble(X, 30, 1e-5, stream, 3)),
     "pca-elm": (lambda X, rng: pca_elm_train(X, 4, 30, 1e-5, rng),

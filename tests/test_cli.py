@@ -475,11 +475,13 @@ def test_config_file_defaults_yield_to_flags(tmp_path):
 
 
 def test_config_file_rejects_unknown_key(tmp_path, capsys):
+    # help and config are dests of every subcommand, but no file sets them
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("repz = 1\n")
-    assert run(["benchmark", "--config", str(cfg),
-                "--out", str(tmp_path / "x")]) == cli.EXIT_USAGE
-    assert "repz" in capsys.readouterr().err
+    for key in ("repz", "help", "config"):
+        cfg.write_text(f"{key} = 1\n")
+        assert run(["benchmark", "--config", str(cfg),
+                    "--out", str(tmp_path / "x")]) == cli.EXIT_USAGE
+        assert f"unknown config key: {key}" in capsys.readouterr().err
 
 
 def _subcommands():

@@ -110,6 +110,19 @@ def test_rank_deficient_solve_reaches_minimum_norm_least_squares():
     assert np.max(np.abs(res.beta - want)) <= 1e-8
 
 
+@pytest.mark.parametrize("lam", [1e-2, 1e-1, 1.0])
+def test_rank_deficient_penalized_solve_matches_oracle(lam):
+    # from the zero start the gradient restart can fire from the first steps
+    # on, so check where it ends against the coordinate-descent oracle
+    rng = np.random.default_rng(13)
+    H = rng.normal(size=(6, 9))
+    X = rng.normal(size=(6, 3))
+    res = fista_solve(H, X, FistaParams(lam=lam, eps=1e-12, max_iter=20000))
+    assert res.converged
+    assert abs(lasso_objective(H, X, res.beta, lam)
+               - cd_objective(H, X, lam)) <= 1e-10
+
+
 def test_converged_flag_reflects_iteration_budget():
     rng = np.random.default_rng(14)
     H = rng.normal(size=(20, 5))
