@@ -85,7 +85,8 @@ def write_detections_csv(path, detections: list[Detection]) -> None:
     """A header line, then one line per detection, byte for byte as
     csv.writer writes [index, repr(score), label, repr(magnification)]: no
     field needs quoting, and lines end in "\r\n". Each line is formatted
-    once, and the lines go to the file CSV_CHUNK_ROWS at a time."""
+    once, in this process, and the lines go to the file CSV_CHUNK_ROWS at a
+    time: the block size of data.write_csv_matrix, shared with it."""
     with open(path, "w", newline="") as fh:
         fh.write("index,score,label,magnification\r\n")
         for c in range(0, len(detections), CSV_CHUNK_ROWS):

@@ -1,12 +1,13 @@
 import argparse
 import csv
 import json
+import os
 from operator import setitem
 
 import numpy as np
 import pytest
 
-from helmfd import cli, detector, helm, metrics, synth
+from helmfd import cli, data, detector, helm, metrics, synth
 from helmfd.data import RngStream, read_csv_matrix, write_csv_matrix
 
 BENCH_SEED = 42
@@ -115,6 +116,32 @@ def test_schema_mismatch_names_columns(workspace, tmp_path, capsys):
     assert code == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "200" in err and "2" in err
+
+
+def test_duplicate_column_name_is_io_error(workspace, tmp_path, capsys):
+    lines = (workspace / "val.csv").read_text().splitlines(keepends=True)
+    header = lines[0].split(",")
+    header[1] = header[0]
+    dup = tmp_path / "dup.csv"
+    dup.write_text(",".join(header) + "".join(lines[1:]))
+    code = run(["detect", "--model", str(workspace / "model.json"),
+                "--data", str(dup), "--out", str(tmp_path / "d")])
+    assert code == cli.EXIT_IO
+    assert f"column 2 repeats the name '{header[0]}'" in capsys.readouterr().err
+    assert not (tmp_path / "d" / "detections.csv").exists()
+
+
+def _exit_at_once(block):
+    # stands in for data._format_rows in a worker that dies
+    os._exit(1)
+
+
+def test_generate_with_a_dying_worker_is_io_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(data, "_format_rows", _exit_at_once)
+    assert run(["generate", "--out", str(tmp_path)]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert f"I/O error: {tmp_path / synth.DATA_FILE}: a worker process" in err
 
 
 def _drop_last_column(m):

@@ -1,5 +1,7 @@
 import csv
 import io
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -208,6 +210,36 @@ READ_CASES = {
 }
 
 
+# Headers that name their columns badly, each over a body the fast path
+# accepts and over one only the csv/float parser reads (a quoted number).
+HEADER_CASES = {
+    "duplicate": ("a,b,a", "column 3 repeats the name 'a'"),
+    "empty": ("a,,c", "column 2 has an empty name"),
+    "quoted_empty": ('a,"",c', "column 2 has an empty name"),
+}
+BODIES = {"fast": "1,2,3\n4,5,6\n", "strict": '"1",2,3\n4,5,6\n'}
+
+
+@pytest.mark.parametrize("body", BODIES.values(), ids=BODIES.keys())
+@pytest.mark.parametrize("header, want", HEADER_CASES.values(),
+                         ids=HEADER_CASES.keys())
+def test_read_rejects_empty_and_repeated_names(tmp_path, header, want, body):
+    path = tmp_path / "m.csv"
+    path.write_bytes(f"{header}\n{body}".encode())
+    with pytest.raises(ValueError) as exc:
+        read_csv_matrix(path)
+    assert str(exc.value) == f"{path}: {want}"
+
+
+@pytest.mark.parametrize("body", BODIES.values(), ids=BODIES.keys())
+def test_read_drops_a_byte_order_mark(tmp_path, body):
+    path = tmp_path / "m.csv"
+    path.write_bytes(f"\ufeffa,b,c\n{body}".encode())
+    header, X = read_csv_matrix(path)
+    assert header == ["a", "b", "c"]
+    assert X.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+
 @pytest.mark.parametrize("text, want", READ_CASES.values(), ids=READ_CASES.keys())
 def test_read_accepts_and_rejects_as_csv_parser(tmp_path, text, want):
     path = tmp_path / "m.csv"
@@ -262,3 +294,52 @@ def test_write_rejects_part_outside_matrix(tmp_path):
     with pytest.raises(ValueError, match=r"rows \[2, 4\)"):
         write_csv_matrix(tmp_path / "all.csv", np.ones((3, 2)),
                          parts=[(tmp_path / "p.csv", 2, 4)])
+
+
+def _exit_at_once(block):
+    # stands in for data._format_rows in a worker that dies
+    os._exit(1)
+
+
+@pytest.mark.parametrize("cpus, pools", [(1, []), (4, [4])])
+def test_write_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch,
+                                                       cpus, pools):
+    monkeypatch.setattr(data, "CSV_CHUNK_ROWS", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    made, pool = [], data.ProcessPoolExecutor
+
+    def spy(workers, **kw):
+        made.append(workers)
+        return pool(workers, **kw)
+
+    monkeypatch.setattr(data, "ProcessPoolExecutor", spy)
+    X = np.arange(33.0).reshape(11, 3) / 7
+    ranges = {"head.csv": (0, 3), "mid.csv": (3, 8), "tail.csv": (7, 11),
+              "none.csv": (5, 5)}
+    write_csv_matrix(tmp_path / "all.csv", X, header=WRITE_HEADER,
+                     parts=[(tmp_path / n, a, b) for n, (a, b) in ranges.items()])
+    assert made == pools
+    assert (tmp_path / "all.csv").read_bytes() == csv_writer_reference(X, WRITE_HEADER)
+    for name, (a, b) in ranges.items():
+        assert (tmp_path / name).read_bytes() == csv_writer_reference(X[a:b], WRITE_HEADER)
+    assert multiprocessing.active_children() == []
+
+
+def test_write_to_a_path_that_cannot_open_leaves_no_worker(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "CSV_CHUNK_ROWS", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(FileNotFoundError):
+        write_csv_matrix(tmp_path / "all.csv", np.ones((7, 2)),
+                         parts=[(tmp_path / "no" / "p.csv", 0, 3)])
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_raises_oserror(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "CSV_CHUNK_ROWS", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(data, "_format_rows", _exit_at_once)
+    path = tmp_path / "all.csv"
+    with pytest.raises(OSError, match="worker process") as exc:
+        write_csv_matrix(path, np.ones((7, 2)))
+    assert str(path) in str(exc.value)
+    assert multiprocessing.active_children() == []
