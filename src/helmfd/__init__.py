@@ -14,7 +14,7 @@ from .helm import (Ensemble, HelmConfig, helm_run, helm_train, load_ensemble,
                    run_ensemble, save_ensemble, train_ensemble)
 from .detector import (Detection, DetectorConfig, calibrate, decide, labels_of,
                        residuals, write_detections_csv)
-from .baselines import (PcaModel, one_class_run, one_class_train,
+from .baselines import (one_class_run, one_class_train,
                         one_class_train_ensemble, pca_elm_run, pca_elm_train,
                         pca_elm_train_ensemble, pca_fit)
 from .synth import (FAULT_NAMES, SEGMENTS, GeneratorSpec, SyntheticDataset,
@@ -35,7 +35,7 @@ __all__ = [
     "run_ensemble", "save_ensemble", "train_ensemble",
     "Detection", "DetectorConfig", "calibrate", "decide", "labels_of",
     "residuals", "write_detections_csv",
-    "PcaModel", "one_class_run", "one_class_train",
+    "one_class_run", "one_class_train",
     "one_class_train_ensemble", "pca_elm_run", "pca_elm_train",
     "pca_elm_train_ensemble", "pca_fit",
     "FAULT_NAMES", "SEGMENTS", "GeneratorSpec", "SyntheticDataset",

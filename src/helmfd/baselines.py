@@ -15,8 +15,6 @@ so the run-time math stays a plain forward pass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import (NormalizationStats, RngStream, apply_normalization,
@@ -39,22 +37,11 @@ def input_scale(dim: int) -> float:
 
 # --- PCA --------------------------------------------------------------------
 
-@dataclass
-class PcaModel:
-    mean: np.ndarray                 # feature means of the training data
-    components: np.ndarray           # D x L, orthonormal columns
-    explained_variance: np.ndarray   # descending, one per kept component
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        """Codes of X, a finite float64 K x D ndarray."""
-        if X.shape[1] != self.mean.shape[0]:
-            raise ValueError("dimension mismatch in pca transform")
-        return (X - self.mean) @ self.components
-
-
-def pca_fit(X: np.ndarray, l_pca: int) -> PcaModel:
-    """Principal components of X, a finite float64 K x D ndarray: at most
-    l_pca, further capped so the kept components explain no more than
+def pca_fit(X: np.ndarray, l_pca: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, components) of X, a finite float64 K x D ndarray: its column
+    means and a D x L matrix of orthonormal principal directions, largest
+    variance first, so the codes of X are (X - mean) @ components. L is at
+    most l_pca, further capped so the kept components explain no more than
     PCA_VARIANCE_CAP of total variance (at least one is always kept)."""
     if l_pca < 1:
         raise ValueError("l_pca must be >= 1")
@@ -76,8 +63,7 @@ def pca_fit(X: np.ndarray, l_pca: int) -> PcaModel:
         keep = int(np.searchsorted(ratio, PCA_VARIANCE_CAP) + 1)
         keep = max(1, min(keep, evals.shape[0]))
     L = max(1, min(l_pca, keep))
-    return PcaModel(mean=mean, components=evecs[:, :L],
-                    explained_variance=evals[:L])
+    return mean, evecs[:, :L]
 
 
 # --- one-class ELM ----------------------------------------------------------
@@ -138,13 +124,13 @@ def _pca_elm_members(X_train, l_pca: int, width: int, C: float,
     X = as_matrix(X_train, "X_train")
     norm = fit_normalization(X)
     x = apply_normalization(X, norm)
-    pca = pca_fit(x, l_pca)
-    codes = pca.transform(x)
+    mean, components = pca_fit(x, l_pca)
+    codes = (x - mean) @ components
     code_scale = codes.std(axis=0)
     code_scale = np.where(code_scale < 1e-12, 1.0, code_scale)
     codes = codes / code_scale
-    beta = (pca.components / code_scale).T
-    norm = NormalizationStats(mean=norm.mean + pca.mean * norm.std,
+    beta = (components / code_scale).T
+    norm = NormalizationStats(mean=norm.mean + mean * norm.std,
                               std=norm.std)
     return train_members(norm, codes, streams, (width,), 0.0, C, maps=[beta])
 

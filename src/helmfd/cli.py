@@ -114,10 +114,12 @@ def _outdir(args) -> Path:
 
 
 def _read_matrix(path):
+    """read_csv_matrix, a file that does not parse being an I/O error; its
+    message already names the file."""
     try:
         return read_csv_matrix(path)
     except ValueError as exc:
-        raise OSError(f"{path}: {exc}") from exc
+        raise OSError(str(exc)) from exc
 
 
 def _settings(cls, **values):
@@ -129,18 +131,18 @@ def _settings(cls, **values):
         raise UsageError(str(exc)) from exc
 
 
-def _parse_floats(text: str) -> tuple:
-    try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a float list: {text!r}") from exc
+def _parse_list(kind, what: str):
+    """The argparse type of a comma list of `kind` values."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(v) for v in text.split(",") if v.strip())
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}") from exc
+    return parse
 
 
-def _parse_ints(text: str) -> tuple:
-    try:
-        return tuple(int(v) for v in text.split(",") if v.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an int list: {text!r}") from exc
+_parse_floats = _parse_list(float, "a float list")
+_parse_ints = _parse_list(int, "an int list")
 
 
 def _parse_bool(text: str) -> bool:
@@ -257,26 +259,27 @@ def cmd_benchmark(args) -> int:
     def progress(rep):
         print(f"rep {rep + 1}/{plan.reps} done", file=sys.stderr, flush=True)
 
-    interrupted = False
+    stop = None   # an interrupt, or an OSError from a worker that died
     try:
         report = metrics.run_benchmark(plan, jobs=args.jobs, progress=progress)
-    except KeyboardInterrupt as exc:
+    except (KeyboardInterrupt, OSError) as exc:
         report = getattr(exc, "partial_report", metrics.ExperimentReport())
-        interrupted = True
+        stop = exc
 
     report.to_csv(outdir / "report.csv")
     report.sweep_csv(outdir / "sweep.csv")
     report.timings_csv(outdir / "timings.csv")
     report.to_json(outdir / "records.json")
-    _echo_config(outdir, "benchmark", args, extra={"partial": interrupted})
+    _echo_config(outdir, "benchmark", args, extra={"partial": stop is not None})
     if report.records:
         print(report.table())
         for model in plan.models:
             pick = metrics.winning_cells(report, model)
-            print(f"best mean cell [{model}]: gamma={pick['mean']['gamma']:g} "
-                  f"{pick['mean']['params']} "
-                  f"(accuracy {100 * pick['mean']['accuracy']:.1f})")
-    if interrupted:
+            print(f"best mean cell [{model}]: gamma={pick['gamma']:g} "
+                  f"{pick['params']} (accuracy {100 * pick['accuracy']:.1f})")
+    if isinstance(stop, OSError):
+        raise stop
+    if stop is not None:
         print("interrupted; partial results flushed", file=sys.stderr)
         return EXIT_INTERRUPT
     return EXIT_OK

@@ -109,20 +109,37 @@ def read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
     width; otherwise, or if it raises, the csv/float parser reads the file
     again and alone decides what is accepted and builds the error message.
 
-    The file is UTF-8, and a leading byte-order mark is dropped. A header
-    with an empty or a repeated column name is rejected before either parser
-    reads the body.
+    The file is UTF-8, and a leading byte-order mark is dropped; another
+    encoding raises ValueError naming the first row that does not decode. A
+    header with an empty or a repeated column name is rejected before either
+    parser reads the body.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            header = []
-        _check_header(path, header)
-        X = _load_body(fh, len(header)) if header else None
-    if X is None:
-        return _read_csv_strict(path)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                header = []
+            _check_header(path, header)
+            X = _load_body(fh, len(header)) if header else None
+        if X is None:
+            return _read_csv_strict(path)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: row {_undecodable_row(path)} is not UTF-8 "
+                         f"text ({exc.reason})") from exc
     return header, as_matrix(X, str(path))
+
+
+def _undecodable_row(path) -> int:
+    """The first row of a file that does not decode as UTF-8, found in its
+    bytes: the text reader decodes ahead of the row it parses. No UTF-8
+    character spans a line end, so each line decodes on its own."""
+    with open(path, "rb") as fh:
+        for i, line in enumerate(fh, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return i
 
 
 def _check_header(path, header: list[str]) -> None:

@@ -285,7 +285,7 @@ def load_ensemble(path) -> tuple[Ensemble, DetectorConfig | None]:
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
-        raise ValueError(f"{path}: not a {FORMAT} document")
+        raise ValueError(f"not a {FORMAT} document")
     members = doc["members"]
     if not members:
         raise ValueError("empty ensemble")

@@ -23,6 +23,7 @@ import operator
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,18 +84,12 @@ RECORD_FIELDS = (*ROW_KEY, "rep",
 ROW_FIELDS = (*ROW_KEY, "reps",
               "point_tpr", "point_fpr", "point_tnr", "point_fnr",
               "point_accuracy", "point_precision", "point_f1",
-              "set_tpr", "set_fpr", "set_accuracy",
-              "magnification", "train_seconds")
+              "set_tpr", "set_fpr", "set_accuracy", "magnification")
 
 # row field <- the record field it averages over the row's repetitions
 _MEANS = {"set_tpr": "set_tp", "set_fpr": "set_fp", **{f: f for f in (
-    "point_tpr", "point_fpr", "point_precision", "point_f1", "train_seconds")}}
+    "point_tpr", "point_fpr", "point_precision", "point_f1")}}
 _row_key = operator.itemgetter(*ROW_KEY)
-
-# Columns of the main report CSV. Wall-clock time is excluded: the file must
-# be identical across same-seed runs, and timing is hardware noise. It ships
-# separately via timings_csv.
-CSV_FIELDS = tuple(f for f in ROW_FIELDS if f != "train_seconds")
 
 
 def _params_str(params: dict) -> str:
@@ -144,7 +139,7 @@ class ExperimentReport:
                             else repr(row[k]) for k in cols])
 
     def to_csv(self, path) -> None:
-        self._write_rows(path, CSV_FIELDS)
+        self._write_rows(path, ROW_FIELDS)
 
     def timings_csv(self, path) -> None:
         """Mean wall-clock training seconds per model cell. Kept out of the
@@ -171,14 +166,13 @@ class ExperimentReport:
             json.dump({"records": self._sorted()}, fh)
             fh.write("\n")
 
-    def table(self, gamma: float | None = None) -> str:
-        """Accuracy (TPR/FPR) table at one gamma, segment level, in percent.
-        Without a gamma, the report's gamma closest to the shipped one."""
+    def table(self) -> str:
+        """Accuracy (TPR/FPR) table, segment level, in percent, at the
+        report's gamma closest to the shipped one."""
         rows = self.rows()
-        if gamma is None:
-            shipped = detector.DetectorConfig.gamma
-            gamma = min(sorted({r["gamma"] for r in rows}),
-                        key=lambda g: abs(g - shipped), default=shipped)
+        shipped = detector.DetectorConfig.gamma
+        gamma = min(sorted({r["gamma"] for r in rows}),
+                    key=lambda g: abs(g - shipped), default=shipped)
         faults = sorted({r["fault"] for r in rows})
         lines = [f"Accuracy (TPR/FPR) per fault, segment level, gamma={gamma:g}",
                  f"{'model / cell':44s}"
@@ -201,29 +195,22 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def _argmax(accuracy: dict) -> dict:
-    """The (gamma, params) cell of highest accuracy. Ties break
+def winning_cells(report: ExperimentReport, model: str) -> dict:
+    """{"gamma", "params", "accuracy"} of the model's (gamma, params) cell
+    with the highest segment accuracy averaged over faults. Ties break
     lexicographically on (gamma, params), so selection is deterministic."""
+    cells: dict = {}
+    for r in report.rows():
+        if r["model"] == model:
+            cells.setdefault((r["gamma"], r["params"]), {})[r["fault"]] = (
+                r["set_accuracy"])
+    if not cells:
+        raise ValueError(f"no rows for model {model!r}")
+    accuracy = {k: float(np.mean(list(accs.values())))
+                for k, accs in cells.items()}
     gamma, params = max(sorted(accuracy), key=accuracy.get)
     return {"gamma": gamma, "params": params,
             "accuracy": accuracy[gamma, params]}
-
-
-def winning_cells(report: ExperimentReport, model: str) -> dict:
-    """Two reporting modes over an aggregated report: the argmax-mean-accuracy
-    (gamma, cell) across faults, and the per-fault argmaxes."""
-    rows = [r for r in report.rows() if r["model"] == model]
-    if not rows:
-        raise ValueError(f"no rows for model {model!r}")
-    cells: dict = {}
-    for r in rows:
-        accs = cells.setdefault((r["gamma"], r["params"]), {})
-        accs[r["fault"]] = r["set_accuracy"]
-    return {"mean": _argmax({k: float(np.mean(list(accs.values())))
-                             for k, accs in cells.items()}),
-            "per_fault": {f: _argmax({k: accs[f] for k, accs in cells.items()
-                                      if f in accs})
-                          for f in sorted({r["fault"] for r in rows})}}
 
 
 # --- benchmark engine ---------------------------------------------------------
@@ -390,7 +377,9 @@ def run_benchmark(plan: BenchmarkPlan, jobs: int = 1,
     repetition draws from its own substreams and records carry their rep id.
 
     A KeyboardInterrupt mid-run re-raises with the partial report attached to
-    the exception as `exc.partial_report`, so callers can flush it."""
+    the exception as `exc.partial_report`, so callers can flush it. A worker
+    process that dies raises OSError, with the partial report attached the
+    same way."""
     report = ExperimentReport()
     reps = range(plan.reps)
     try:
@@ -405,4 +394,10 @@ def run_benchmark(plan: BenchmarkPlan, jobs: int = 1,
     except KeyboardInterrupt as exc:
         exc.partial_report = report
         raise
+    except BrokenProcessPool as exc:
+        done = len({r["rep"] for r in report.records})
+        err = OSError(f"a benchmark worker process died; {done} of "
+                      f"{plan.reps} repetitions finished")
+        err.partial_report = report
+        raise err from exc
     return report

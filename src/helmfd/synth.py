@@ -154,16 +154,9 @@ def generate(spec: GeneratorSpec, rng: RngStream) -> SyntheticDataset:
 
 
 def render_splits(ds: SyntheticDataset) -> dict:
-    """Views over the fixed segments: training, calibration, false-positive
-    test, and one test block per fault."""
-    X = ds.X
-    parts = {name: X[slice(*SEGMENTS[name])] for name in SEGMENTS}
-    return {
-        "train": parts["train"],
-        "val": parts["val"],
-        "fp_test": parts["fp"],
-        "fault_tests": [parts[f] for f in FAULT_NAMES],
-    }
+    """{name: view of X} over the fixed segments, under SEGMENTS' names:
+    training, calibration, false-positive test, and one block per fault."""
+    return {name: ds.X[slice(*span)] for name, span in SEGMENTS.items()}
 
 
 def write_dataset(ds: SyntheticDataset, outdir) -> None:

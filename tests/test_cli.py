@@ -1,8 +1,11 @@
 import argparse
 import csv
 import json
+import multiprocessing
 import os
+import time
 from operator import setitem
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +145,35 @@ def test_generate_with_a_dying_worker_is_io_error(tmp_path, monkeypatch, capsys)
     assert run(["generate", "--out", str(tmp_path)]) == cli.EXIT_IO
     err = capsys.readouterr().err
     assert f"I/O error: {tmp_path / synth.DATA_FILE}: a worker process" in err
+
+
+# each replaces one input of `calibrate` with these bytes, and names the
+# message that follows the file's name
+NAMED_ONCE = {
+    "unparsable_csv": ("data", b"a,b\n1.0,2.0\n3.0,x\n",
+                       "row 3, column 2 (b): cannot parse 'x'"),
+    "latin1_csv": ("data", b"a,b\n1.0,2.0\n3.0,4.\xe9\n",
+                   "row 3 is not UTF-8 text (invalid continuation byte)"),
+    "duplicate_header": ("data", b"a,a\n1.0,2.0\n",
+                         "column 2 repeats the name 'a'"),
+    "not_a_model": ("model", b'{"format": "other"}\n',
+                    "not a readable model file "
+                    "(not a helmfd-model-v1 document)"),
+}
+
+
+@pytest.mark.parametrize("role, raw, message", NAMED_ONCE.values(),
+                         ids=NAMED_ONCE.keys())
+def test_io_error_names_its_file_once(workspace, tmp_path, capsys, role, raw,
+                                      message):
+    files = {"model": tmp_path / "model.json", "data": tmp_path / "data.csv"}
+    files["model"].write_bytes((workspace / "model.json").read_bytes())
+    files["data"].write_bytes((workspace / "val.csv").read_bytes())
+    files[role].write_bytes(raw)
+    assert run(["calibrate", "--model", str(files["model"]),
+                "--data", str(files["data"])]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err == f"I/O error: {files[role]}: {message}\n"
 
 
 def _drop_last_column(m):
@@ -446,6 +478,55 @@ def test_interrupted_benchmark_flushes_finished_reps(tmp_path, monkeypatch,
     assert {r["rep"] for r in records} == {0}
     echo = json.loads((out / "benchmark_config.json").read_text())
     assert echo["partial"] is True
+
+
+_benchmark_rep = metrics.benchmark_rep
+
+
+def _rep1_worker_dies(plan, rep):
+    # stands in for metrics.benchmark_rep in forked workers: rep 1's worker
+    # dies once rep 0's has finished, so that rep 0 is flushed
+    done = Path(os.environ["TEST_REP0_DONE"])
+    if rep == 1:
+        deadline = time.monotonic() + 60.0
+        while not done.exists() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        time.sleep(0.5)
+        os._exit(1)
+    records = _benchmark_rep(plan, rep)
+    done.touch()
+    return records
+
+
+def test_benchmark_with_a_dying_worker_flushes_finished_reps(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TEST_REP0_DONE", str(tmp_path / "rep0_done"))
+    monkeypatch.setattr(metrics, "benchmark_rep", _rep1_worker_dies)
+    out = tmp_path / "bench"
+    assert run(["benchmark", "--out", str(out), "--reps", "3", "--jobs", "2",
+                "--models", "elm", "--gammas", "1.5",
+                "--ensemble", "1"]) == cli.EXIT_IO
+    assert multiprocessing.active_children() == []
+    err = capsys.readouterr().err
+    assert ("I/O error: a benchmark worker process died; 1 of 3 repetitions "
+            "finished") in err
+    records = json.loads((out / "records.json").read_text())["records"]
+    assert {r["rep"] for r in records} == {0}
+    echo = json.loads((out / "benchmark_config.json").read_text())
+    assert echo["partial"] is True
+
+
+def test_benchmark_writes_timings(tmp_path):
+    out = tmp_path / "bench"
+    assert run(["benchmark", "--out", str(out), "--reps", "2",
+                "--models", "elm,pca-elm", "--gammas", "1.5"]) == 0
+    with open(out / "timings.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["model", "params", "records", "mean_train_seconds"]
+    assert [r[:3] for r in rows[1:]] == [
+        ["elm", "C=1e-05;width=100", "10"],
+        ["pca-elm", "C=1e-05;l_pca=10;width=100", "10"]]
+    assert all(float(r[3]) > 0.0 for r in rows[1:])
 
 
 @pytest.mark.parametrize("command", ["generate", "train"])

@@ -240,6 +240,27 @@ def test_read_drops_a_byte_order_mark(tmp_path, body):
     assert X.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
 
 
+# (file bytes, the row of the first byte that is not UTF-8): in the
+# header, in the body, and past the text reader's first decoded chunk
+LATIN1_CASES = {
+    "header": (b"a,\xe9\n1,2\n", 1),
+    "row3": (b"a,b\n1.0,2.0\n3.0,4.\xe9\n", 3),
+    "row3000": (b"a,b\n" + b"1.0,2.0\n" * 2998 + b"3.0,\xe9\n", 3000),
+}
+
+
+@pytest.mark.parametrize("raw, row", LATIN1_CASES.values(),
+                         ids=LATIN1_CASES.keys())
+def test_read_names_the_row_that_is_not_utf8(tmp_path, raw, row):
+    path = tmp_path / "m.csv"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as exc:
+        read_csv_matrix(path)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == (f"{path}: row {row} is not UTF-8 text "
+                              "(invalid continuation byte)")
+
+
 @pytest.mark.parametrize("text, want", READ_CASES.values(), ids=READ_CASES.keys())
 def test_read_accepts_and_rejects_as_csv_parser(tmp_path, text, want):
     path = tmp_path / "m.csv"

@@ -25,9 +25,9 @@ def count_calls(monkeypatch, fn):
 
 
 def canon(record):
-    """A record or report row without its wall-clock train_seconds, which
-    is the one field that may differ run to run; nan magnification maps to
-    None so that it compares equal to itself."""
+    """A record without its wall-clock train_seconds, which is the one
+    field that may differ run to run (report rows have none); nan
+    magnification maps to None so that it compares equal to itself."""
     return {k: None if isinstance(v, float) and np.isnan(v) else v
             for k, v in record.items() if k != "train_seconds"}
 
@@ -169,8 +169,11 @@ class TestExperimentReport:
         assert ExperimentReport(doc["records"]).rows() == report.rows()
 
     def test_table_mentions_accuracy_and_rates(self):
-        report = ExperimentReport([make_record()])
-        text = report.table(gamma=1.5)
+        # at the report's gamma closest to the shipped 1.5
+        report = ExperimentReport([make_record(gamma=1.0, set_tp=0),
+                                   make_record(gamma=1.7)])
+        text = report.table()
+        assert "gamma=1.7" in text
         assert "helm" in text
         assert "fault 1" in text
         assert "(100/0)" in text
@@ -181,20 +184,19 @@ class TestWinningCells:
         report = ExperimentReport([make_record(rep=r, fault=f)
                                    for r in range(2) for f in (1, 2)])
         pick = winning_cells(report, "helm")
-        assert pick["mean"]["gamma"] == 1.5
-        assert pick["per_fault"][1]["params"] == "C=1e-05"
+        assert pick == {"gamma": 1.5, "params": "C=1e-05", "accuracy": 1.0}
 
     def test_tie_breaks_to_lexicographically_first(self):
         recs = [make_record(gamma=g, fault=f) for g in (1.5, 2.0)
                 for f in (1, 2)]
         pick = winning_cells(ExperimentReport(recs), "helm")
-        assert pick["mean"]["gamma"] == 1.5
+        assert pick["gamma"] == 1.5
 
     def test_argmax_prefers_higher_accuracy(self):
         recs = [make_record(gamma=1.5, fault=1, set_tp=0),
                 make_record(gamma=2.0, fault=1, set_tp=1)]
         pick = winning_cells(ExperimentReport(recs), "helm")
-        assert pick["mean"]["gamma"] == 2.0
+        assert pick["gamma"] == 2.0
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
@@ -341,7 +343,7 @@ class TestBenchmarkEngine:
         cells = {(r["params"], r["gamma"]) for r in rows}
         assert len(cells) == 4
         pick = winning_cells(report, "elm")
-        assert pick["mean"]["params"] in {p for p, _ in cells}
+        assert pick["params"] in {p for p, _ in cells}
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):

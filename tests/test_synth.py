@@ -130,12 +130,12 @@ def test_spec_validation():
 
 def test_render_splits_layout(dataset0):
     splits = render_splits(dataset0)
+    assert list(splits) == list(SEGMENTS)
     assert splits["train"].shape == (7000, 200)
-    assert splits["val"].shape == (1000, 200)
-    assert splits["fp_test"].shape == (1000, 200)
-    assert len(splits["fault_tests"]) == 5
-    assert all(b.shape == (1000, 200) for b in splits["fault_tests"])
+    for name in ("val", "fp", *FAULT_NAMES):
+        assert splits[name].shape == (1000, 200)
     assert np.array_equal(splits["train"], dataset0.X[:7000])
+    assert np.array_equal(splits["fault2"], dataset0.X[10000:11000])
 
 
 def test_provenance_round_trips_as_json(dataset0, tmp_path):
