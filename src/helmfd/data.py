@@ -8,9 +8,11 @@ numeric kernels behind them take the checked arrays as they are.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import itertools
+import mmap
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -104,10 +106,14 @@ CSV_CHUNK_ROWS = 250
 def read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
     """Read a header + numeric rows CSV; parse errors name row and column.
 
-    numpy's C reader parses the body straight from the open file. Its result
-    stands only if every line after the header gave one row of the header's
-    width; otherwise, or if it raises, the csv/float parser reads the file
-    again and alone decides what is accepted and builds the error message.
+    numpy's C reader parses the body in ranges of CSV_CHUNK_ROWS lines, in
+    one worker process per available CPU (in this process when there is one
+    CPU or one range), each straight into its rows of one shared output
+    array; the result does not depend on the worker count. It stands only if
+    every line after the header gave one row of the header's width;
+    otherwise, or if it raises, the csv/float parser reads the file again
+    and alone decides what is accepted and builds the error message. A
+    worker that dies raises OSError, and no worker outlives the call.
 
     The file is UTF-8, and a leading byte-order mark is dropped; another
     encoding raises ValueError naming the first row that does not decode. A
@@ -116,18 +122,37 @@ def read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            try:
-                header = next(csv.reader(fh))
-            except StopIteration:
-                header = []
-            _check_header(path, header)
-            X = _load_body(fh, len(header)) if header else None
+            spanned = []  # the lines the header spans
+
+            def lines():
+                for line in fh:
+                    spanned.append(line)
+                    yield line
+
+            header = next(_records(path, lines()), [])
+        _check_header(path, header)
+        X = None
+        if header:
+            X = _load_body(path, len("".join(spanned).encode()), len(header))
         if X is None:
             return _read_csv_strict(path)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: row {_undecodable_row(path)} is not UTF-8 "
                          f"text ({exc.reason})") from exc
     return header, as_matrix(X, str(path))
+
+
+def _records(path, lines):
+    """csv.reader's records of `lines`; a csv.Error, such as a field over
+    csv's size limit, raises ValueError naming the row."""
+    reader = csv.reader(lines)
+    for row in itertools.count(1):
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ValueError(f"{path}: row {row}: {exc}") from None
 
 
 def _undecodable_row(path) -> int:
@@ -152,36 +177,97 @@ def _check_header(path, header: list[str]) -> None:
         seen.add(name)
 
 
-def _load_body(fh, width: int) -> np.ndarray | None:
-    """The rows left in `fh` as np.loadtxt parses them, or None when they may
-    differ from the csv/float parse: loadtxt skips blank lines that csv
-    rejects, so a blank line, a row count other than the line count, or a
-    width other than the header's all decline."""
-    lines = 0
+def _load_body(path, start: int, width: int) -> np.ndarray | None:
+    """The body of `path`, which starts `start` bytes after any byte-order
+    mark, as np.loadtxt parses it, or None when it may differ from the
+    csv/float parse.
 
-    def nonblank():
-        nonlocal lines
-        for lines, line in enumerate(fh, 1):
-            if line.isspace():
-                raise ValueError("blank line")
-            yield line
-
-    body = nonblank()
-    try:
-        first = next(body, None)
-        if first is None:
-            return None
-        X = np.loadtxt(itertools.chain([first], body), delimiter=",",
-                       comments=None, dtype=np.float64, ndmin=2)
-    except ValueError:
+    This process finds the byte range of each CSV_CHUNK_ROWS lines, counting
+    "\\n" in 1 MB reads, and maps the ranges through _parse_range into one
+    array in an anonymous shared mmap, made before the workers fork."""
+    with open(path, "rb") as fh:
+        if fh.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8:
+            start += len(codecs.BOM_UTF8)
+        fh.seek(start)
+        cuts, lines, pos, last = [start], 0, start, b"\n"
+        while chunk := fh.read(1 << 20):
+            ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+            cut = ends[(-lines - 1) % CSV_CHUNK_ROWS::CSV_CHUNK_ROWS]
+            cuts.extend((pos + 1 + cut).tolist())
+            lines, pos, last = lines + len(ends), pos + len(chunk), chunk[-1:]
+    if last != b"\n":
+        lines += 1  # a last line with no line end
+    if cuts[-1] < pos:
+        cuts.append(pos)
+    # A line of `width` numbers takes at least 2 * width bytes with its line
+    # end, so a shorter body declines before its array is allocated.
+    if not lines or pos - start + 1 < 2 * width * lines:
         return None
-    return X if X.shape == (lines, width) else None
+    X = np.frombuffer(mmap.mmap(-1, lines * width * 8),
+                      np.float64).reshape(lines, width)
+    tasks = [(path, lo, hi, a, min(a + CSV_CHUNK_ROWS, lines))
+             for lo, hi, a in zip(cuts, cuts[1:],
+                                  range(0, lines, CSV_CHUNK_ROWS))]
+    workers = min(len(os.sched_getaffinity(0)), len(tasks))
+    if workers == 1:
+        return X if all(_parse_range(X, task) for task in tasks) else None
+    try:
+        # Forked, like write_csv_matrix's workers, and after the mmap, so
+        # each worker writes into the pages this process reads.
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_share, initargs=(X,)) as pool:
+            return X if all(pool.map(_parse_shared, tasks)) else None
+    except BrokenProcessPool as exc:
+        raise OSError(
+            f"{path}: a worker process parsing the rows died") from exc
+
+
+def _parse_range(X: np.ndarray, task) -> bool:
+    """Parse bytes [lo, hi) of `path`, lines [a, b) of its body, into rows
+    [a, b) of X, or return False when they may differ from the csv/float
+    parse. loadtxt skips a blank line that csv rejects, so a blank line
+    leaves fewer rows than lines and declines, as does any width other than
+    X's. A "\\r" with no "\\n" after it ends a line for both parsers but not
+    for the line count, so it declines too, and so does a range of blank
+    lines alone, on which loadtxt would warn that it found no data."""
+    path, lo, hi, a, b = task
+    with open(path, "rb") as fh:
+        fh.seek(lo)
+        raw = fh.read(hi - lo)
+    text = raw.decode()
+    if raw.count(b"\r") != raw.count(b"\r\n") or text.isspace():
+        return False
+    try:
+        rows = np.loadtxt(io.StringIO(text, newline=""), delimiter=",",
+                          comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return False
+    if rows.shape != (b - a, X.shape[1]):
+        return False
+    X[a:b] = rows
+    return True
+
+
+# A reading worker's view of the shared output array. The pool's initializer
+# sets it in each worker only: an array sent with each task would be pickled,
+# a copy the worker would fill instead.
+_shared = None
+
+
+def _share(X: np.ndarray) -> None:
+    global _shared
+    _shared = X
+
+
+def _parse_shared(task) -> bool:
+    return _parse_range(_shared, task)
 
 
 def _read_csv_strict(path) -> tuple[list[str], np.ndarray]:
     """The reference parse: csv.reader fields, each through float()."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader = _records(path, fh)
         try:
             header = next(reader)
         except StopIteration:

@@ -87,7 +87,7 @@ def write_detections_csv(path, detections: list[Detection]) -> None:
     field needs quoting, and lines end in "\r\n". Each line is formatted
     once, in this process, and the lines go to the file CSV_CHUNK_ROWS at a
     time: the block size of data.write_csv_matrix, shared with it."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("index,score,label,magnification\r\n")
         for c in range(0, len(detections), CSV_CHUNK_ROWS):
             fh.write("".join(

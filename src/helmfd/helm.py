@@ -266,7 +266,8 @@ def save_ensemble(path, ens: Ensemble,
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as fh:
-            json.dump(doc, fh)
+            # dumps with no indent takes the C encoder; dump never does
+            fh.write(json.dumps(doc))
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:

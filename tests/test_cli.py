@@ -156,6 +156,8 @@ NAMED_ONCE = {
                    "row 3 is not UTF-8 text (invalid continuation byte)"),
     "duplicate_header": ("data", b"a,a\n1.0,2.0\n",
                          "column 2 repeats the name 'a'"),
+    "field_over_csv_limit": ("data", b'a,b\n1.0,"' + b"2" * 200000 + b'"\n',
+                             "row 2: field larger than field limit (131072)"),
     "not_a_model": ("model", b'{"format": "other"}\n',
                     "not a readable model file "
                     "(not a helmfd-model-v1 document)"),

@@ -182,7 +182,9 @@ class TestCsv:
 
 # Outcomes of the csv/float parser, recorded before numpy's reader was put in
 # front of it: (header, rows) for an accepted file, else the error message
-# after "<path>: ". The fast path has to agree with each one exactly.
+# after "<path>: ". The fast path has to agree with each one exactly. A field
+# over csv's size limit raised csv.Error then; it is a ValueError naming the
+# row now.
 READ_CASES = {
     "plain": ("a,b\n1,2\n3,4\n", (["a", "b"], [[1.0, 2.0], [3.0, 4.0]])),
     "blank_line_mid": ("a,b\n1,2\n\n3,4\n", "row 3 has 0 fields, header has 2"),
@@ -197,6 +199,7 @@ READ_CASES = {
     "underscore": ("a,b\n1_0,2\n3,4\n", (["a", "b"], [[10.0, 2.0], [3.0, 4.0]])),
     "cr_only": ("a,b\r1,2\r3,4\r", (["a", "b"], [[1.0, 2.0], [3.0, 4.0]])),
     "crlf": ("a,b\r\n1,2\r\n3,4\r\n", (["a", "b"], [[1.0, 2.0], [3.0, 4.0]])),
+    "cr_then_blank_line": ("a,b\n1,2\r3,4\n\n", "row 4 has 0 fields, header has 2"),
     "no_trailing_newline": ("a,b\n1,2\n3,4", (["a", "b"], [[1.0, 2.0], [3.0, 4.0]])),
     "ragged_row": ("a,b\n1,2\n3\n", "row 3 has 1 fields, header has 2"),
     "trailing_comma": ("a,b\n1,2,\n3,4,\n", "row 2 has 3 fields, header has 2"),
@@ -207,6 +210,10 @@ READ_CASES = {
     "quoted_header_comma": ('"a,x",b\n1,2\n', (["a,x", "b"], [[1.0, 2.0]])),
     "single_column": ("a\n1\n-2.5\n", (["a"], [[1.0], [-2.5]])),
     "signed_zero_subnormal": ("a,b\n-0.0,5e-324\n", (["a", "b"], [[-0.0, 5e-324]])),
+    "field_over_csv_limit": ('a\n1\n"' + "1" * 131073 + '"\n',
+                             "row 3: field larger than field limit (131072)"),
+    "header_over_csv_limit": ('"' + "a" * 131073 + '"\n1\n',
+                              "row 1: field larger than field limit (131072)"),
 }
 
 
@@ -276,6 +283,100 @@ def test_read_accepts_and_rejects_as_csv_parser(tmp_path, text, want):
         assert X.shape == rows.shape and X.tobytes() == rows.tobytes()
 
 
+def read_outcome(path):
+    """(header, X as a list) for a file read_csv_matrix accepts, else its
+    message after "<path>: "."""
+    try:
+        header, X = read_csv_matrix(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return str(exc)[len(f"{path}: "):]
+    return header, X.tolist()
+
+
+def _read_files():
+    """Every file of the reader's tests above, with its outcome."""
+    latin1 = "is not UTF-8 text (invalid continuation byte)"
+    files = {f"latin1_{name}": (raw, f"row {row} {latin1}")
+             for name, (raw, row) in LATIN1_CASES.items()}
+    for body_name, body in BODIES.items():
+        files[f"bom_{body_name}"] = (f"\ufeffa,b,c\n{body}".encode(),
+                                     (["a", "b", "c"], [[1.0, 2.0, 3.0],
+                                                        [4.0, 5.0, 6.0]]))
+        for name, (header, want) in HEADER_CASES.items():
+            files[f"{name}_{body_name}"] = (f"{header}\n{body}".encode(), want)
+    for name, (text, want) in READ_CASES.items():
+        files[name] = (text.encode(), want)
+    return files
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_read_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, cpus):
+    # one line per range, so every file of two lines or more splits
+    monkeypatch.setattr(data, "CSV_CHUNK_ROWS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    made, pool = [], data.ProcessPoolExecutor
+
+    def spy(workers, **kw):
+        made.append(workers)
+        return pool(workers, **kw)
+
+    monkeypatch.setattr(data, "ProcessPoolExecutor", spy)
+    for name, (raw, want) in _read_files().items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(raw)
+        if not isinstance(want, str):
+            want = (want[0], np.array(want[1], dtype=np.float64).tolist())
+        assert read_outcome(path) == want, name
+    assert made if cpus > 1 else made == []
+    assert all(1 < workers <= cpus for workers in made)
+    assert multiprocessing.active_children() == []
+
+
+# a body of nine good rows, then two lines that make only the last of the
+# two-line ranges decline
+LATE_DECLINES = {
+    "blank_line": ("\n3,4\n", "row 11 has 0 fields, header has 2"),
+    "ragged_row": ("3,4\n5\n", "row 12 has 1 fields, header has 2"),
+}
+
+
+@pytest.mark.parametrize("tail, want", LATE_DECLINES.values(),
+                         ids=LATE_DECLINES.keys())
+def test_a_decline_in_the_last_range_gives_the_strict_message(
+        tmp_path, monkeypatch, tail, want):
+    monkeypatch.setattr(data, "CSV_CHUNK_ROWS", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    path = tmp_path / "m.csv"
+    path.write_text("a,b\n" + "1,2\n" * 9 + tail)
+    with pytest.raises(ValueError) as exc:
+        read_csv_matrix(path)
+    assert str(exc.value) == f"{path}: {want}"
+    assert multiprocessing.active_children() == []
+
+
+def test_read_of_a_path_that_cannot_open_leaves_no_worker(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setattr(data, "CSV_CHUNK_ROWS", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(FileNotFoundError):
+        read_csv_matrix(tmp_path / "missing.csv")
+    assert multiprocessing.active_children() == []
+
+
+def test_a_reading_worker_that_dies_raises_oserror(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "CSV_CHUNK_ROWS", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(data, "_parse_range", _exit_at_once)
+    path = tmp_path / "m.csv"
+    write_csv_matrix(path, np.ones((7, 2)))
+    with pytest.raises(OSError, match="worker process") as exc:
+        read_csv_matrix(path)
+    assert str(path) in str(exc.value)
+    assert multiprocessing.active_children() == []
+
+
 WRITE_X = np.array([[-0.0, 5e-324, 1e300],
                     [1 / 3, 2.0, -7.0],
                     [0.1, 1e-7, 123456789.0]])
@@ -317,8 +418,9 @@ def test_write_rejects_part_outside_matrix(tmp_path):
                          parts=[(tmp_path / "p.csv", 2, 4)])
 
 
-def _exit_at_once(block):
-    # stands in for data._format_rows in a worker that dies
+def _exit_at_once(*args):
+    # stands in for data._format_rows or data._parse_range in a worker that
+    # dies
     os._exit(1)
 
 

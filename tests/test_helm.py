@@ -358,11 +358,19 @@ def test_failed_save_leaves_old_model_intact(tmp_path, monkeypatch):
     save_ensemble(path, members)
     before = path.read_bytes()
 
-    def dump_then_fail(obj, fh):
-        fh.write(json.dumps(obj)[:1000])
-        raise OSError("disk full")
+    def open_then_fail(*args, **kwargs):
+        # a file that takes the first 1000 characters written, then fails
+        fh = open(*args, **kwargs)
+        write = fh.write
 
-    monkeypatch.setattr(helm.json, "dump", dump_then_fail)
+        def write_then_fail(text):
+            write(text[:1000])
+            raise OSError("disk full")
+
+        fh.write = write_then_fail
+        return fh
+
+    monkeypatch.setattr(helm, "open", open_then_fail, raising=False)
     with pytest.raises(OSError, match="disk full"):
         save_ensemble(path, members,
                       detector=DetectorConfig(gamma=1.5, p=99.5, threshold=0.125))
