@@ -17,7 +17,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,14 +106,12 @@ CSV_CHUNK_ROWS = 250
 def read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
     """Read a header + numeric rows CSV; parse errors name row and column.
 
-    numpy's C reader parses the body in ranges of CSV_CHUNK_ROWS lines, in
-    one worker process per available CPU (in this process when there is one
-    CPU or one range), each straight into its rows of one shared output
+    numpy's C reader parses the body in ranges of CSV_CHUNK_ROWS lines
+    through fork_map, each straight into its rows of one shared output
     array; the result does not depend on the worker count. It stands only if
     every line after the header gave one row of the header's width;
     otherwise, or if it raises, the csv/float parser reads the file again
-    and alone decides what is accepted and builds the error message. A
-    worker that dies raises OSError, and no worker outlives the call.
+    and alone decides what is accepted and builds the error message.
 
     The file is UTF-8, and a leading byte-order mark is dropped; another
     encoding raises ValueError naming the first row that does not decode. A
@@ -183,8 +181,8 @@ def _load_body(path, start: int, width: int) -> np.ndarray | None:
     csv/float parse.
 
     This process finds the byte range of each CSV_CHUNK_ROWS lines, counting
-    "\\n" in 1 MB reads, and maps the ranges through _parse_range into one
-    array in an anonymous shared mmap, made before the workers fork."""
+    "\\n" in 1 MB reads, and fork_maps the ranges through _parse_range into
+    one array in an anonymous shared mmap."""
     with open(path, "rb") as fh:
         if fh.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8:
             start += len(codecs.BOM_UTF8)
@@ -208,19 +206,11 @@ def _load_body(path, start: int, width: int) -> np.ndarray | None:
     tasks = [(path, lo, hi, a, min(a + CSV_CHUNK_ROWS, lines))
              for lo, hi, a in zip(cuts, cuts[1:],
                                   range(0, lines, CSV_CHUNK_ROWS))]
-    workers = min(len(os.sched_getaffinity(0)), len(tasks))
-    if workers == 1:
-        return X if all(_parse_range(X, task) for task in tasks) else None
-    try:
-        # Forked, like write_csv_matrix's workers, and after the mmap, so
-        # each worker writes into the pages this process reads.
-        with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_share, initargs=(X,)) as pool:
-            return X if all(pool.map(_parse_shared, tasks)) else None
-    except BrokenProcessPool as exc:
-        raise OSError(
-            f"{path}: a worker process parsing the rows died") from exc
+    # The workers fork after the mmap, so each writes into the pages this
+    # process reads.
+    with closing(fork_map(_parse_range, X, tasks, f"{path}: a worker "
+                          "process parsing the rows")) as parsed:
+        return X if all(parsed) else None
 
 
 def _parse_range(X: np.ndarray, task) -> bool:
@@ -247,21 +237,6 @@ def _parse_range(X: np.ndarray, task) -> bool:
         return False
     X[a:b] = rows
     return True
-
-
-# A reading worker's view of the shared output array. The pool's initializer
-# sets it in each worker only: an array sent with each task would be pickled,
-# a copy the worker would fill instead.
-_shared = None
-
-
-def _share(X: np.ndarray) -> None:
-    global _shared
-    _shared = X
-
-
-def _parse_shared(task) -> bool:
-    return _parse_range(_shared, task)
 
 
 def _read_csv_strict(path) -> tuple[list[str], np.ndarray]:
@@ -294,10 +269,12 @@ def _read_csv_strict(path) -> tuple[list[str], np.ndarray]:
     return header, as_matrix(np.array(rows), str(path))
 
 
-def _format_rows(block: np.ndarray) -> tuple[bytes, list[int]]:
-    """The CSV lines of a block of rows as one bytes object, and the offset
-    of each line's start in it, the last entry being the end of the text."""
-    lines = [",".join(map(repr, row)) + "\r\n" for row in block.tolist()]
+def _format_rows(X: np.ndarray, start: int) -> tuple[bytes, list[int]]:
+    """The CSV lines of rows [start, start + CSV_CHUNK_ROWS) of X as one
+    bytes object, and the offset of each line's start in it, the last entry
+    being the end of the text."""
+    block = X[start:start + CSV_CHUNK_ROWS].tolist()
+    lines = [",".join(map(repr, row)) + "\r\n" for row in block]
     return "".join(lines).encode(), [0, *itertools.accumulate(map(len, lines))]
 
 
@@ -311,10 +288,8 @@ def write_csv_matrix(path, X, header: list[str] | None = None,
     header and rows [start, stop) of X. Every row is formatted once and goes
     to each file whose range covers it.
 
-    Rows are formatted in blocks of CSV_CHUNK_ROWS, in one worker process per
-    available CPU (in this process when there is one CPU or one block), and
-    written in order; the bytes do not depend on the worker count. A worker
-    that dies raises OSError, and no worker outlives the call.
+    Rows are formatted in blocks of CSV_CHUNK_ROWS through fork_map and
+    written in order; the bytes do not depend on the worker count.
     """
     X = as_matrix(X, "X")
     K = X.shape[0]
@@ -330,30 +305,58 @@ def write_csv_matrix(path, X, header: list[str] | None = None,
     csv.writer(buf).writerow(header)
     head = buf.getvalue().encode()
     starts = range(0, K, CSV_CHUNK_ROWS)
-    workers = min(len(os.sched_getaffinity(0)), len(starts))
     with ExitStack() as stack:
         outs = []
         for target, a, b in targets:
             fh = stack.enter_context(open(target, "wb"))
             fh.write(head)
             outs.append((fh, a, b))
-        mapper = map
-        if workers > 1:
-            # Forked workers start at once with the formatter in memory;
-            # spawned ones import helmfd afresh (about 0.4 s more for the
-            # 14000-row timeline on a 2-vCPU VM) and need the caller's main
-            # module to be safe to import.
-            mapper = stack.enter_context(ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"))).map
-        try:
-            blocks = mapper(_format_rows,
-                            [X[c:c + CSV_CHUNK_ROWS] for c in starts])
-            for c, (text, offsets) in zip(starts, blocks):
-                view = memoryview(text)
-                for fh, a, b in outs:
-                    lo, hi = max(a - c, 0), min(b - c, len(offsets) - 1)
-                    if lo < hi:
-                        fh.write(view[offsets[lo]:offsets[hi]])
-        except BrokenProcessPool as exc:
-            raise OSError(
-                f"{path}: a worker process formatting the rows died") from exc
+        blocks = stack.enter_context(closing(fork_map(
+            _format_rows, X, starts,
+            f"{path}: a worker process formatting the rows")))
+        for c, (text, offsets) in zip(starts, blocks):
+            view = memoryview(text)
+            for fh, a, b in outs:
+                lo, hi = max(a - c, 0), min(b - c, len(offsets) - 1)
+                if lo < hi:
+                    fh.write(view[offsets[lo]:offsets[hi]])
+
+
+# A worker's (fn, shared), set by the pool's initializer and inherited
+# through the fork unpickled, so an array is the caller's own memory.
+_forked = None
+
+
+def _fork(fn, shared) -> None:
+    global _forked
+    _forked = fn, shared
+
+
+def _call_forked(task):
+    fn, shared = _forked
+    return fn(shared, task)
+
+
+def fork_map(fn, shared, tasks, what: str, workers: int = 0):
+    """Yield fn(shared, task) for each of the sequence `tasks`, in order,
+    from `workers` processes (0: one per CPU in os.sched_getaffinity), never
+    more than there are tasks; with one, this process runs the tasks.
+    Workers fork, as spawned ones would import helmfd afresh (about 0.4 s
+    more for writing the 14000-row timeline on a 2-vCPU VM). A worker that
+    dies raises OSError(f"{what} died"). Callers close the iterator with
+    contextlib.closing: that cancels the tasks no worker has taken, so
+    stopping early drops the queued work, and no worker outlives the
+    iterator."""
+    workers = min(workers or len(os.sched_getaffinity(0)), len(tasks))
+    if workers <= 1:
+        for task in tasks:
+            yield fn(shared, task)
+        return
+    try:
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_fork, initargs=(fn, shared)) as pool, \
+                closing(pool.map(_call_forked, tasks)) as results:
+            yield from results
+    except BrokenProcessPool as exc:
+        raise OSError(f"{what} died") from exc

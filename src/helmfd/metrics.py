@@ -22,14 +22,12 @@ import json
 import operator
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import baselines, detector, helm, synth
-from .data import RngStream
+from .data import RngStream, fork_map
 
 
 @dataclass(frozen=True)
@@ -163,7 +161,7 @@ class ExperimentReport:
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump({"records": self._sorted()}, fh)
+            fh.write(json.dumps({"records": self._sorted()}))
             fh.write("\n")
 
     def table(self) -> str:
@@ -372,32 +370,29 @@ def benchmark_rep(plan: BenchmarkPlan, rep: int) -> list:
 
 def run_benchmark(plan: BenchmarkPlan, jobs: int = 1,
                   progress=None) -> ExperimentReport:
-    """Run the repeated experiment. With jobs > 1 repetitions run in worker
-    processes; results are identical to the serial run because every
+    """Run the repeated experiment, the repetitions through fork_map with
+    `jobs` workers. Results are identical to the serial run because every
     repetition draws from its own substreams and records carry their rep id.
 
-    A KeyboardInterrupt mid-run re-raises with the partial report attached to
-    the exception as `exc.partial_report`, so callers can flush it. A worker
-    process that dies raises OSError, with the partial report attached the
-    same way."""
+    A KeyboardInterrupt mid-run drops the repetitions no worker has started
+    and re-raises with the partial report attached to the exception as
+    `exc.partial_report`, so callers can flush it. A worker process that
+    dies raises OSError, with the partial report attached the same way."""
     report = ExperimentReport()
-    reps = range(plan.reps)
     try:
-        with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
-              else contextlib.nullcontext()) as pool:
-            results = (pool.map if pool else map)(
-                benchmark_rep, [plan] * len(reps), reps)
-            for rep, recs in zip(reps, results):
+        with contextlib.closing(fork_map(
+                benchmark_rep, plan, range(plan.reps),
+                "a benchmark worker process", workers=jobs)) as results:
+            for rep, recs in enumerate(results):
                 report.records.extend(recs)
                 if progress:
                     progress(rep)
     except KeyboardInterrupt as exc:
         exc.partial_report = report
         raise
-    except BrokenProcessPool as exc:
+    except OSError as exc:
         done = len({r["rep"] for r in report.records})
-        err = OSError(f"a benchmark worker process died; {done} of "
-                      f"{plan.reps} repetitions finished")
+        err = OSError(f"{exc}; {done} of {plan.reps} repetitions finished")
         err.partial_report = report
         raise err from exc
     return report

@@ -1,3 +1,4 @@
+import multiprocessing
 import time
 
 import pytest
@@ -6,6 +7,14 @@ from helmfd import helm, metrics, synth
 from helmfd.data import RngStream
 
 BENCH_SEED = 42
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_the_test():
+    yield
+    left = multiprocessing.active_children()
+    if left:
+        pytest.fail(f"worker processes outlived the test: {left}")
 
 
 @pytest.fixture(scope="session")

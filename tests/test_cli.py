@@ -134,7 +134,7 @@ def test_duplicate_column_name_is_io_error(workspace, tmp_path, capsys):
     assert not (tmp_path / "d" / "detections.csv").exists()
 
 
-def _exit_at_once(block):
+def _exit_at_once(X, start):
     # stands in for data._format_rows in a worker that dies
     os._exit(1)
 
@@ -480,6 +480,21 @@ def test_interrupted_benchmark_flushes_finished_reps(tmp_path, monkeypatch,
     assert {r["rep"] for r in records} == {0}
     echo = json.loads((out / "benchmark_config.json").read_text())
     assert echo["partial"] is True
+
+
+def test_benchmark_starts_no_more_workers_than_reps(tmp_path, monkeypatch):
+    made, pool = [], data.ProcessPoolExecutor
+
+    def spy(workers, **kw):
+        made.append(workers)
+        return pool(workers, **kw)
+
+    monkeypatch.setattr(data, "ProcessPoolExecutor", spy)
+    assert run(["benchmark", "--out", str(tmp_path / "bench"), "--reps", "2",
+                "--jobs", "4", "--models", "elm", "--gammas", "1.5",
+                "--ensemble", "1"]) == cli.EXIT_OK
+    assert made == [2]
+    assert multiprocessing.active_children() == []
 
 
 _benchmark_rep = metrics.benchmark_rep

@@ -2,6 +2,8 @@ import csv
 import io
 import multiprocessing
 import os
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,6 +355,34 @@ def test_a_decline_in_the_last_range_gives_the_strict_message(
     with pytest.raises(ValueError) as exc:
         read_csv_matrix(path)
     assert str(exc.value) == f"{path}: {want}"
+    assert multiprocessing.active_children() == []
+
+
+_parse_range = data._parse_range
+
+
+def _marked_parse(X, task):
+    # stands in for data._parse_range: leaves one marker file per range,
+    # slowly enough that ranges parsed after a decline show
+    time.sleep(0.01)
+    (Path(os.environ["TEST_RANGE_MARKS"]) / str(task[3])).touch()
+    return _parse_range(X, task)
+
+
+def test_a_declined_range_drops_the_queued_ranges(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "CSV_CHUNK_ROWS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    monkeypatch.setenv("TEST_RANGE_MARKS", str(marks))
+    monkeypatch.setattr(data, "_parse_range", _marked_parse)
+    path = tmp_path / "m.csv"
+    # 200 lines: the header, a blank line, then 198 rows
+    path.write_text("a,b\n\n" + "1.5,2.5\n" * 198)
+    with pytest.raises(ValueError) as exc:
+        read_csv_matrix(path)
+    assert str(exc.value) == f"{path}: row 2 has 0 fields, header has 2"
+    assert 0 < len(list(marks.iterdir())) < 199
     assert multiprocessing.active_children() == []
 
 

@@ -1,6 +1,10 @@
 import csv
 import itertools
 import json
+import multiprocessing
+import os
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,14 @@ def canon(record):
     magnification maps to None so that it compares equal to itself."""
     return {k: None if isinstance(v, float) and np.isnan(v) else v
             for k, v in record.items() if k != "train_seconds"}
+
+
+def _marked_rep(plan, rep):
+    # stands in for metrics.benchmark_rep: leaves one marker file per
+    # repetition, slowly enough that repetitions run after an interrupt show
+    time.sleep(0.1)
+    (Path(os.environ["TEST_REP_MARKS"]) / f"rep{rep}").touch()
+    return [{"rep": rep}]
 
 
 def flags(flag_count, size):
@@ -392,6 +404,21 @@ class TestBenchmarkEngine:
         partial = info.value.partial_report.records
         assert ([canon(r) for r in partial]
                 == [canon(r) for r in benchmark_rep(plan, 0)])
+
+    def test_interrupt_drops_the_queued_repetitions(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setenv("TEST_REP_MARKS", str(tmp_path))
+        monkeypatch.setattr(metrics, "benchmark_rep", _marked_rep)
+        plan = BenchmarkPlan(reps=24, gammas=(1.5,), models=("elm",),
+                             ensemble_size=1)
+
+        def progress(rep):
+            raise KeyboardInterrupt
+        with pytest.raises(KeyboardInterrupt) as info:
+            run_benchmark(plan, jobs=2, progress=progress)
+        assert info.value.partial_report.records == [{"rep": 0}]
+        assert multiprocessing.active_children() == []
+        assert len(list(tmp_path.iterdir())) < plan.reps
 
     def test_cells_follow_product_order(self):
         # pins the params strings of report.csv: one record per cell, cells
