@@ -32,12 +32,13 @@ class UsageError(Exception):
 
 
 def _load_config_file(path) -> dict:
-    """Plain key = value lines; '#' starts a comment. Values stay strings and
-    are coerced by argparse types when applied as defaults."""
+    """Plain key = value lines in UTF-8, a leading byte-order mark dropped;
+    '#' starts a comment. Values stay strings and are coerced by argparse
+    types when applied as defaults."""
     values = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -80,12 +81,12 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list) -> argpa
         required = {a.dest: a.option_strings[0] for a in sub._actions
                     if a.required}
         for key, val in raw.items():
-            if key not in types and key not in flags:
+            if key not in types:
                 raise UsageError(f"unknown config key: {key}")
             if key in required:
                 raise UsageError(f"config key {key}: pass {required[key]} "
                                  "on the command line")
-            conv = _parse_bool if key in flags else types.get(key) or str
+            conv = _parse_bool if key in flags else types[key] or str
             try:
                 sub.set_defaults(**{key: conv(val)})
             except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -252,8 +253,8 @@ def cmd_benchmark(args) -> int:
         metrics.BenchmarkPlan, n=args.n, reading=args.reading,
         seed=args.seed, reps=args.reps, gammas=args.gammas, p=args.p,
         models=tuple(m.strip() for m in args.models.split(",") if m.strip()),
-        L1=args.L1, L2=args.L2, lam=args.lam, C=args.C, width=args.width,
-        l_pca=args.l_pca, ensemble_size=args.ensemble)
+        ensemble_size=args.ensemble,
+        **{axis: getattr(args, axis) for axis in metrics.AXES})
     outdir = _outdir(args)
 
     def progress(rep):
@@ -353,18 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--models", default=",".join(plan.models))
     b.add_argument("--gammas", type=_parse_floats, default=plan.gammas)
     b.add_argument("--p", type=float, default=plan.p)
-    b.add_argument("--L1", type=_parse_ints, default=plan.L1,
-                   help="first autoencoder widths (comma list sweeps a grid)")
-    b.add_argument("--L2", type=_parse_ints, default=plan.L2,
-                   help="second-layer widths (comma list)")
-    b.add_argument("--lam", type=_parse_floats, default=plan.lam,
-                   help="autoencoder L1 weights (comma list)")
-    b.add_argument("--C", type=_parse_floats, default=plan.C,
-                   help="head ridge weights (comma list)")
-    b.add_argument("--width", type=_parse_ints, default=plan.width,
-                   help="baseline hidden widths (comma list)")
-    b.add_argument("--l-pca", type=_parse_ints, default=plan.l_pca,
-                   help="principal-component counts (comma list)")
+    for axis in metrics.AXES:
+        default = getattr(plan, axis)
+        parse = _parse_ints if isinstance(default[0], int) else _parse_floats
+        b.add_argument(f"--{axis.replace('_', '-')}", type=parse,
+                       default=default, help=metrics.AXIS_HELP[axis])
     b.add_argument("--ensemble", type=int, default=plan.ensemble_size)
     b.add_argument("--jobs", type=int, default=1)
     b.set_defaults(func=cmd_benchmark)

@@ -17,7 +17,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import ExitStack, closing
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,8 +98,7 @@ class RngStream:
 
 # Rows formatted per block. At 200 columns a block is about 1 MB of text, and
 # only a few blocks are in flight at once, so this bounds the writer's memory,
-# not the file size. detector.write_detections_csv writes in blocks of the
-# same size.
+# not the file size.
 CSV_CHUNK_ROWS = 250
 
 
@@ -208,8 +207,8 @@ def _load_body(path, start: int, width: int) -> np.ndarray | None:
                                   range(0, lines, CSV_CHUNK_ROWS))]
     # The workers fork after the mmap, so each writes into the pages this
     # process reads.
-    with closing(fork_map(_parse_range, X, tasks, f"{path}: a worker "
-                          "process parsing the rows")) as parsed:
+    with fork_map(_parse_range, X, tasks,
+                  f"{path}: a worker process parsing the rows") as parsed:
         return X if all(parsed) else None
 
 
@@ -311,9 +310,9 @@ def write_csv_matrix(path, X, header: list[str] | None = None,
             fh = stack.enter_context(open(target, "wb"))
             fh.write(head)
             outs.append((fh, a, b))
-        blocks = stack.enter_context(closing(fork_map(
+        blocks = stack.enter_context(fork_map(
             _format_rows, X, starts,
-            f"{path}: a worker process formatting the rows")))
+            f"{path}: a worker process formatting the rows"))
         for c, (text, offsets) in zip(starts, blocks):
             view = memoryview(text)
             for fh, a, b in outs:
@@ -337,26 +336,25 @@ def _call_forked(task):
     return fn(shared, task)
 
 
+@contextmanager
 def fork_map(fn, shared, tasks, what: str, workers: int = 0):
-    """Yield fn(shared, task) for each of the sequence `tasks`, in order,
-    from `workers` processes (0: one per CPU in os.sched_getaffinity), never
-    more than there are tasks; with one, this process runs the tasks.
-    Workers fork, as spawned ones would import helmfd afresh (about 0.4 s
-    more for writing the 14000-row timeline on a 2-vCPU VM). A worker that
-    dies raises OSError(f"{what} died"). Callers close the iterator with
-    contextlib.closing: that cancels the tasks no worker has taken, so
-    stopping early drops the queued work, and no worker outlives the
-    iterator."""
+    """A context whose value iterates fn(shared, task) for each of the
+    sequence `tasks`, in order, from `workers` processes (0: one per CPU in
+    os.sched_getaffinity), never more than there are tasks; with one, this
+    process runs the tasks. Workers fork, as spawned ones would import helmfd
+    afresh (about 0.4 s more for writing the 14000-row timeline on a 2-vCPU
+    VM). A worker that dies raises OSError(f"{what} died"). Leaving the
+    context cancels the tasks no worker has taken, so stopping early drops
+    the queued work, and joins the workers: none outlives the context."""
     workers = min(workers or len(os.sched_getaffinity(0)), len(tasks))
     if workers <= 1:
-        for task in tasks:
-            yield fn(shared, task)
+        yield (fn(shared, task) for task in tasks)
         return
     try:
         with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork"),
                 initializer=_fork, initargs=(fn, shared)) as pool, \
                 closing(pool.map(_call_forked, tasks)) as results:
-            yield from results
+            yield results
     except BrokenProcessPool as exc:
         raise OSError(f"{what} died") from exc

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import CSV_CHUNK_ROWS, as_vector
+from .data import as_vector
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,8 @@ def labels_of(detections: list[Detection]) -> np.ndarray:
 def write_detections_csv(path, detections: list[Detection]) -> None:
     """A header line, then one line per detection, byte for byte as
     csv.writer writes [index, repr(score), label, repr(magnification)]: no
-    field needs quoting, and lines end in "\r\n". Each line is formatted
-    once, in this process, and the lines go to the file CSV_CHUNK_ROWS at a
-    time: the block size of data.write_csv_matrix, shared with it."""
+    field needs quoting, and lines end in "\r\n"."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("index,score,label,magnification\r\n")
-        for c in range(0, len(detections), CSV_CHUNK_ROWS):
-            fh.write("".join(
-                f"{i},{d.score!r},{d.label},{d.magnification!r}\r\n"
-                for i, d in enumerate(detections[c:c + CSV_CHUNK_ROWS], c)))
+        fh.writelines(f"{i},{d.score!r},{d.label},{d.magnification!r}\r\n"
+                      for i, d in enumerate(detections))

@@ -14,7 +14,6 @@ across repetitions, so every repetition carries equal weight.
 """
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import itertools
@@ -132,9 +131,7 @@ class ExperimentReport:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(cols)
-            for row in self.rows():
-                w.writerow([row[k] if isinstance(row[k], str)
-                            else repr(row[k]) for k in cols])
+            w.writerows([row[k] for k in cols] for row in self.rows())
 
     def to_csv(self, path) -> None:
         self._write_rows(path, ROW_FIELDS)
@@ -150,8 +147,7 @@ class ExperimentReport:
             w = csv.writer(fh)
             w.writerow(("model", "params", "records", "mean_train_seconds"))
             for (model, params), vals in sorted(groups.items()):
-                w.writerow((model, params, len(vals),
-                            repr(float(np.mean(vals)))))
+                w.writerow((model, params, len(vals), float(np.mean(vals))))
 
     def sweep_csv(self, path) -> None:
         """Gamma-sweep projection: per model cell x gamma x fault rates."""
@@ -238,7 +234,16 @@ FAMILIES = {
         functools.partial(baselines.pca_elm_train_ensemble, **cell,
                           size=plan.ensemble_size))),
 }
-_AXES = tuple(dict.fromkeys(a for f in FAMILIES.values() for a in f.axes))
+AXES = tuple(dict.fromkeys(a for f in FAMILIES.values() for a in f.axes))
+# The help line of each axis's `helmfd benchmark` flag.
+AXIS_HELP = {
+    "L1": "first autoencoder widths (comma list sweeps a grid)",
+    "L2": "second-layer widths (comma list)",
+    "lam": "autoencoder L1 weights (comma list)",
+    "C": "head ridge weights (comma list)",
+    "width": "baseline hidden widths (comma list)",
+    "l_pca": "principal-component counts (comma list)",
+}
 
 
 @dataclass(frozen=True)
@@ -272,7 +277,7 @@ class BenchmarkPlan:
         unknown = set(self.models) - FAMILIES.keys()
         if unknown:
             raise ValueError(f"unknown models: {sorted(unknown)}")
-        for axis in ("models", "gammas", *_AXES):
+        for axis in ("models", "gammas", *AXES):
             values = getattr(self, axis)
             if not values:
                 raise ValueError(f"{axis} must hold at least one value")
@@ -380,9 +385,8 @@ def run_benchmark(plan: BenchmarkPlan, jobs: int = 1,
     dies raises OSError, with the partial report attached the same way."""
     report = ExperimentReport()
     try:
-        with contextlib.closing(fork_map(
-                benchmark_rep, plan, range(plan.reps),
-                "a benchmark worker process", workers=jobs)) as results:
+        with fork_map(benchmark_rep, plan, range(plan.reps),
+                      "a benchmark worker process", workers=jobs) as results:
             for rep, recs in enumerate(results):
                 report.records.extend(recs)
                 if progress:

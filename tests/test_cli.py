@@ -609,6 +609,36 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
         assert f"unknown config key: {key}" in capsys.readouterr().err
 
 
+def test_config_file_drops_a_byte_order_mark(tmp_path, capsys):
+    # n = 0 fails before any work, so the message shows the key was known
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_text("\ufeffn = 0\n", encoding="utf-8")
+    assert run(["generate", "--config", str(cfg),
+                "--out", str(tmp_path / "x")]) == cli.EXIT_USAGE
+    assert "n must be 5 or 10" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("reading = caf\u00e9\n".encode("latin-1"))
+    assert run(["generate", "--config", str(cfg),
+                "--out", str(tmp_path / "x")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: cannot read config file {cfg}: " in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_every_family_axis_is_a_benchmark_flag():
+    flags = {a.dest: a for a in _subcommands()["benchmark"]._actions}
+    for family in metrics.FAMILIES.values():
+        for axis in family.axes:
+            flag, default = flags[axis], getattr(metrics.BenchmarkPlan, axis)
+            assert flag.help == metrics.AXIS_HELP[axis]
+            assert flag.option_strings == [f"--{axis.replace('_', '-')}"]
+            assert flag.default == default
+            assert flag.type(",".join(map(str, default))) == default
+
+
 def _subcommands():
     parser = cli.build_parser()
     return next(a for a in parser._actions

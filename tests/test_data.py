@@ -487,6 +487,40 @@ def test_write_to_a_path_that_cannot_open_leaves_no_worker(tmp_path, monkeypatch
     assert multiprocessing.active_children() == []
 
 
+_format_rows = data._format_rows
+
+
+def _format_until_the_third_block(X, start):
+    # stands in for data._format_rows: leaves one marker file per block,
+    # slowly enough that blocks formatted after the failure show; of one-row
+    # blocks, the third raises in the worker, or is str where the caller
+    # writes bytes
+    time.sleep(0.01)
+    (Path(os.environ["TEST_BLOCK_MARKS"]) / str(start)).touch()
+    if start == 2:
+        if os.environ["TEST_BLOCK_FAILS"] == "worker":
+            raise RuntimeError("the third block")
+        return "the third block", None
+    return _format_rows(X, start)
+
+
+@pytest.mark.parametrize("where, error", [("worker", RuntimeError),
+                                          ("caller", TypeError)])
+def test_a_failed_block_drops_the_queued_blocks(tmp_path, monkeypatch, where,
+                                                error):
+    monkeypatch.setattr(data, "CSV_CHUNK_ROWS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    monkeypatch.setenv("TEST_BLOCK_MARKS", str(marks))
+    monkeypatch.setenv("TEST_BLOCK_FAILS", where)
+    monkeypatch.setattr(data, "_format_rows", _format_until_the_third_block)
+    with pytest.raises(error):
+        write_csv_matrix(tmp_path / "all.csv", np.ones((200, 2)))
+    assert 3 <= len(list(marks.iterdir())) < 200
+    assert multiprocessing.active_children() == []
+
+
 def test_a_worker_that_dies_raises_oserror(tmp_path, monkeypatch):
     monkeypatch.setattr(data, "CSV_CHUNK_ROWS", 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helmfd import detector, synth
+from helmfd import synth
 from helmfd.data import apply_normalization
 from helmfd.detector import (Detection, DetectorConfig, calibrate, decide,
                              labels_of, residuals, write_detections_csv)
@@ -149,10 +149,8 @@ def test_flag_rate_on_fresh_healthy_data(helm_ensemble0, dataset0):
     assert 0.0 <= rate <= 0.02
 
 
-def test_detections_csv_round_trip(tmp_path, monkeypatch):
-    # two-line chunks, so the rows cross chunk boundaries; the bytes are
-    # those csv.writer writes row by row
-    monkeypatch.setattr(detector, "CSV_CHUNK_ROWS", 2)
+def test_detections_csv_round_trip(tmp_path):
+    # the bytes are those csv.writer writes row by row
     cfg = DetectorConfig(gamma=1.0, p=99.5, threshold=0.1)
     dets = decide(np.array([1.0, 1.05, 1.5, 0.9 + 1e-13, 1.2]), cfg)
     path = tmp_path / "det.csv"
