@@ -20,8 +20,8 @@ from .baselines import (one_class_run, one_class_train,
 from .synth import (FAULT_NAMES, SEGMENTS, GeneratorSpec, SyntheticDataset,
                     generate, render_splits, write_dataset)
 from .metrics import (BenchmarkPlan, ExperimentReport, RateTuple,
-                      benchmark_rep, run_benchmark, score_rates,
-                      segment_flagged, winning_cells)
+                      accuracy_table, benchmark_rep, run_benchmark,
+                      score_rates, segment_flagged, winning_cells)
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,7 @@ __all__ = [
     "pca_elm_train_ensemble", "pca_fit",
     "FAULT_NAMES", "SEGMENTS", "GeneratorSpec", "SyntheticDataset",
     "generate", "render_splits", "write_dataset",
-    "BenchmarkPlan", "ExperimentReport", "RateTuple", "benchmark_rep",
-    "run_benchmark", "score_rates",
+    "BenchmarkPlan", "ExperimentReport", "RateTuple", "accuracy_table",
+    "benchmark_rep", "run_benchmark", "score_rates",
     "segment_flagged", "winning_cells", "__version__",
 ]

@@ -267,15 +267,16 @@ def cmd_benchmark(args) -> int:
         report = getattr(exc, "partial_report", metrics.ExperimentReport())
         stop = exc
 
-    report.to_csv(outdir / "report.csv")
-    report.sweep_csv(outdir / "sweep.csv")
+    rows = report.rows()
+    metrics.report_csv(outdir / "report.csv", rows)
+    metrics.sweep_csv(outdir / "sweep.csv", rows)
     report.timings_csv(outdir / "timings.csv")
     report.to_json(outdir / "records.json")
     _echo_config(outdir, "benchmark", args, extra={"partial": stop is not None})
-    if report.records:
-        print(report.table())
+    if rows:
+        print(metrics.accuracy_table(rows))
         for model in plan.models:
-            pick = metrics.winning_cells(report, model)
+            pick = metrics.winning_cells(rows, model)
             print(f"best mean cell [{model}]: gamma={pick['gamma']:g} "
                   f"{pick['params']} (accuracy {100 * pick['accuracy']:.1f})")
     if isinstance(stop, OSError):

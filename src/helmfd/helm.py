@@ -45,10 +45,13 @@ from .fista import FistaParams, fista_solve
 # large enough that healthy variation doesn't drown in the linear regime.
 FEATURE_SPAN = 0.6
 
-# Rows scored per block: bounds the forward pass's working set (about 6 MB
-# for 5 members of the shipped shape), not the input size. It divides every
-# synth.SEGMENTS bound, so no file generate writes and no benchmark batch
-# scores padding rows; a test fails when a change to either value would.
+# Rows scored per block: bounds the forward pass's working set, not the input
+# size. For the shipped shape that is the normalized block (1.6 MB) and one
+# member's hidden layer (0.8 MB), which the members take in turn, so the
+# head product reads it from a 2 MB L2 cache; the 5 members' hidden layers
+# stacked (4 MB) would not fit. It divides every synth.SEGMENTS bound, so no
+# file generate writes and no benchmark batch scores padding rows; a test
+# fails when a change to either value would.
 SCORE_BLOCK_ROWS = 1000
 
 
@@ -85,7 +88,9 @@ class Ensemble(Sequence):
     """A trained detector, any of the three (see baselines.py for the other
     two): the normalization, then per member the linear feature maps
     x <- x · beta_iᵀ and the one-class ELM head, each map and the head
-    stacked over the M members so that one batched pass scores them all.
+    stacked over the M members and held once. run_ensemble scores a lone
+    row in one stacked pass and a batch block by block, member by member,
+    on views of the stacks.
 
     maps[i] is M x L_i x D_i, member m's beta_i being maps[i][m]; head is an
     ElmLayer stacked the same way (A M x D x L, B M x L, beta M x L x 1);
@@ -212,28 +217,46 @@ def helm_run(model: Ensemble, X) -> np.ndarray:
 
 def run_ensemble(ens: Ensemble, X) -> np.ndarray:
     """Ensemble output: the member outputs Y averaged before thresholding.
-    A lone row is scored on its own. Any other batch is scored in blocks of
-    exactly SCORE_BLOCK_ROWS rows, the last one padded with zero rows, so
-    BLAS takes the same kernels for every block and a row scores bitwise the
-    same in any batch of two or more rows. A running sum adds a block's
-    member outputs in member order (a reduce sums 8 or more members of one
-    row pairwise): the bits of adding them one by one, but for the sign of
-    an all-zero sum."""
+
+    A lone row is scored in one stacked pass over the members, its outputs
+    summed by a running sum (np.add.accumulate) in member order: the bits of
+    adding them one by one, but for the sign of an all-zero sum.
+
+    Any other batch is scored in blocks of exactly SCORE_BLOCK_ROWS rows,
+    the last one padded with zero rows, so BLAS takes the same kernels for
+    every block and a row scores bitwise the same in any batch of two or
+    more rows. Each block is normalized once and then scored member by
+    member, each output added in member order into the block's running sum:
+    one member's hidden layer is still in L2 when the head product reads
+    it, where the stacked members' is not. A member takes the same BLAS
+    calls as in a stacked pass, so the scores are bitwise those of the
+    member outputs added one by one to zero."""
     X = as_matrix(X, "X")
-    K = X.shape[0]
-    n = SCORE_BLOCK_ROWS if K > 1 else 1
-    Y = np.empty(-(-K // n) * n)
+    K, M, h = X.shape[0], len(ens), ens.head
+    if K == 1:
+        x = apply_normalization(X, ens.norm)
+        for beta in ens.maps:
+            x = x @ beta.mT
+        Y = np.add.accumulate((hidden(h, x) @ h.beta)[..., 0], axis=0)[-1]
+        Y /= M
+        return Y
+    members = [([b[m] for b in ens.maps], ElmLayer(h.A[m], h.B[m], h.beta[m]))
+               for m in range(M)]
+    n = SCORE_BLOCK_ROWS
+    Y = np.zeros(-(-K // n) * n)
     for a in range(0, K, n):
         x = X[a:a + n]
         if len(x) < n:
             x = np.vstack((x, np.zeros((n - len(x), X.shape[1]))))
         x = apply_normalization(x, ens.norm)
-        for beta in ens.maps:
-            x = x @ beta.mT
-        Y[a:a + n] = np.add.accumulate(
-            (hidden(ens.head, x) @ ens.head.beta)[..., 0], axis=0)[-1]
+        y = Y[a:a + n]
+        for maps, head in members:
+            f = x
+            for b in maps:
+                f = f @ b.T
+            y += (hidden(head, f) @ head.beta)[:, 0]
     Y = Y[:K]
-    Y /= len(ens)
+    Y /= M
     return Y
 
 

@@ -127,15 +127,6 @@ class ExperimentReport:
             out.append(row)
         return out
 
-    def _write_rows(self, path, cols) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(cols)
-            w.writerows([row[k] for k in cols] for row in self.rows())
-
-    def to_csv(self, path) -> None:
-        self._write_rows(path, ROW_FIELDS)
-
     def timings_csv(self, path) -> None:
         """Mean wall-clock training seconds per model cell. Kept out of the
         main report so that file stays deterministic."""
@@ -149,52 +140,67 @@ class ExperimentReport:
             for (model, params), vals in sorted(groups.items()):
                 w.writerow((model, params, len(vals), float(np.mean(vals))))
 
-    def sweep_csv(self, path) -> None:
-        """Gamma-sweep projection: per model cell x gamma x fault rates."""
-        self._write_rows(path, ("model", "params", "gamma", "fault",
-                                "point_tpr", "point_fpr", "set_tpr",
-                                "set_fpr", "set_accuracy"))
-
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(json.dumps({"records": self._sorted()}))
             fh.write("\n")
 
-    def table(self) -> str:
-        """Accuracy (TPR/FPR) table, segment level, in percent, at the
-        report's gamma closest to the shipped one."""
-        rows = self.rows()
-        shipped = detector.DetectorConfig.gamma
-        gamma = min(sorted({r["gamma"] for r in rows}),
-                    key=lambda g: abs(g - shipped), default=shipped)
-        faults = sorted({r["fault"] for r in rows})
-        lines = [f"Accuracy (TPR/FPR) per fault, segment level, gamma={gamma:g}",
-                 f"{'model / cell':44s}"
-                 + "".join(f"{'fault ' + str(f):>14s}" for f in faults)]
-        keys = sorted({(r["model"], r["params"]) for r in rows})
-        multi = len({k[0] for k in keys}) < len(keys)
-        for model, params in keys:
-            cells = {r["fault"]: r for r in rows
-                     if r["model"] == model and r["params"] == params
-                     and r["gamma"] == gamma}
-            name = f"{model} {params}" if multi else model
-            line = f"{name:44.44s}"
-            for f in faults:
-                r = cells.get(f)
-                text = "-" if r is None else (
-                    f"{100 * r['set_accuracy']:.0f} "
-                    f"({100 * r['set_tpr']:.0f}/{100 * r['set_fpr']:.0f})")
-                line += f"{text:>14s}"
-            lines.append(line)
-        return "\n".join(lines)
+
+def _write_rows(path, rows: list, cols) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(cols)
+        w.writerows([row[k] for k in cols] for row in rows)
 
 
-def winning_cells(report: ExperimentReport, model: str) -> dict:
+def report_csv(path, rows: list) -> None:
+    """report.csv: every field of the report rows."""
+    _write_rows(path, rows, ROW_FIELDS)
+
+
+def sweep_csv(path, rows: list) -> None:
+    """Gamma-sweep projection of the report rows: per model cell x gamma x
+    fault rates."""
+    _write_rows(path, rows, ("model", "params", "gamma", "fault",
+                             "point_tpr", "point_fpr", "set_tpr",
+                             "set_fpr", "set_accuracy"))
+
+
+def accuracy_table(rows: list) -> str:
+    """Accuracy (TPR/FPR) table of report rows, segment level, in percent,
+    at the rows' gamma closest to the shipped one."""
+    shipped = detector.DetectorConfig.gamma
+    gamma = min(sorted({r["gamma"] for r in rows}),
+                key=lambda g: abs(g - shipped), default=shipped)
+    faults = sorted({r["fault"] for r in rows})
+    lines = [f"Accuracy (TPR/FPR) per fault, segment level, gamma={gamma:g}",
+             f"{'model / cell':44s}"
+             + "".join(f"{'fault ' + str(f):>14s}" for f in faults)]
+    keys = sorted({(r["model"], r["params"]) for r in rows})
+    multi = len({k[0] for k in keys}) < len(keys)
+    for model, params in keys:
+        cells = {r["fault"]: r for r in rows
+                 if r["model"] == model and r["params"] == params
+                 and r["gamma"] == gamma}
+        name = f"{model} {params}" if multi else model
+        line = f"{name:44.44s}"
+        for f in faults:
+            r = cells.get(f)
+            text = "-" if r is None else (
+                f"{100 * r['set_accuracy']:.0f} "
+                f"({100 * r['set_tpr']:.0f}/{100 * r['set_fpr']:.0f})")
+            line += f"{text:>14s}"
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def winning_cells(rows: list, model: str) -> dict:
     """{"gamma", "params", "accuracy"} of the model's (gamma, params) cell
-    with the highest segment accuracy averaged over faults. Ties break
-    lexicographically on (gamma, params), so selection is deterministic."""
+    in the report rows with the highest segment accuracy averaged over
+    faults. Ties break lexicographically on (gamma, params), so selection
+    is deterministic."""
     cells: dict = {}
-    for r in report.rows():
+    for r in rows:
         if r["model"] == model:
             cells.setdefault((r["gamma"], r["params"]), {})[r["fault"]] = (
                 r["set_accuracy"])

@@ -533,6 +533,21 @@ def test_benchmark_with_a_dying_worker_flushes_finished_reps(
     assert echo["partial"] is True
 
 
+def test_benchmark_aggregates_its_records_once(tmp_path, monkeypatch):
+    # report.csv, sweep.csv, the table and each model's winning cell all
+    # read the one list of rows
+    calls = []
+    rows = metrics.ExperimentReport.rows
+
+    def counted(self):
+        calls.append(1)
+        return rows(self)
+    monkeypatch.setattr(metrics.ExperimentReport, "rows", counted)
+    assert run(["benchmark", "--out", str(tmp_path / "bench"), "--reps", "1",
+                "--models", "elm,pca-elm", "--gammas", "1.5"]) == 0
+    assert len(calls) == 1
+
+
 def test_benchmark_writes_timings(tmp_path):
     out = tmp_path / "bench"
     assert run(["benchmark", "--out", str(out), "--reps", "2",

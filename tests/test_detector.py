@@ -81,8 +81,9 @@ def test_decide_equals_row_loop():
     dets = decide(Y, cfg)
     assert dets == decide_loop(Y, cfg)
     assert [d.label for d in dets[-3:]] == [1, 1, 1]
-    assert all(type(d.score) is float and type(d.label) is int
-               and type(d.magnification) is float for d in dets)
+    assert all(type(d) is Detection and type(d.score) is float
+               and type(d.label) is int and type(d.magnification) is float
+               for d in dets)
 
 
 def test_detection_is_an_immutable_record():

@@ -309,7 +309,8 @@ def test_batched_scores_equal_member_loop_bitwise(dataset0, family):
 def test_many_members_sum_in_member_order_bitwise():
     # np.add.reduce sums one row's 8 or more members pairwise, so a single
     # row would round differently from the member loop; run_ensemble's
-    # running sum adds them in order at any M and row count
+    # running sums add them in order at any M and row count, on the lone
+    # row's stacked pass and across the blocks of a longer batch
     X = small_training_matrix()
     cfg = dataclasses.replace(SMALL_CFG, ensemble_size=12)
     ensemble = train_ensemble(X, cfg, RngStream(17, (1,)))
@@ -318,6 +319,9 @@ def test_many_members_sum_in_member_order_bitwise():
                              member_loop(ensemble, X[r:r + 1])), r
     assert bitwise_equal(run_ensemble(ensemble, X[:7]),
                          member_loop(ensemble, X[:7]))
+    two_blocks = small_training_matrix(seed=21, K=SCORE_BLOCK_ROWS + 1)
+    assert bitwise_equal(run_ensemble(ensemble, two_blocks),
+                         member_loop(ensemble, two_blocks))
 
 
 def test_segment_bounds_are_whole_scoring_blocks():

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from helmfd import baselines, data, elm, fista, helm, metrics
-from helmfd.metrics import (BenchmarkPlan, ExperimentReport, benchmark_rep,
-                            run_benchmark, score_rates, segment_flagged,
+from helmfd.metrics import (BenchmarkPlan, ExperimentReport, accuracy_table,
+                            benchmark_rep, report_csv, run_benchmark,
+                            score_rates, segment_flagged, sweep_csv,
                             winning_cells)
 
 
@@ -168,8 +169,8 @@ class TestExperimentReport:
     def test_csv_deterministic(self, tmp_path):
         recs = [make_record(rep=r) for r in range(3)]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        ExperimentReport(recs).to_csv(p1)
-        ExperimentReport(recs[::-1]).to_csv(p2)
+        report_csv(p1, ExperimentReport(recs).rows())
+        report_csv(p2, ExperimentReport(recs[::-1]).rows())
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_json_round_trip(self, tmp_path):
@@ -184,7 +185,7 @@ class TestExperimentReport:
         # at the report's gamma closest to the shipped 1.5
         report = ExperimentReport([make_record(gamma=1.0, set_tp=0),
                                    make_record(gamma=1.7)])
-        text = report.table()
+        text = accuracy_table(report.rows())
         assert "gamma=1.7" in text
         assert "helm" in text
         assert "fault 1" in text
@@ -195,24 +196,24 @@ class TestWinningCells:
     def test_single_cell_is_its_own_winner(self):
         report = ExperimentReport([make_record(rep=r, fault=f)
                                    for r in range(2) for f in (1, 2)])
-        pick = winning_cells(report, "helm")
+        pick = winning_cells(report.rows(), "helm")
         assert pick == {"gamma": 1.5, "params": "C=1e-05", "accuracy": 1.0}
 
     def test_tie_breaks_to_lexicographically_first(self):
         recs = [make_record(gamma=g, fault=f) for g in (1.5, 2.0)
                 for f in (1, 2)]
-        pick = winning_cells(ExperimentReport(recs), "helm")
+        pick = winning_cells(ExperimentReport(recs).rows(), "helm")
         assert pick["gamma"] == 1.5
 
     def test_argmax_prefers_higher_accuracy(self):
         recs = [make_record(gamma=1.5, fault=1, set_tp=0),
                 make_record(gamma=2.0, fault=1, set_tp=1)]
-        pick = winning_cells(ExperimentReport(recs), "helm")
+        pick = winning_cells(ExperimentReport(recs).rows(), "helm")
         assert pick["gamma"] == 2.0
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
-            winning_cells(ExperimentReport([make_record()]), "svm")
+            winning_cells(ExperimentReport([make_record()]).rows(), "svm")
 
 
 class TestBenchmarkEngine:
@@ -354,7 +355,7 @@ class TestBenchmarkEngine:
         rows = report.rows()
         cells = {(r["params"], r["gamma"]) for r in rows}
         assert len(cells) == 4
-        pick = winning_cells(report, "elm")
+        pick = winning_cells(rows, "elm")
         assert pick["params"] in {p for p, _ in cells}
 
     def test_plan_validation(self):
@@ -383,7 +384,7 @@ class TestBenchmarkEngine:
         plan = BenchmarkPlan(reps=1, gammas=(1.5,), L1=(10, 20),
                              C=(1e-5, 1e-4), width=(50, 100), l_pca=(5, 10),
                              ensemble_size=1)
-        run_benchmark(plan).sweep_csv(tmp_path / "sweep.csv")
+        sweep_csv(tmp_path / "sweep.csv", run_benchmark(plan).rows())
         with open(tmp_path / "sweep.csv") as fh:
             rows = list(csv.DictReader(fh))
         keys = [(r["model"], r["params"], r["gamma"], r["fault"])
