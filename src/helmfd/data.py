@@ -19,6 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -288,7 +289,8 @@ def write_csv_matrix(path, X, header: list[str] | None = None,
     to each file whose range covers it.
 
     Rows are formatted in blocks of CSV_CHUNK_ROWS through fork_map and
-    written in order; the bytes do not depend on the worker count.
+    written in order; the bytes do not depend on the worker count. Each file
+    is written through replaced_when_done, so it appears only complete.
     """
     X = as_matrix(X, "X")
     K = X.shape[0]
@@ -307,7 +309,8 @@ def write_csv_matrix(path, X, header: list[str] | None = None,
     with ExitStack() as stack:
         outs = []
         for target, a, b in targets:
-            fh = stack.enter_context(open(target, "wb"))
+            tmp = stack.enter_context(replaced_when_done(target))
+            fh = stack.enter_context(open(tmp, "wb"))
             fh.write(head)
             outs.append((fh, a, b))
         blocks = stack.enter_context(fork_map(
@@ -319,6 +322,22 @@ def write_csv_matrix(path, X, header: list[str] | None = None,
                 lo, hi = max(a - c, 0), min(b - c, len(offsets) - 1)
                 if lo < hi:
                     fh.write(view[offsets[lo]:offsets[hi]])
+
+
+@contextmanager
+def replaced_when_done(path):
+    """A context whose value is a temp path next to `path`. Leaving it
+    normally os.replaces the temp over `path`; leaving it by any exception,
+    KeyboardInterrupt included, removes the temp. So `path` keeps its old
+    bytes, or its absence, until the new file is complete."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # A worker's (fn, shared), set by the pool's initializer and inherited

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import as_vector
+from .data import as_vector, replaced_when_done
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,10 @@ def labels_of(detections: list[Detection]) -> np.ndarray:
 def write_detections_csv(path, detections: list[Detection]) -> None:
     """A header line, then one line per detection, byte for byte as
     csv.writer writes [index, repr(score), label, repr(magnification)]: no
-    field needs quoting, and lines end in "\r\n"."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    field needs quoting, and lines end in "\r\n". The file appears only
+    complete (data.replaced_when_done)."""
+    with replaced_when_done(path) as tmp, \
+            open(tmp, "w", newline="", encoding="utf-8") as fh:
         fh.write("index,score,label,magnification\r\n")
         fh.writelines(f"{i},{d.score!r},{d.label},{d.magnification!r}\r\n"
                       for i, d in enumerate(detections))

@@ -25,16 +25,14 @@ from __future__ import annotations
 
 import json
 import numbers
-import os
 import warnings
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
 from .data import (NormalizationStats, RngStream, apply_normalization,
-                   as_matrix, fit_normalization)
+                   as_matrix, fit_normalization, replaced_when_done)
 from .detector import DetectorConfig
 from .elm import ElmLayer, hidden, random_layer, ridge_solve
 from .fista import FistaParams, fista_solve
@@ -271,9 +269,9 @@ ACTIVATION = "sigmoid"
 
 def save_ensemble(path, ens: Ensemble,
                   detector: DetectorConfig | None = None) -> None:
-    """Write the model JSON, one v1 member document per member, to a temp
-    file next to `path`, then os.replace it over `path`: a write that fails
-    midway leaves the old file intact."""
+    """Write the model JSON, one v1 member document per member, through
+    data.replaced_when_done: a write that fails midway leaves the old file
+    intact."""
     head = ens.head
     shared = {"norm": {"mean": ens.norm.mean.tolist(),
                        "std": ens.norm.std.tolist()},
@@ -285,17 +283,10 @@ def save_ensemble(path, ens: Ensemble,
                 **shared} for m in range(len(ens))]
     doc = {"format": FORMAT, "kind": "helm-ensemble", "members": members,
            "detector": None if detector is None else asdict(detector)}
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w") as fh:
-            # dumps with no indent takes the C encoder; dump never does
-            fh.write(json.dumps(doc))
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replaced_when_done(path) as tmp, open(tmp, "w") as fh:
+        # dumps with no indent takes the C encoder; dump never does
+        fh.write(json.dumps(doc))
+        fh.write("\n")
 
 
 def load_ensemble(path) -> tuple[Ensemble, DetectorConfig | None]:

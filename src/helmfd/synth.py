@@ -43,6 +43,9 @@ SENSORS = 200
 N_CHOICES = (5, 10)   # base-signal counts of the paper's two settings
 READINGS = ("identity", "log")
 LOG_FLOOR = 1e-3
+# Rows rendered at a time: the clean readings are gathered, and the unit
+# noise drawn and added, in blocks of this many rows.
+RENDER_BLOCK_ROWS = 1000
 
 
 @dataclass(frozen=True)
@@ -95,10 +98,11 @@ class SyntheticDataset:
 
 
 def _render(spec: GeneratorSpec, rng: RngStream) -> tuple:
-    """(draws, clean, noise_unit): the generator's draws by SyntheticDataset
-    field name, the K x D clean readings (C-ordered, before fault 5 and
-    noise) and the K x D unit-variance noise. All draws flow from the given
-    stream in a fixed order, so equal (spec, stream) reproduce them bitwise."""
+    """(draws, clean, gen): the generator's draws before the noise by
+    SyntheticDataset field name, the K x D clean readings (C-ordered, before
+    fault 5 and noise), and the stream's generator, left where the unit
+    noise starts. All draws flow from the given stream in a fixed order, so
+    equal (spec, stream) reproduce them bitwise."""
     gen = rng.generator()
     K, D, n = ROWS, SENSORS, spec.n
 
@@ -119,38 +123,48 @@ def _render(spec: GeneratorSpec, rng: RngStream) -> tuple:
 
     sensor_alpha = gen.uniform(0.0, 1.0, size=D)
     sensor_source = gen.integers(0, n, size=D)
-    # rendered before the noise is drawn, so the two K x D arrays and the
-    # gathered base signals are never all alive at once; C order keeps the
-    # BLAS rounding of everything downstream that of a C-ordered X
+    # gathered a block of rows at a time, so no K x D gather of the base
+    # signals is alive beside clean; C order keeps the BLAS rounding of
+    # everything downstream that of a C-ordered X
     clean = np.empty((K, D))
-    np.multiply(sensor_alpha[None, :], base[sensor_source, :].T, out=clean)
+    for a in range(0, K, RENDER_BLOCK_ROWS):
+        rows = slice(a, a + RENDER_BLOCK_ROWS)
+        np.multiply(sensor_alpha, base[sensor_source, rows].T, out=clean[rows])
     apply_reading(clean, spec.reading)
-    noise_unit = gen.normal(size=(K, D))
-    fault_sensors = gen.integers(0, D, size=10)
 
     draws = {"base_alpha": base_alpha, "base_eps": base_eps,
              "fault4_alpha": fault4_alpha, "fault4_eps": fault4_eps,
-             "sensor_alpha": sensor_alpha, "sensor_source": sensor_source,
-             "fault_sensors": fault_sensors}
-    return draws, clean, noise_unit
+             "sensor_alpha": sensor_alpha, "sensor_source": sensor_source}
+    return draws, clean, gen
 
 
 def generate(spec: GeneratorSpec, rng: RngStream) -> SyntheticDataset:
     """Render the benchmark dataset. Equal (spec, stream) reproduce the matrix
-    bitwise. X is built in place in the clean-readings buffer."""
-    draws, X, noise = _render(spec, rng)
+    bitwise. X is built in place in the clean-readings buffer, the only
+    K x D matrix held: the unit noise is drawn RENDER_BLOCK_ROWS rows at a
+    time, in row order, and added as it is drawn. Generator.normal draws the
+    same values in blocks as in one call, so the stream's draws are those of
+    one K x D unit-noise draw, then the ten fault-5 sensors."""
+    draws, X, gen = _render(spec, rng)
     # noise std: 1% of the reading amplitude, amplitude = max - min of the
     # clean reading over the healthy training window, per sensor
     tr = slice(*SEGMENTS["train"])
     noise_std = 0.01 * (X[tr].max(axis=0) - X[tr].min(axis=0))
-    f5 = slice(*SEGMENTS["fault5"])
-    fault_sensors = draws["fault_sensors"]
+    f5 = slice(*SEGMENTS["fault5"])  # the last rows of the timeline
+    before_f5 = X[:f5.start]
+    for a in range(0, f5.start, RENDER_BLOCK_ROWS):
+        block = before_f5[a:a + RENDER_BLOCK_ROWS]
+        block += gen.normal(size=block.shape) * noise_std
+    # fault 5 scales the clean readings, but its sensors are drawn after all
+    # the noise, so the window's noise waits for them
+    noise = gen.normal(size=X[f5].shape)
+    fault_sensors = gen.integers(0, SENSORS, size=10)
     # the right side is gathered before the write, so a sensor drawn twice
     # is still scaled once
     X[f5, fault_sensors] = 1.2 * X[f5, fault_sensors]
-    noise *= noise_std
-    X += noise
-    return SyntheticDataset(X=X, spec=spec, noise_std=noise_std, **draws)
+    X[f5] += noise * noise_std
+    return SyntheticDataset(X=X, spec=spec, fault_sensors=fault_sensors,
+                            noise_std=noise_std, **draws)
 
 
 def render_splits(ds: SyntheticDataset) -> dict:

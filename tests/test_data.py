@@ -485,6 +485,7 @@ def test_write_to_a_path_that_cannot_open_leaves_no_worker(tmp_path, monkeypatch
         write_csv_matrix(tmp_path / "all.csv", np.ones((7, 2)),
                          parts=[(tmp_path / "no" / "p.csv", 0, 3)])
     assert multiprocessing.active_children() == []
+    assert list(tmp_path.iterdir()) == []
 
 
 _format_rows = data._format_rows
@@ -493,32 +494,60 @@ _format_rows = data._format_rows
 def _format_until_the_third_block(X, start):
     # stands in for data._format_rows: leaves one marker file per block,
     # slowly enough that blocks formatted after the failure show; of one-row
-    # blocks, the third raises in the worker, or is str where the caller
-    # writes bytes
+    # blocks, the third raises in the worker, is interrupted there, or is str
+    # where the caller writes bytes
     time.sleep(0.01)
     (Path(os.environ["TEST_BLOCK_MARKS"]) / str(start)).touch()
     if start == 2:
-        if os.environ["TEST_BLOCK_FAILS"] == "worker":
+        fails = os.environ["TEST_BLOCK_FAILS"]
+        if fails == "worker":
             raise RuntimeError("the third block")
+        if fails == "interrupt":
+            raise KeyboardInterrupt
         return "the third block", None
     return _format_rows(X, start)
+
+
+def _fail_the_third_block(monkeypatch, marks, where):
+    """Make write_csv_matrix format one-row blocks in two workers, through
+    _format_until_the_third_block, marking blocks in `marks`."""
+    monkeypatch.setattr(data, "CSV_CHUNK_ROWS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    marks.mkdir()
+    monkeypatch.setenv("TEST_BLOCK_MARKS", str(marks))
+    monkeypatch.setenv("TEST_BLOCK_FAILS", where)
+    monkeypatch.setattr(data, "_format_rows", _format_until_the_third_block)
 
 
 @pytest.mark.parametrize("where, error", [("worker", RuntimeError),
                                           ("caller", TypeError)])
 def test_a_failed_block_drops_the_queued_blocks(tmp_path, monkeypatch, where,
                                                 error):
-    monkeypatch.setattr(data, "CSV_CHUNK_ROWS", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     marks = tmp_path / "marks"
-    marks.mkdir()
-    monkeypatch.setenv("TEST_BLOCK_MARKS", str(marks))
-    monkeypatch.setenv("TEST_BLOCK_FAILS", where)
-    monkeypatch.setattr(data, "_format_rows", _format_until_the_third_block)
+    _fail_the_third_block(monkeypatch, marks, where)
     with pytest.raises(error):
         write_csv_matrix(tmp_path / "all.csv", np.ones((200, 2)))
     assert 3 <= len(list(marks.iterdir())) < 200
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("where, error", [("worker", RuntimeError),
+                                          ("caller", TypeError),
+                                          ("interrupt", KeyboardInterrupt)])
+def test_a_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, where,
+                                               error):
+    # blocks 0 and 1 are written when block 2 fails; a file of them alone
+    # would read back as a well-formed, shorter matrix
+    _fail_the_third_block(monkeypatch, tmp_path / "marks", where)
+    out = tmp_path / "out"
+    out.mkdir()
+    old = out / "old.csv"
+    old.write_bytes(b"s0000,s0001\r\n1.0,2.0\r\n")
+    with pytest.raises(error):
+        write_csv_matrix(out / "all.csv", np.ones((200, 2)),
+                         parts=[(old, 0, 100)])
+    assert list(out.iterdir()) == [old]
+    assert old.read_bytes() == b"s0000,s0001\r\n1.0,2.0\r\n"
 
 
 def test_a_worker_that_dies_raises_oserror(tmp_path, monkeypatch):

@@ -170,6 +170,18 @@ def test_detections_csv_round_trip(tmp_path):
     assert float(last[3]) == dets[2].magnification
 
 
+def test_failed_detections_write_leaves_old_file(tmp_path):
+    cfg = DetectorConfig(gamma=1.0, p=99.5, threshold=0.1)
+    dets = decide(np.array([1.0, 1.05, 1.5]), cfg)
+    path = tmp_path / "det.csv"
+    path.write_bytes(b"old bytes")
+    # the lines before the bad entry are written when it raises
+    with pytest.raises(AttributeError):
+        write_detections_csv(path, [*dets, None])
+    assert path.read_bytes() == b"old bytes"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("K", [1, 4])
 def test_extreme_rows_score_finite_and_flagged(helm_ensemble0, dataset0, K):
     # +-1e6 on every channel drives the head's pre-activations to about

@@ -1,23 +1,29 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from helmfd.data import RngStream
-from helmfd.synth import (FAULT_NAMES, LOG_FLOOR, SEGMENTS, GeneratorSpec,
-                          _render, apply_reading, generate, render_splits,
+from helmfd.synth import (FAULT_NAMES, LOG_FLOOR, N_CHOICES, READINGS, ROWS,
+                          SEGMENTS, SENSORS, GeneratorSpec, _render,
+                          apply_reading, generate, render_splits,
                           write_dataset)
 
 BENCH_SEED = 42
 
 
 def rendering0(ds):
-    """(clean readings, unit noise) that generate built dataset0 from,
-    rebuilt through the renderer it calls; its noise is the unit noise at
-    ds.noise_std."""
-    draws, clean, noise_unit = _render(ds.spec, RngStream(BENCH_SEED, (0, 0)))
+    """(clean readings, unit noise) that generate built ds from, for a ds
+    drawn from repetition 0 of the benchmark stream, rebuilt through the
+    renderer it calls. The unit noise is one whole (ROWS, SENSORS) draw from
+    where the renderer leaves the generator, and the fault-5 sensors are the
+    draw after it, so ds matches only if its block-wise noise is that draw."""
+    draws, clean, gen = _render(ds.spec, RngStream(BENCH_SEED, (0, 0)))
     assert all(np.array_equal(getattr(ds, k), v) for k, v in draws.items())
+    noise_unit = gen.normal(size=(ROWS, SENSORS))
+    assert np.array_equal(gen.integers(0, SENSORS, size=10), ds.fault_sensors)
     return clean, noise_unit
 
 
@@ -52,8 +58,11 @@ def test_different_reps_differ():
     assert not np.array_equal(a.X, b.X)
 
 
-def test_fault5_scales_exactly_the_drawn_sensors(dataset0):
-    ds = dataset0
+@pytest.mark.parametrize("reading", READINGS)
+@pytest.mark.parametrize("n", N_CHOICES)
+def test_fault5_scales_exactly_the_drawn_sensors(n, reading):
+    spec = GeneratorSpec(n=n, reading=reading, seed=BENCH_SEED)
+    ds = generate(spec, RngStream(BENCH_SEED, (0, 0)))
     clean, noise_unit = rendering0(ds)
     f5 = slice(*SEGMENTS["fault5"])
     drawn = np.unique(ds.fault_sensors)
@@ -103,6 +112,20 @@ def test_clean_readings_have_rank_at_most_n(dataset0):
     tr = slice(*SEGMENTS["train"])
     s = np.linalg.svd(clean[tr], compute_uv=False)
     assert s[dataset0.spec.n] < 1e-8 * s[0]
+
+
+@pytest.mark.parametrize("n", N_CHOICES)
+def test_generate_holds_one_timeline_matrix(n):
+    # X is built in place; a second K x D matrix alive at any point would
+    # take the peak past 2 * X.nbytes
+    spec = GeneratorSpec(n=n, seed=BENCH_SEED)
+    tracemalloc.start()
+    try:
+        ds = generate(spec, RngStream(BENCH_SEED, (0, 0)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * ds.X.nbytes
 
 
 def test_log_reading_floors_small_values():
