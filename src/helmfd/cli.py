@@ -2,8 +2,10 @@
 
 Every command echoes its fully resolved configuration (defaults, config-file
 values, flags) as JSON into its output directory, so any result can be
-reproduced from the artifacts alone. Exit codes: 0 success, 2 usage error,
-3 I/O error, 4 numerical error, 130 interrupted.
+reproduced from the artifacts alone, and runs on one BLAS thread
+(data.one_blas_thread), so its models and reports are the same on any core
+count. Exit codes: 0 success, 2 usage error, 3 I/O error, 4 numerical
+error, 130 interrupted.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import detector, helm, metrics, synth
-from .data import RngStream, read_csv_matrix
+from .data import (RngStream, one_blas_thread, read_csv_matrix,
+                   replaced_when_done)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -100,7 +103,8 @@ def _echo_config(outdir: Path, command: str, args: argparse.Namespace,
     doc.update({k: v for k, v in sorted(vars(args).items()) if k != "func"})
     if extra:
         doc.update(extra)
-    with open(outdir / f"{command}_config.json", "w") as fh:
+    with replaced_when_done(outdir / f"{command}_config.json") as tmp, \
+            open(tmp, "w") as fh:
         json.dump(doc, fh, indent=1, default=str)
         fh.write("\n")
 
@@ -368,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    one_blas_thread()
     parser = build_parser()
     try:
         args = _apply_config_defaults(parser, list(sys.argv[1:] if argv is None else argv))

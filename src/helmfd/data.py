@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import ctypes
 import io
 import itertools
 import mmap
@@ -340,6 +341,43 @@ def replaced_when_done(path):
         raise
 
 
+# The setter of each OpenBLAS build helmfd loads: numpy's 64-bit-integer
+# scipy_openblas, which runs matmul, scipy's, which runs the Cholesky
+# solves, and a plain OpenBLAS under either interface.
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
+                 "scipy_openblas_set_num_threads",
+                 "openblas_set_num_threads64_", "openblas_set_num_threads")
+# The process whose OpenBLAS builds one_blas_thread has set; a forked
+# worker is another process and sets its own.
+_one_blas_thread_pid = None
+
+
+def one_blas_thread() -> None:
+    """Run every OpenBLAS loaded in this process on one thread, whatever
+    OPENBLAS_NUM_THREADS says. OpenBLAS splits a product across threads at
+    points that change its rounding, so the CLI's models and reports are
+    then the same on any core count, and fork_map's workers do not run one
+    BLAS thread per core each. The builds are found by name in
+    /proc/self/maps, once per process; one with no known setter, or a
+    system with no /proc, is left as it is."""
+    global _one_blas_thread_pid
+    if _one_blas_thread_pid == os.getpid():
+        return
+    _one_blas_thread_pid = os.getpid()
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line}
+    except OSError:
+        return
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        setter = next((getattr(handle, name) for name in _BLAS_SETTERS
+                       if hasattr(handle, name)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            setter(1)
+
+
 # A worker's (fn, shared), set by the pool's initializer and inherited
 # through the fork unpickled, so an array is the caller's own memory.
 _forked = None
@@ -347,6 +385,7 @@ _forked = None
 
 def _fork(fn, shared) -> None:
     global _forked
+    one_blas_thread()
     _forked = fn, shared
 
 
@@ -362,9 +401,12 @@ def fork_map(fn, shared, tasks, what: str, workers: int = 0):
     os.sched_getaffinity), never more than there are tasks; with one, this
     process runs the tasks. Workers fork, as spawned ones would import helmfd
     afresh (about 0.4 s more for writing the 14000-row timeline on a 2-vCPU
-    VM). A worker that dies raises OSError(f"{what} died"). Leaving the
-    context cancels the tasks no worker has taken, so stopping early drops
-    the queued work, and joins the workers: none outlives the context."""
+    VM), and each runs one BLAS thread (one_blas_thread), so a worker's
+    products round the same whatever the caller's setting and N workers
+    keep to N cores. A worker that dies raises OSError(f"{what} died").
+    Leaving the context cancels the tasks no worker has taken, so stopping
+    early drops the queued work, and joins the workers: none outlives the
+    context."""
     workers = min(workers or len(os.sched_getaffinity(0)), len(tasks))
     if workers <= 1:
         yield (fn(shared, task) for task in tasks)

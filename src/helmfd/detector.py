@@ -74,6 +74,11 @@ def decide(Y_test, config: DetectorConfig) -> list[Detection]:
     if thr <= 0:
         raise ValueError("uncalibrated detector (threshold <= 0)")
     r = residuals(Y_test)
+    if r.size == 1:
+        # Python's <= and / are the IEEE operations numpy applies below, at
+        # a fraction of a lone row's array round trips
+        s, thr = r.item(), float(thr)
+        return [tuple.__new__(Detection, (s, 1 if s <= thr else -1, s / thr))]
     # tuple.__new__ builds the same Detection as its generated __new__, at
     # half the cost per row
     return list(map(tuple.__new__, repeat(Detection),

@@ -217,8 +217,9 @@ def run_ensemble(ens: Ensemble, X) -> np.ndarray:
     """Ensemble output: the member outputs Y averaged before thresholding.
 
     A lone row is scored in one stacked pass over the members, its outputs
-    summed by a running sum (np.add.accumulate) in member order: the bits of
-    adding them one by one, but for the sign of an all-zero sum.
+    then added one by one to 0.0 as Python floats, in member order, and the
+    sum divided by M: the IEEE operations of the batch path, without its
+    array round trips for M numbers.
 
     Any other batch is scored in blocks of exactly SCORE_BLOCK_ROWS rows,
     the last one padded with zero rows, so BLAS takes the same kernels for
@@ -235,9 +236,12 @@ def run_ensemble(ens: Ensemble, X) -> np.ndarray:
         x = apply_normalization(X, ens.norm)
         for beta in ens.maps:
             x = x @ beta.mT
-        Y = np.add.accumulate((hidden(h, x) @ h.beta)[..., 0], axis=0)[-1]
-        Y /= M
-        return Y
+        # an explicit loop: sum() compensates on Python >= 3.12, and
+        # math.fsum rounds exactly, either of which would change bits
+        total = 0.0
+        for y in (hidden(h, x) @ h.beta).ravel().tolist():
+            total += y
+        return np.array([total / M])
     members = [([b[m] for b in ens.maps], ElmLayer(h.A[m], h.B[m], h.beta[m]))
                for m in range(M)]
     n = SCORE_BLOCK_ROWS

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, detector, helm, synth
-from .data import RngStream, fork_map
+from .data import RngStream, fork_map, replaced_when_done
 
 
 @dataclass(frozen=True)
@@ -134,20 +134,20 @@ class ExperimentReport:
         for r in self._sorted():
             groups.setdefault((r["model"], r["params"]), []).append(
                 r["train_seconds"])
-        with open(path, "w", newline="") as fh:
+        with replaced_when_done(path) as tmp, open(tmp, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(("model", "params", "records", "mean_train_seconds"))
             for (model, params), vals in sorted(groups.items()):
                 w.writerow((model, params, len(vals), float(np.mean(vals))))
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
+        with replaced_when_done(path) as tmp, open(tmp, "w") as fh:
             fh.write(json.dumps({"records": self._sorted()}))
             fh.write("\n")
 
 
 def _write_rows(path, rows: list, cols) -> None:
-    with open(path, "w", newline="") as fh:
+    with replaced_when_done(path) as tmp, open(tmp, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(cols)
         w.writerows([row[k] for k in cols] for row in rows)

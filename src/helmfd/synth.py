@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import RngStream, write_csv_matrix
+from .data import RngStream, replaced_when_done, write_csv_matrix
 
 SEGMENTS = {
     "train": (0, 7000),
@@ -142,9 +142,11 @@ def generate(spec: GeneratorSpec, rng: RngStream) -> SyntheticDataset:
     """Render the benchmark dataset. Equal (spec, stream) reproduce the matrix
     bitwise. X is built in place in the clean-readings buffer, the only
     K x D matrix held: the unit noise is drawn RENDER_BLOCK_ROWS rows at a
-    time, in row order, and added as it is drawn. Generator.normal draws the
-    same values in blocks as in one call, so the stream's draws are those of
-    one K x D unit-noise draw, then the ten fault-5 sensors."""
+    time, in row order, scaled in place and added as it is drawn.
+    Generator.standard_normal draws the same values in blocks as in one
+    call, and those of Generator.normal's unit default, so the stream's
+    draws are those of one K x D unit-noise draw, then the ten fault-5
+    sensors."""
     draws, X, gen = _render(spec, rng)
     # noise std: 1% of the reading amplitude, amplitude = max - min of the
     # clean reading over the healthy training window, per sensor
@@ -154,15 +156,18 @@ def generate(spec: GeneratorSpec, rng: RngStream) -> SyntheticDataset:
     before_f5 = X[:f5.start]
     for a in range(0, f5.start, RENDER_BLOCK_ROWS):
         block = before_f5[a:a + RENDER_BLOCK_ROWS]
-        block += gen.normal(size=block.shape) * noise_std
+        noise = gen.standard_normal(block.shape)
+        noise *= noise_std
+        block += noise
     # fault 5 scales the clean readings, but its sensors are drawn after all
     # the noise, so the window's noise waits for them
-    noise = gen.normal(size=X[f5].shape)
+    noise = gen.standard_normal(X[f5].shape)
     fault_sensors = gen.integers(0, SENSORS, size=10)
     # the right side is gathered before the write, so a sensor drawn twice
     # is still scaled once
     X[f5, fault_sensors] = 1.2 * X[f5, fault_sensors]
-    X[f5] += noise * noise_std
+    noise *= noise_std
+    X[f5] += noise
     return SyntheticDataset(X=X, spec=spec, fault_sensors=fault_sensors,
                             noise_std=noise_std, **draws)
 
@@ -181,6 +186,7 @@ def write_dataset(ds: SyntheticDataset, outdir) -> None:
     write_csv_matrix(outdir / DATA_FILE, ds.X,
                      parts=[(outdir / SPLIT_FILES[name], a, b)
                             for name, (a, b) in SEGMENTS.items()])
-    with open(outdir / "provenance.json", "w") as fh:
+    with replaced_when_done(outdir / "provenance.json") as tmp, \
+            open(tmp, "w") as fh:
         json.dump(ds.provenance_dict(), fh, indent=1)
         fh.write("\n")

@@ -3,6 +3,8 @@ import csv
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from operator import setitem
 from pathlib import Path
@@ -338,6 +340,44 @@ def test_detect_flags_an_extreme_row(workspace, tmp_path):
     labels, mags = read_detections(out / "detections.csv")
     assert labels.tolist() == [-1]
     assert np.all(np.isfinite(mags))
+
+
+def test_detect_on_a_lone_row_writes_its_line_of_the_full_file(workspace,
+                                                              tmp_path):
+    # one row takes the lone-row paths of run_ensemble and decide, whose
+    # fields are Python floats; at the CLI's one BLAS thread this row scores
+    # bitwise as in its block (a lone row may differ from it by an ulp)
+    header, X = read_csv_matrix(workspace / "fault2.csv")
+    one = tmp_path / "one.csv"
+    write_csv_matrix(one, X[:1], header=header)
+    lines = []
+    for data, out in ((workspace / "fault2.csv", tmp_path / "all"),
+                      (one, tmp_path / "one")):
+        assert run(["detect", "--model", str(workspace / "model.json"),
+                    "--data", str(data), "--out", str(out)]) == 0
+        lines.append((out / "detections.csv").read_text().splitlines())
+    full, single = lines
+    assert len(single) == 2 and single == full[:2]
+    assert "np.float64(" not in single[1]
+
+
+def test_train_writes_one_model_at_any_blas_thread_count(workspace, tmp_path):
+    # the CLI runs one BLAS thread whatever OPENBLAS_NUM_THREADS says
+    src = Path(cli.__file__).resolve().parents[1]
+    models = []
+    for threads in ("1", "2"):
+        model = tmp_path / threads / "model.json"
+        env = {**os.environ, "PYTHONPATH": str(src),
+               "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from helmfd.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "train",
+             "--data", str(workspace / "train.csv"), "--model", str(model),
+             "--seed", str(BENCH_SEED)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        models.append(model.read_bytes())
+    assert models[0] == models[1]
 
 
 def test_pipeline_reproduces_benchmark_cell(workspace, tmp_path):

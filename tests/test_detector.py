@@ -74,16 +74,21 @@ def decide_loop(Y, config):
 
 def test_decide_equals_row_loop():
     rng = np.random.default_rng(3)
-    cfg = DetectorConfig(gamma=1.0, p=99.5, threshold=0.125)
     # residuals spread around the threshold, with some exactly on it
     Y = np.concatenate([1.0 + rng.normal(size=997) * 0.1,
                         [1.125, 0.875, 1.0]])
-    dets = decide(Y, cfg)
-    assert dets == decide_loop(Y, cfg)
-    assert [d.label for d in dets[-3:]] == [1, 1, 1]
-    assert all(type(d) is Detection and type(d.score) is float
-               and type(d.label) is int and type(d.magnification) is float
-               for d in dets)
+    # a threshold held as a numpy scalar gives the same Python fields
+    for threshold in (0.125, np.float64(0.125)):
+        cfg = DetectorConfig(gamma=1.0, p=99.5, threshold=threshold)
+        dets = decide(Y, cfg)
+        assert dets == decide_loop(Y, cfg)
+        assert [d.label for d in dets[-3:]] == [1, 1, 1]
+        # a lone row takes decide's one-row path, to the same fields
+        lone = [d for i in range(len(Y)) for d in decide(Y[i:i + 1], cfg)]
+        assert lone == dets
+        assert all(type(d) is Detection and type(d.score) is float
+                   and type(d.label) is int and type(d.magnification) is float
+                   for d in (*dets, *lone))
 
 
 def test_detection_is_an_immutable_record():

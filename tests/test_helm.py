@@ -324,6 +324,21 @@ def test_many_members_sum_in_member_order_bitwise():
                          member_loop(ensemble, two_blocks))
 
 
+def test_a_lone_row_sum_starts_at_positive_zero():
+    # every member outputs a zero; the lone row's sum starts at 0.0, as the
+    # member loop's and a batch's do, so an all-zero sum reads +0.0 in all
+    # three, whatever the sign of the member outputs
+    X = small_training_matrix()
+    ens = train_ensemble(X, SMALL_CFG, RngStream(19, (1,)))
+    h = ens.head
+    zero = Ensemble(ens.norm, ens.maps,
+                    ElmLayer(h.A, h.B, np.full_like(h.beta, -0.0)), ens.config)
+    one = run_ensemble(zero, X[:1])
+    assert bitwise_equal(one, np.array([0.0]))
+    assert bitwise_equal(one, member_loop(zero, X[:1]))
+    assert bitwise_equal(one, run_ensemble(zero, X[:5])[:1])
+
+
 def test_segment_bounds_are_whole_scoring_blocks():
     # the split files, the benchmark's scored tail and the timeline then
     # fill whole blocks, and no shipped batch scores padding rows

@@ -173,6 +173,16 @@ class TestExperimentReport:
         report_csv(p2, ExperimentReport(recs[::-1]).rows())
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_csv_write_keeps_the_old_file(self, tmp_path):
+        rows = ExperimentReport([make_record(rep=r) for r in range(3)]).rows()
+        path = tmp_path / "report.csv"
+        path.write_bytes(b"old bytes")
+        # the good rows are written before the row with no keys raises
+        with pytest.raises(KeyError):
+            report_csv(path, [*rows * 1000, {}])
+        assert path.read_bytes() == b"old bytes"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_json_round_trip(self, tmp_path):
         recs = [make_record(rep=r, fault=f) for r in range(2) for f in (1, 3)]
         report = ExperimentReport(recs)
