@@ -2,9 +2,10 @@
 
 Every command echoes its fully resolved configuration (defaults, config-file
 values, flags) as JSON into its output directory, so any result can be
-reproduced from the artifacts alone, and runs on one BLAS thread
-(data.one_blas_thread), so its models and reports are the same on any core
-count. Exit codes: 0 success, 2 usage error, 3 I/O error, 4 numerical
+reproduced from the artifacts alone. The helmfd command (console) runs on
+one BLAS thread (data.one_blas_thread), so its models and reports are the
+same on any core count; main, called in-process, keeps the caller's
+setting. Exit codes: 0 success, 2 usage error, 3 I/O error, 4 numerical
 error, 130 interrupted.
 """
 from __future__ import annotations
@@ -372,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    one_blas_thread()
     parser = build_parser()
     try:
         args = _apply_config_defaults(parser, list(sys.argv[1:] if argv is None else argv))
@@ -393,5 +393,12 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
 
+def console() -> int:
+    """The helmfd command: main on sys.argv, in a process of its own, so it
+    sets the process's BLAS to one thread first."""
+    one_blas_thread()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

@@ -347,30 +347,42 @@ def replaced_when_done(path):
 _BLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
                  "scipy_openblas_set_num_threads",
                  "openblas_set_num_threads64_", "openblas_set_num_threads")
-# The process whose OpenBLAS builds one_blas_thread has set; a forked
-# worker is another process and sets its own.
-_one_blas_thread_pid = None
+
+
+def _openblas_paths(maps_lines) -> set:
+    """The files named "*openblas*" among lines of /proc/self/maps: the
+    pathname is the sixth field and may hold spaces; an anonymous mapping
+    has none, and a relative or " (deleted)" one names no loadable file."""
+    paths = set()
+    for line in maps_lines:
+        fields = line.split(maxsplit=5)
+        if len(fields) < 6:
+            continue
+        path = fields[5].rstrip("\n")
+        if ("openblas" in path and path.startswith("/")
+                and not path.endswith(" (deleted)")):
+            paths.add(path)
+    return paths
 
 
 def one_blas_thread() -> None:
     """Run every OpenBLAS loaded in this process on one thread, whatever
     OPENBLAS_NUM_THREADS says. OpenBLAS splits a product across threads at
-    points that change its rounding, so the CLI's models and reports are
-    then the same on any core count, and fork_map's workers do not run one
-    BLAS thread per core each. The builds are found by name in
-    /proc/self/maps, once per process; one with no known setter, or a
-    system with no /proc, is left as it is."""
-    global _one_blas_thread_pid
-    if _one_blas_thread_pid == os.getpid():
-        return
-    _one_blas_thread_pid = os.getpid()
+    points that change its rounding, so the helmfd command's models and
+    reports are then the same on any core count; a process forked later
+    inherits the setting. The builds are found in /proc/self/maps; one that
+    cannot be opened or has no known setter, or a system with no /proc, is
+    left as it is."""
     try:
         with open("/proc/self/maps") as fh:
-            libs = {line.split()[-1] for line in fh if "openblas" in line}
+            libs = _openblas_paths(fh)
     except OSError:
         return
     for lib in sorted(libs):
-        handle = ctypes.CDLL(lib)
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
         setter = next((getattr(handle, name) for name in _BLAS_SETTERS
                        if hasattr(handle, name)), None)
         if setter is not None:
@@ -385,7 +397,6 @@ _forked = None
 
 def _fork(fn, shared) -> None:
     global _forked
-    one_blas_thread()
     _forked = fn, shared
 
 
@@ -401,12 +412,9 @@ def fork_map(fn, shared, tasks, what: str, workers: int = 0):
     os.sched_getaffinity), never more than there are tasks; with one, this
     process runs the tasks. Workers fork, as spawned ones would import helmfd
     afresh (about 0.4 s more for writing the 14000-row timeline on a 2-vCPU
-    VM), and each runs one BLAS thread (one_blas_thread), so a worker's
-    products round the same whatever the caller's setting and N workers
-    keep to N cores. A worker that dies raises OSError(f"{what} died").
-    Leaving the context cancels the tasks no worker has taken, so stopping
-    early drops the queued work, and joins the workers: none outlives the
-    context."""
+    VM). A worker that dies raises OSError(f"{what} died"). Leaving the
+    context cancels the tasks no worker has taken, so stopping early drops
+    the queued work, and joins the workers: none outlives the context."""
     workers = min(workers or len(os.sched_getaffinity(0)), len(tasks))
     if workers <= 1:
         yield (fn(shared, task) for task in tasks)

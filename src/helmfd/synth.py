@@ -142,11 +142,9 @@ def generate(spec: GeneratorSpec, rng: RngStream) -> SyntheticDataset:
     """Render the benchmark dataset. Equal (spec, stream) reproduce the matrix
     bitwise. X is built in place in the clean-readings buffer, the only
     K x D matrix held: the unit noise is drawn RENDER_BLOCK_ROWS rows at a
-    time, in row order, scaled in place and added as it is drawn.
-    Generator.standard_normal draws the same values in blocks as in one
-    call, and those of Generator.normal's unit default, so the stream's
-    draws are those of one K x D unit-noise draw, then the ten fault-5
-    sensors."""
+    time, in row order, and added as it is drawn. Generator.normal draws the
+    same values in blocks as in one call, so the stream's draws are those of
+    one K x D unit-noise draw, then the ten fault-5 sensors."""
     draws, X, gen = _render(spec, rng)
     # noise std: 1% of the reading amplitude, amplitude = max - min of the
     # clean reading over the healthy training window, per sensor
@@ -156,18 +154,15 @@ def generate(spec: GeneratorSpec, rng: RngStream) -> SyntheticDataset:
     before_f5 = X[:f5.start]
     for a in range(0, f5.start, RENDER_BLOCK_ROWS):
         block = before_f5[a:a + RENDER_BLOCK_ROWS]
-        noise = gen.standard_normal(block.shape)
-        noise *= noise_std
-        block += noise
+        block += gen.normal(size=block.shape) * noise_std
     # fault 5 scales the clean readings, but its sensors are drawn after all
     # the noise, so the window's noise waits for them
-    noise = gen.standard_normal(X[f5].shape)
+    noise = gen.normal(size=X[f5].shape)
     fault_sensors = gen.integers(0, SENSORS, size=10)
     # the right side is gathered before the write, so a sensor drawn twice
     # is still scaled once
     X[f5, fault_sensors] = 1.2 * X[f5, fault_sensors]
-    noise *= noise_std
-    X[f5] += noise
+    X[f5] += noise * noise_std
     return SyntheticDataset(X=X, spec=spec, fault_sensors=fault_sensors,
                             noise_std=noise_std, **draws)
 

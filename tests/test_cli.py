@@ -342,27 +342,28 @@ def test_detect_flags_an_extreme_row(workspace, tmp_path):
     assert np.all(np.isfinite(mags))
 
 
-def test_detect_on_a_lone_row_writes_its_line_of_the_full_file(workspace,
-                                                              tmp_path):
+def test_detect_on_a_lone_row_writes_its_decision_alone(workspace, tmp_path):
     # one row takes the lone-row paths of run_ensemble and decide, whose
-    # fields are Python floats; at the CLI's one BLAS thread this row scores
-    # bitwise as in its block (a lone row may differ from it by an ulp)
+    # fields are Python floats; its score alone may differ by an ulp from
+    # its score inside a block, so the line is pinned to the row scored alone
     header, X = read_csv_matrix(workspace / "fault2.csv")
-    one = tmp_path / "one.csv"
+    one, out = tmp_path / "one.csv", tmp_path / "out"
     write_csv_matrix(one, X[:1], header=header)
-    lines = []
-    for data, out in ((workspace / "fault2.csv", tmp_path / "all"),
-                      (one, tmp_path / "one")):
-        assert run(["detect", "--model", str(workspace / "model.json"),
-                    "--data", str(data), "--out", str(out)]) == 0
-        lines.append((out / "detections.csv").read_text().splitlines())
-    full, single = lines
-    assert len(single) == 2 and single == full[:2]
-    assert "np.float64(" not in single[1]
+    model = str(workspace / "model.json")
+    assert run(["detect", "--model", model, "--data", str(one),
+                "--out", str(out)]) == 0
+    members, cfg = helm.load_ensemble(model)
+    want = tmp_path / "want.csv"
+    detector.write_detections_csv(
+        want, detector.decide(helm.run_ensemble(members, X[:1]), cfg))
+    got = (out / "detections.csv").read_bytes()
+    assert got == want.read_bytes() and got.count(b"\n") == 2
+    assert b"np.float64(" not in got
 
 
 def test_train_writes_one_model_at_any_blas_thread_count(workspace, tmp_path):
-    # the CLI runs one BLAS thread whatever OPENBLAS_NUM_THREADS says
+    # the helmfd command runs one BLAS thread whatever OPENBLAS_NUM_THREADS
+    # says
     src = Path(cli.__file__).resolve().parents[1]
     models = []
     for threads in ("1", "2"):
@@ -370,8 +371,8 @@ def test_train_writes_one_model_at_any_blas_thread_count(workspace, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(src),
                "OPENBLAS_NUM_THREADS": threads}
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from helmfd.cli import main; "
-             "sys.exit(main(sys.argv[1:]))", "train",
+            [sys.executable, "-c", "import sys; from helmfd.cli import console; "
+             "sys.exit(console())", "train",
              "--data", str(workspace / "train.csv"), "--model", str(model),
              "--seed", str(BENCH_SEED)],
             env=env, capture_output=True, text=True, timeout=300)

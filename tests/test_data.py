@@ -559,3 +559,23 @@ def test_a_worker_that_dies_raises_oserror(tmp_path, monkeypatch):
         write_csv_matrix(path, np.ones((7, 2)))
     assert str(path) in str(exc.value)
     assert multiprocessing.active_children() == []
+
+
+def test_openblas_paths_take_the_whole_pathname():
+    lines = [
+        "7f00-7f01 r-xp 00000000 08:01 11      /home/u/My Projects/venv/"
+        "lib/libscipy_openblas64_-ff651d7f.so\n",
+        "7f02-7f03 r-xp 00000000 08:01 12      /usr/lib/libopenblas.so.0 "
+        "(deleted)\n",
+        "7f04-7f05 r-xp 00000000 08:01 13      libopenblas.so\n",
+        "7f06-7f07 rw-p 00000000 00:00 0 \n",
+        "7f08-7f09 r-xp 00000000 08:01 14      /usr/lib/libm.so.6\n",
+    ]
+    assert data._openblas_paths(lines) == {
+        "/home/u/My Projects/venv/lib/libscipy_openblas64_-ff651d7f.so"}
+
+
+def test_one_blas_thread_skips_a_library_that_does_not_load(monkeypatch):
+    monkeypatch.setattr(data, "_openblas_paths",
+                        lambda lines: {"/no such dir/libopenblas.so"})
+    data.one_blas_thread()
