@@ -44,12 +44,13 @@ from .fista import FistaParams, fista_solve
 FEATURE_SPAN = 0.6
 
 # Rows scored per block: bounds the forward pass's working set, not the input
-# size. For the shipped shape that is the normalized block (1.6 MB) and one
-# member's hidden layer (0.8 MB), which the members take in turn, so the
-# head product reads it from a 2 MB L2 cache; the 5 members' hidden layers
-# stacked (4 MB) would not fit. It divides every synth.SEGMENTS bound, so no
-# file generate writes and no benchmark batch scores padding rows; a test
-# fails when a change to either value would.
+# size. For the shipped shape that is the normalized block (1.6 MB), the
+# members' first features (0.8 MB) and one member's hidden layer (0.8 MB),
+# which the members take in turn, so the head product reads it from a 2 MB
+# L2 cache; the 5 members' hidden layers stacked (4 MB) would not fit. It
+# divides every synth.SEGMENTS bound, so no file generate writes and no
+# benchmark batch scores padding rows; a test fails when a change to either
+# value would.
 SCORE_BLOCK_ROWS = 1000
 
 
@@ -87,16 +88,17 @@ class Ensemble(Sequence):
     two): the normalization, then per member the linear feature maps
     x <- x · beta_iᵀ and the one-class ELM head, each map and the head
     stacked over the M members and held once. run_ensemble scores a lone
-    row in one stacked pass and a batch block by block, member by member,
-    on views of the stacks.
+    row in one stacked pass and a batch block by block: the members' first
+    maps in one product, then member by member on views of the stacks.
 
     maps[i] is M x L_i x D_i, member m's beta_i being maps[i][m]; head is an
     ElmLayer stacked the same way (A M x D x L, B M x L, beta M x L x 1);
     config is the HelmConfig the maps were trained with, its layer_sizes
-    their widths and the head's, None for the baselines. Every member's
-    arithmetic is the BLAS call and elementwise steps it would take alone,
-    so the scores are bitwise those of the member outputs summed in order
-    and divided by M.
+    their widths and the head's, None for the baselines. At the shipped
+    shapes each member's features, hidden layer and output are bitwise
+    those it would compute alone, so the scores are bitwise those of the
+    member outputs summed in order and divided by M; at some other widths
+    the members' first maps, multiplied as one, round differently.
 
     A read-only sequence: ens[m] is member m as a 1-member Ensemble of
     [m:m+1] views of these arrays. Construction checks that the arrays are
@@ -224,12 +226,19 @@ def run_ensemble(ens: Ensemble, X) -> np.ndarray:
     Any other batch is scored in blocks of exactly SCORE_BLOCK_ROWS rows,
     the last one padded with zero rows, so BLAS takes the same kernels for
     every block and a row scores bitwise the same in any batch of two or
-    more rows. Each block is normalized once and then scored member by
-    member, each output added in member order into the block's running sum:
-    one member's hidden layer is still in L2 when the head product reads
-    it, where the stacked members' is not. A member takes the same BLAS
-    calls as in a stacked pass, so the scores are bitwise those of the
-    member outputs added one by one to zero."""
+    more rows. Each block is normalized once and multiplied by every
+    member's first map in one product, x · [beta_1ᵀ of member 0, ...,
+    of member M-1]: one wide GEMM runs OpenBLAS's packed kernel faster than
+    M skinny ones, and at the shipped widths gives each column the bits of
+    the member's own product, at one and two BLAS threads (not at every
+    width: a one-column map, or some stacks past 200 columns).
+    Each member then runs its other maps, hidden layer and head on its
+    columns, its output added in member order into the block's running
+    sum: one member's hidden layer is still in L2 when the head product
+    reads it, where the stacked members' is not, and stacking the head's
+    product would move bits. So, where the first map keeps the members'
+    bits, the scores are bitwise those of the member outputs added one by
+    one to zero."""
     X = as_matrix(X, "X")
     K, M, h = X.shape[0], len(ens), ens.head
     if K == 1:
@@ -242,8 +251,16 @@ def run_ensemble(ens: Ensemble, X) -> np.ndarray:
         for y in (hidden(h, x) @ h.beta).ravel().tolist():
             total += y
         return np.array([total / M])
-    members = [([b[m] for b in ens.maps], ElmLayer(h.A[m], h.B[m], h.beta[m]))
-               for m in range(M)]
+    if ens.maps:
+        # every member's first map as one D x M*L_1 matrix, member m's
+        # beta_1ᵀ being its columns [m*L_1, (m+1)*L_1)
+        first, *rest = ens.maps
+        W, L = first.reshape(-1, first.shape[2]).T, first.shape[1]
+        spans = [slice(m * L, (m + 1) * L) for m in range(M)]
+    else:
+        W, rest, spans = None, [], [slice(None)] * M
+    members = [(spans[m], [b[m] for b in rest],
+                ElmLayer(h.A[m], h.B[m], h.beta[m])) for m in range(M)]
     n = SCORE_BLOCK_ROWS
     Y = np.zeros(-(-K // n) * n)
     for a in range(0, K, n):
@@ -251,9 +268,10 @@ def run_ensemble(ens: Ensemble, X) -> np.ndarray:
         if len(x) < n:
             x = np.vstack((x, np.zeros((n - len(x), X.shape[1]))))
         x = apply_normalization(x, ens.norm)
+        F = x if W is None else x @ W
         y = Y[a:a + n]
-        for maps, head in members:
-            f = x
+        for span, maps, head in members:
+            f = F[:, span]
             for b in maps:
                 f = f @ b.T
             y += (hidden(head, f) @ head.beta)[:, 0]

@@ -1,11 +1,15 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helmfd import helm, synth
+from helmfd import helm, metrics, synth
 from helmfd.baselines import one_class_train_ensemble, pca_elm_train_ensemble
 from helmfd.data import (NormalizationStats, RngStream, apply_normalization,
                          fit_normalization)
@@ -26,6 +30,24 @@ def small_training_matrix(seed=20, K=300, D=16):
 
 
 SMALL_CFG = HelmConfig(layer_sizes=(6, 24), C=1e-5, ensemble_size=3)
+BENCH_SEED = 42
+
+
+def shipped_ensemble(family, X):
+    """The ensemble `helmfd benchmark` trains for `family` in repetition 0
+    of the timeline X, at its default cell: the shipped shapes, 5 members of
+    a 200 x 20 map and a 20 x 100 head (HELM), a 200 x 100 head (one-class
+    ELM), or a shared 200 x 10 map and a 10 x 100 head (PCA-ELM)."""
+    (_, train), = metrics._cells(metrics.BenchmarkPlan(seed=BENCH_SEED),
+                                 family)
+    return train(X[slice(*synth.SEGMENTS["train"])],
+                 stream=RngStream(BENCH_SEED,
+                                  (metrics.FAMILIES[family].stream, 0)))
+
+
+@pytest.fixture(scope="module")
+def shipped0(dataset0):
+    return {f: shipped_ensemble(f, dataset0.X) for f in metrics.FAMILIES}
 
 
 def test_config_validation():
@@ -306,6 +328,38 @@ def test_batched_scores_equal_member_loop_bitwise(dataset0, family):
                              member_loop(member, X[:K])), K
 
 
+def check_shipped_shapes():
+    """The body of test_shipped_shapes_score_as_the_member_loop_bitwise,
+    run in a subprocess at the thread count it sets."""
+    X = synth.generate(synth.GeneratorSpec(seed=BENCH_SEED),
+                       RngStream(BENCH_SEED, (0, 0))).X
+    for family in metrics.FAMILIES:
+        ensemble = shipped_ensemble(family, X)
+        for K in (2, SCORE_BLOCK_ROWS, 7000):
+            assert bitwise_equal(run_ensemble(ensemble, X[:K]),
+                                 member_loop(ensemble, X[:K])), (family, K)
+            for m, member in enumerate(ensemble):
+                assert bitwise_equal(run_ensemble(member, X[:K]),
+                                     member_loop(member, X[:K])), (family, K, m)
+
+
+@pytest.mark.parametrize("threads", ("1", "2"))
+def test_shipped_shapes_score_as_the_member_loop_bitwise(threads):
+    # run_ensemble computes every member's first map in one product over
+    # the stacked maps, the member loop each member's alone: OpenBLAS gives
+    # each column the same bits at either width, at these shapes. The
+    # thread count is read when OpenBLAS loads, hence the subprocess.
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join((str(here.parent / "src"),
+                                          str(here)))}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import test_helm; test_helm.check_shipped_shapes()"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_many_members_sum_in_member_order_bitwise():
     # np.add.reduce sums one row's 8 or more members pairwise, so a single
     # row would round differently from the member loop; run_ensemble's
@@ -489,15 +543,29 @@ def test_load_compares_normalizations_bitwise(tmp_path):
 
 
 def test_batches_of_two_or_more_rows_score_as_the_whole_timeline(
-        helm_ensemble0, dataset0):
+        shipped0, dataset0):
     # what the benchmark's 7000-row tail and detect on any CSV rely on: a
     # batch of two rows or more, of any height and starting anywhere, scores
-    # each row bitwise as the whole timeline does
+    # each row bitwise as the whole timeline does, in every family
+    X = dataset0.X
+    for family, ensemble in shipped0.items():
+        whole = run_ensemble(ensemble, X)
+        for start, K in ((5, 2), (13, 5), (100, 7), (3, 60), (777, 499),
+                         (1, 500), (1234, 999), (1, 1000), (2, 1023),
+                         (3, 1025), (1001, 1000), (7000, 7000), (7001, 2049),
+                         (9003, 1000), (12345, 1655)):
+            assert bitwise_equal(run_ensemble(ensemble, X[start:start + K]),
+                                 whole[start:start + K]), (family, start, K)
+
+
+def test_a_lone_row_scores_within_8_eps_of_its_batch_score(
+        helm_ensemble0, dataset0):
+    # a lone row takes BLAS's vector kernels, a batch the blocked matrix
+    # ones; on this timeline about a third of the rows score apart alone,
+    # by at most 3 eps relative
     X = dataset0.X
     whole = run_ensemble(helm_ensemble0, X)
-    for start, K in ((5, 2), (13, 5), (100, 7), (3, 60), (777, 499),
-                     (1, 500), (1234, 999), (1, 1000), (2, 1023), (3, 1025),
-                     (1001, 1000), (7000, 7000), (7001, 2049), (9003, 1000),
-                     (12345, 1655)):
-        assert bitwise_equal(run_ensemble(helm_ensemble0, X[start:start + K]),
-                             whole[start:start + K]), (start, K)
+    lone = np.array([run_ensemble(helm_ensemble0, X[i:i + 1])[0]
+                     for i in range(len(X))])
+    assert (np.abs(lone - whole)
+            <= 8 * np.finfo(float).eps * np.abs(whole)).all()

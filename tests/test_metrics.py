@@ -3,6 +3,8 @@ import itertools
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -353,11 +355,23 @@ class TestBenchmarkEngine:
         assert len(checks) == 1
 
     def test_parallel_run_matches_serial(self):
-        plan = BenchmarkPlan(reps=2, gammas=(1.5,), models=("elm",))
-        serial = run_benchmark(plan, jobs=1)
-        parallel = run_benchmark(plan, jobs=2)
-        assert ([canon(r) for r in serial.rows()]
-                == [canon(r) for r in parallel.rows()])
+        # every family, at one BLAS thread, which fork_map's workers
+        # inherit; the thread count is read when OpenBLAS loads, hence the
+        # subprocess
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(metrics.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys\n"
+             "from helmfd.metrics import BenchmarkPlan, run_benchmark\n"
+             "plan = BenchmarkPlan(reps=2, gammas=(1.5,))\n"
+             "json.dump([run_benchmark(plan, jobs=j).rows() for j in (1, 2)],"
+             " sys.stdout)"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        serial, parallel = json.loads(proc.stdout)
+        assert {r["model"] for r in serial} == set(metrics.FAMILIES)
+        assert [canon(r) for r in serial] == [canon(r) for r in parallel]
 
     def test_grid_sweep_runs_lattice(self):
         report = run_benchmark(BenchmarkPlan(reps=1, gammas=(1.2, 1.5),
