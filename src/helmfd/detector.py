@@ -7,6 +7,7 @@ coefficient (residual / threshold) grades how far past the boundary it lies.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
@@ -73,12 +74,16 @@ def decide(Y_test, config: DetectorConfig) -> list[Detection]:
     thr = config.threshold
     if thr <= 0:
         raise ValueError("uncalibrated detector (threshold <= 0)")
-    r = residuals(Y_test)
-    if r.size == 1:
-        # Python's <= and / are the IEEE operations numpy applies below, at
-        # a fraction of a lone row's array round trips
-        s, thr = r.item(), float(thr)
+    if type(Y_test) is np.ndarray and Y_test.dtype == np.float64 \
+            and Y_test.size == 1:
+        # a lone row's Y as run_ensemble returns it: the batch path's check
+        # and IEEE operations on a Python float, without its array round trips
+        y = Y_test.item()
+        if not math.isfinite(y):
+            raise ValueError("Y: non-finite entries")
+        s, thr = abs(1.0 - y), float(thr)
         return [tuple.__new__(Detection, (s, 1 if s <= thr else -1, s / thr))]
+    r = residuals(Y_test)
     # tuple.__new__ builds the same Detection as its generated __new__, at
     # half the cost per row
     return list(map(tuple.__new__, repeat(Detection),

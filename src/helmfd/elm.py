@@ -36,24 +36,14 @@ def random_layer(D: int, L: int, gen: np.random.Generator) -> ElmLayer:
     return ElmLayer(A=A, B=B)
 
 
-def sigmoid_inplace(Z: np.ndarray) -> np.ndarray:
-    """Overwrite the float64 array Z with 1 / (1 + exp(-Z)) and return it.
-
-    Four in-place ufunc passes, within a few ulp of scipy's expit at about
-    half its cost. For Z below about -709 exp(-Z) overflows to inf and the
-    result is 0, the exact limit, so the overflow is not reported; no other
-    floating-point state changes.
-    """
-    np.negative(Z, out=Z)
-    with np.errstate(over="ignore"):
-        np.exp(Z, out=Z)
-    Z += 1.0
-    return np.reciprocal(Z, out=Z)
-
-
 def hidden(layer: ElmLayer, X: np.ndarray) -> np.ndarray:
-    """Hidden-layer matrix H = sigmoid(X·A + B), K x L, the sigmoid being
-    sigmoid_inplace on the product. X is a finite float64 K x D ndarray.
+    """Hidden-layer matrix H = 1 / (1 + exp(-(X·A + B))), K x L, for a
+    finite float64 K x D ndarray X, in four in-place passes over Z = X·A:
+    (-B) - Z, which is -(Z + B) bit for bit (negation is exact and rounding
+    symmetric in sign; only a zero's sign can differ, and exp(±0) = 1),
+    then exp, + 1 and the reciprocal. Within a few ulp of scipy's expit at
+    about half its cost. Where exp overflows H reads 0, the exact limit, so
+    the overflow is not reported; no other floating-point state changes.
 
     A stacked layer takes X as K x D (shared by the members) or M x K x D
     and returns M x K x L, member m computed with the same BLAS call and
@@ -64,8 +54,11 @@ def hidden(layer: ElmLayer, X: np.ndarray) -> np.ndarray:
             f"dimension mismatch: X has {X.shape[-1]} columns, "
             f"layer expects {layer.A.shape[-2]}")
     Z = X @ layer.A
-    Z += layer.B[..., None, :]
-    return sigmoid_inplace(Z)
+    np.subtract(-layer.B[..., None, :], Z, out=Z)
+    with np.errstate(over="ignore"):
+        np.exp(Z, out=Z)
+    Z += 1.0
+    return np.reciprocal(Z, out=Z)
 
 
 def ridge_solve(H: np.ndarray, T: np.ndarray, C: float) -> np.ndarray:

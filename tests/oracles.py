@@ -1,8 +1,21 @@
-"""Independent reference implementations used to cross-check the solvers.
-Kept deliberately naive and separate from the package code paths."""
+"""Independent reference implementations used to cross-check the solvers
+and kernels. Kept deliberately naive and separate from the package code
+paths."""
 import numpy as np
 
 POLISH_EVERY = 200
+
+
+def sigmoid_inplace(Z):
+    """Overwrite the float64 array Z with 1 / (1 + exp(-Z)) and return it,
+    written as the four steps of the formula: negate, exp, + 1, reciprocal.
+    For Z below about -709 exp(-Z) overflows to inf and the result is 0,
+    the exact limit, so the overflow is not reported."""
+    np.negative(Z, out=Z)
+    with np.errstate(over="ignore"):
+        np.exp(Z, out=Z)
+    Z += 1.0
+    return np.reciprocal(Z, out=Z)
 
 
 def cd_lasso(H, X, lam, sweeps=50000, tol=1e-13):

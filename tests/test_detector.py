@@ -91,6 +91,43 @@ def test_decide_equals_row_loop():
                    for d in (*dets, *lone))
 
 
+def fields_of(detections):
+    return [(repr(v), type(v)) for d in detections for v in d]
+
+
+def test_one_entry_decide_is_the_batch_formula():
+    # a one-entry float64 ndarray takes decide's Python-float path; every
+    # one-entry input gives the fields the batch formula gives its entry
+    ys = (1.0, 1.125, 0.875, 1.25, 0.5, -3.0, 1e300, 1.0 + 2.0**-52, 5e-324)
+    for threshold in (0.125, np.float64(0.125), 0.25):
+        cfg = DetectorConfig(gamma=1.0, p=99.5, threshold=threshold)
+        for y in ys:
+            want = decide(np.array([y, 1.0]), cfg)[:1]
+            assert fields_of(decide_loop([y], cfg)) == fields_of(want)
+            for Y in (np.array([y]), np.array([[y]]), np.array(y), [y]):
+                assert fields_of(decide(Y, cfg)) == fields_of(want), (y, Y)
+        for Y in (np.array([1.25], dtype=np.float32), np.array([2]),
+                  np.array([[0]])):
+            want = decide(np.append(Y.astype(np.float64), 1.0), cfg)[:1]
+            assert fields_of(decide(Y, cfg)) == fields_of(want), Y
+    dets = decide(np.array([1.5]), DetectorConfig(
+        gamma=1.0, p=99.5, threshold=np.float64(0.25)))
+    assert [type(v) for v in dets[0]] == [float, int, float]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_one_entry_decide_rejects_non_finite(bad):
+    cfg = DetectorConfig(gamma=1.0, p=99.5, threshold=0.125)
+    for Y in (np.array([bad]), np.array([[bad]]), np.array(bad), [bad],
+              np.array([bad], dtype=np.float32)):
+        with pytest.raises(ValueError, match="Y: non-finite entries"):
+            decide(Y, cfg)
+        # the threshold is checked first
+        for thr in (0.0, -0.125):
+            with pytest.raises(ValueError, match="uncalibrated"):
+                decide(Y, DetectorConfig(gamma=1.0, p=99.5, threshold=thr))
+
+
 def test_detection_is_an_immutable_record():
     cfg = DetectorConfig(gamma=1.0, p=99.5, threshold=0.125)
     Y = np.array([1.0, 1.25, 0.9])

@@ -7,6 +7,7 @@ from scipy import stats
 from scipy.special import expit
 
 from helmfd.elm import ElmLayer, hidden, random_layer, ridge_solve
+from oracles import sigmoid_inplace
 
 
 def sigmoid_oracle(z):
@@ -80,6 +81,27 @@ class TestHidden:
         want = expit(z)
         assert np.all(np.abs(H - want) <= 4 * np.finfo(float).eps * want)
         assert np.all(far == 0.0)
+
+    def test_bitwise_the_sigmoid_of_the_biased_product(self):
+        # hidden negates by subtracting from -B; that is -(X·A + B) bit for
+        # bit, so it equals negate, exp, + 1, reciprocal on X·A + B, also
+        # where X·A + B is an exact zero of either sign, on a plain and on a
+        # stacked layer
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(50, 6)) * 4
+        X[:3] = [[0.5] * 6, [-0.25] * 6, [0.0] * 6]
+        for A, B in ((rng.uniform(-1, 1, (6, 9)), rng.uniform(-1, 1, 9)),
+                     (rng.uniform(-1, 1, (3, 6, 9)),
+                      rng.uniform(-1, 1, (3, 9)))):
+            A[..., 0, :2], A[..., 1:, :2] = 1.0, 0.0
+            B[..., :2] = -0.5, 0.25   # column sums to 0 on rows 0 and 1
+            B[..., 2] = -0.0
+            Z = X @ A + B[..., None, :]
+            assert (Z == 0.0).any(axis=-2)[..., :3].all()
+            want = sigmoid_inplace(Z)
+            got = hidden(ElmLayer(A=A, B=B), X)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_dimension_mismatch_rejected(self):
         layer = ElmLayer(A=np.eye(3), B=np.zeros(3))

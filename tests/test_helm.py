@@ -14,11 +14,12 @@ from helmfd.baselines import one_class_train_ensemble, pca_elm_train_ensemble
 from helmfd.data import (NormalizationStats, RngStream, apply_normalization,
                          fit_normalization)
 from helmfd.detector import DetectorConfig
-from helmfd.elm import ElmLayer, hidden, random_layer, ridge_solve, sigmoid_inplace
+from helmfd.elm import ElmLayer, hidden, random_layer, ridge_solve
 from helmfd.fista import FistaParams, fista_solve
 from helmfd.helm import (FEATURE_SPAN, SCORE_BLOCK_ROWS, Ensemble, HelmConfig,
                          helm_train, load_ensemble, run_ensemble, save_ensemble,
                          train_ensemble, train_members)
+from oracles import sigmoid_inplace
 
 
 def small_training_matrix(seed=20, K=300, D=16):
@@ -335,7 +336,7 @@ def check_shipped_shapes():
                        RngStream(BENCH_SEED, (0, 0))).X
     for family in metrics.FAMILIES:
         ensemble = shipped_ensemble(family, X)
-        for K in (2, SCORE_BLOCK_ROWS, 7000):
+        for K in (1, 2, SCORE_BLOCK_ROWS, 7000):
             assert bitwise_equal(run_ensemble(ensemble, X[:K]),
                                  member_loop(ensemble, X[:K])), (family, K)
             for m, member in enumerate(ensemble):
