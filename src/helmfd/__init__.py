@@ -9,7 +9,7 @@ generator, baseline detectors, and an experiment harness.
 from .data import (NormalizationStats, RngStream, apply_normalization,
                    fit_normalization, read_csv_matrix, write_csv_matrix)
 from .elm import ElmLayer, hidden, random_layer, ridge_solve
-from .fista import FistaParams, FistaResult, fista_solve, lasso_objective, soft_threshold
+from .fista import FistaParams, FistaResult, fista_solve, soft_threshold
 from .helm import (Ensemble, HelmConfig, helm_run, helm_train, load_ensemble,
                    run_ensemble, save_ensemble, train_ensemble)
 from .detector import (Detection, DetectorConfig, calibrate, decide, labels_of,
@@ -18,7 +18,7 @@ from .baselines import (one_class_run, one_class_train,
                         one_class_train_ensemble, pca_elm_run, pca_elm_train,
                         pca_elm_train_ensemble, pca_fit)
 from .synth import (FAULT_NAMES, SEGMENTS, GeneratorSpec, SyntheticDataset,
-                    generate, render_splits, write_dataset)
+                    generate, write_dataset)
 from .metrics import (BenchmarkPlan, ExperimentReport, RateTuple,
                       accuracy_table, benchmark_rep, run_benchmark,
                       score_rates, segment_flagged, winning_cells)
@@ -29,8 +29,7 @@ __all__ = [
     "NormalizationStats", "RngStream", "apply_normalization",
     "fit_normalization", "read_csv_matrix", "write_csv_matrix",
     "ElmLayer", "hidden", "random_layer", "ridge_solve",
-    "FistaParams", "FistaResult", "fista_solve", "lasso_objective",
-    "soft_threshold",
+    "FistaParams", "FistaResult", "fista_solve", "soft_threshold",
     "Ensemble", "HelmConfig", "helm_run", "helm_train", "load_ensemble",
     "run_ensemble", "save_ensemble", "train_ensemble",
     "Detection", "DetectorConfig", "calibrate", "decide", "labels_of",
@@ -39,7 +38,7 @@ __all__ = [
     "one_class_train_ensemble", "pca_elm_run", "pca_elm_train",
     "pca_elm_train_ensemble", "pca_fit",
     "FAULT_NAMES", "SEGMENTS", "GeneratorSpec", "SyntheticDataset",
-    "generate", "render_splits", "write_dataset",
+    "generate", "write_dataset",
     "BenchmarkPlan", "ExperimentReport", "RateTuple", "accuracy_table",
     "benchmark_rep", "run_benchmark", "score_rates",
     "segment_flagged", "winning_cells", "__version__",

@@ -11,20 +11,31 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 
-@dataclass
+@dataclass(frozen=True)
 class ElmLayer:
     """One layer, or M layers of one shape stacked over a leading member
     axis: A is then M x D x L, B M x L and beta M x L x D_Y. Only shapes are
-    checked here; helm.Ensemble checks that the entries are finite."""
+    checked here; helm.Ensemble checks that the entries are finite.
+
+    Read-only once built: the fields cannot be reassigned, and A, B and beta
+    are made read-only in place, so an in-place write to them raises
+    ValueError. neg_B is -B shaped to broadcast over the rows (... x 1 x L),
+    negated once here for hidden; the freeze keeps it in step with B."""
     A: np.ndarray                 # D x L input weights, fixed after draw
     B: np.ndarray                 # L biases
-    beta: np.ndarray | None = field(default=None)  # L x D_Y, set by training
+    beta: np.ndarray | None = None  # L x D_Y, set by training
+    neg_B: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.A.ndim not in (2, 3) or self.B.ndim != self.A.ndim - 1:
             raise ValueError("A must be a matrix and B a vector")
         if self.A.shape[:-2] + self.A.shape[-1:] != self.B.shape:
             raise ValueError("A columns must match B length")
+        neg_B = -self.B[..., None, :]
+        for a in (self.A, self.B, self.beta, neg_B):
+            if a is not None:
+                a.flags.writeable = False
+        object.__setattr__(self, "neg_B", neg_B)
 
 
 def random_layer(D: int, L: int, gen: np.random.Generator) -> ElmLayer:
@@ -36,14 +47,23 @@ def random_layer(D: int, L: int, gen: np.random.Generator) -> ElmLayer:
     return ElmLayer(A=A, B=B)
 
 
+@np.errstate(over="ignore")
+def _exp_inplace(Z: np.ndarray) -> np.ndarray:
+    """exp over Z in place, an overflow to inf not reported. The decorator
+    sets the error state on each call; an errstate instance cannot be
+    entered twice, so a with block would build a new one per call."""
+    return np.exp(Z, out=Z)
+
+
 def hidden(layer: ElmLayer, X: np.ndarray) -> np.ndarray:
     """Hidden-layer matrix H = 1 / (1 + exp(-(X·A + B))), K x L, for a
     finite float64 K x D ndarray X, in four in-place passes over Z = X·A:
-    (-B) - Z, which is -(Z + B) bit for bit (negation is exact and rounding
-    symmetric in sign; only a zero's sign can differ, and exp(±0) = 1),
-    then exp, + 1 and the reciprocal. Within a few ulp of scipy's expit at
-    about half its cost. Where exp overflows H reads 0, the exact limit, so
-    the overflow is not reported; no other floating-point state changes.
+    (-B) - Z from the layer's stored neg_B, which is -(Z + B) bit for bit
+    (negation is exact and rounding symmetric in sign; only a zero's sign
+    can differ, and exp(±0) = 1), then exp, + 1 and the reciprocal. Within
+    a few ulp of scipy's expit at about half its cost. Where exp overflows
+    H reads 0, the exact limit, so the overflow is not reported; no other
+    floating-point state changes.
 
     A stacked layer takes X as K x D (shared by the members) or M x K x D
     and returns M x K x L, member m computed with the same BLAS call and
@@ -54,9 +74,8 @@ def hidden(layer: ElmLayer, X: np.ndarray) -> np.ndarray:
             f"dimension mismatch: X has {X.shape[-1]} columns, "
             f"layer expects {layer.A.shape[-2]}")
     Z = X @ layer.A
-    np.subtract(-layer.B[..., None, :], Z, out=Z)
-    with np.errstate(over="ignore"):
-        np.exp(Z, out=Z)
+    np.subtract(layer.neg_B, Z, out=Z)
+    _exp_inplace(Z)
     Z += 1.0
     return np.reciprocal(Z, out=Z)
 

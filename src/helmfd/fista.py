@@ -47,12 +47,6 @@ def soft_threshold(c, t: float) -> np.ndarray:
     return np.sign(c) * np.maximum(np.abs(c) - t, 0.0)
 
 
-def lasso_objective(H, X, beta, lam: float) -> float:
-    """||H·beta - X||_F² + lam·||beta||_1, from the K x D residual."""
-    R = H @ beta - X
-    return float(np.sum(R * R) + lam * np.sum(np.abs(beta)))
-
-
 def fista_solve(H: np.ndarray, X_target: np.ndarray,
                 params: FistaParams) -> FistaResult:
     """For finite float64 matrices H (K x L) and X_target (K x D), iterate
@@ -82,7 +76,7 @@ def fista_solve(H: np.ndarray, X_target: np.ndarray,
     the L x L Gram from eigvalsh, accurate to rounding; an iterative
     estimate approaches it from below, which would make gamma too large.
 
-    The reported objective is lasso_objective(H, X_target, beta, lambda)
+    The reported objective is ||H·beta - X_target||_F² + lambda·||beta||_1,
     computed from the G and F that the iterations use:
     ||X||² - 2·<beta, F> + <beta, G·beta> + lambda·||beta||_1. Its absolute
     rounding error scales with ||X||², so when beta reconstructs X almost

@@ -102,7 +102,14 @@ class Ensemble(Sequence):
 
     A read-only sequence: ens[m] is member m as a 1-member Ensemble of
     [m:m+1] views of these arrays. Construction checks that the arrays are
-    finite and chain, so trained and loaded detectors pass the same check.
+    finite and chain, so trained and loaded detectors pass the same check,
+    then makes norm.mean, norm.std and every map read-only in place (the
+    head's arrays are, as an ElmLayer's): an in-place write to any of them
+    raises ValueError, so nothing edited after the check is scored. It then
+    builds the scoring plan once, from views of those arrays: the maps
+    transposed, stacked for a lone row and per member for a batch, the
+    first maps as one D x M*L_1 matrix with each member's column span, and
+    each member's head as an ElmLayer.
     """
 
     def __init__(self, norm: NormalizationStats, maps: list, head: ElmLayer,
@@ -136,7 +143,22 @@ class Ensemble(Sequence):
                 m.shape[1] for _, m in stages[:-1]):
             raise ValueError(f"config layer_sizes {config.layer_sizes} are "
                              "not the layer widths")
+        for a in (mean, std, *maps):
+            a.flags.writeable = False
         self.norm, self.maps, self.head, self.config = norm, maps, head, config
+        # the scoring plan; member m's beta_1ᵀ is columns
+        # [m*L_1, (m+1)*L_1) of W
+        self._maps_T = [b.mT for b in maps]
+        if maps:
+            first, *rest = maps
+            L = first.shape[1]
+            self._W = first.reshape(-1, first.shape[2]).T
+            spans = [slice(m * L, (m + 1) * L) for m in range(M)]
+        else:
+            self._W, rest, spans = None, [], [slice(None)] * M
+        self._members = [(spans[m], [b[m].T for b in rest],
+                          ElmLayer(head.A[m], head.B[m], head.beta[m]))
+                         for m in range(M)]
 
     def __len__(self) -> int:
         return len(self.head.A)
@@ -198,8 +220,9 @@ def train_members(norm: NormalizationStats, x, streams, layer_sizes,
             span = np.where(span < 1e-12, 1.0, span)
             betas.append(res.beta * (FEATURE_SPAN / span)[:, None])
             h = feat * (FEATURE_SPAN / span)
-        head = random_layer(h.shape[1], layer_sizes[-1], gen)
-        head.beta = ridge_solve(hidden(head, h), np.ones((h.shape[0], 1)), C)
+        layer = random_layer(h.shape[1], layer_sizes[-1], gen)
+        head = ElmLayer(layer.A, layer.B, ridge_solve(
+            hidden(layer, h), np.ones((h.shape[0], 1)), C))
         own.append(betas)
         heads.append(head)
     return Ensemble(norm, [*(np.stack([b] * len(heads)) for b in maps),
@@ -218,10 +241,12 @@ def helm_run(model: Ensemble, X) -> np.ndarray:
 def run_ensemble(ens: Ensemble, X) -> np.ndarray:
     """Ensemble output: the member outputs Y averaged before thresholding.
 
-    A lone row is scored in one stacked pass over the members, its outputs
-    then added one by one to 0.0 as Python floats, in member order, and the
-    sum divided by M: the IEEE operations of the batch path, without its
-    array round trips for M numbers.
+    The ensemble's arrays are read-only, so both paths read the scoring
+    plan it built once (see Ensemble); a call builds no view or layer of
+    its own. A lone row is scored in one stacked pass over the members,
+    its outputs then added one by one to 0.0 as Python floats, in member
+    order, and the sum divided by M: the IEEE operations of the batch path,
+    without its array round trips for M numbers.
 
     Any other batch is scored in blocks of exactly SCORE_BLOCK_ROWS rows,
     the last one padded with zero rows, so BLAS takes the same kernels for
@@ -240,27 +265,19 @@ def run_ensemble(ens: Ensemble, X) -> np.ndarray:
     bits, the scores are bitwise those of the member outputs added one by
     one to zero."""
     X = as_matrix(X, "X")
-    K, M, h = X.shape[0], len(ens), ens.head
+    K, M = X.shape[0], len(ens)
     if K == 1:
         x = apply_normalization(X, ens.norm)
-        for beta in ens.maps:
-            x = x @ beta.mT
+        for beta_T in ens._maps_T:
+            x = x @ beta_T
+        h = ens.head
         # an explicit loop: sum() compensates on Python >= 3.12, and
         # math.fsum rounds exactly, either of which would change bits
         total = 0.0
         for y in (hidden(h, x) @ h.beta).ravel().tolist():
             total += y
         return np.array([total / M])
-    if ens.maps:
-        # every member's first map as one D x M*L_1 matrix, member m's
-        # beta_1ᵀ being its columns [m*L_1, (m+1)*L_1)
-        first, *rest = ens.maps
-        W, L = first.reshape(-1, first.shape[2]).T, first.shape[1]
-        spans = [slice(m * L, (m + 1) * L) for m in range(M)]
-    else:
-        W, rest, spans = None, [], [slice(None)] * M
-    members = [(spans[m], [b[m] for b in rest],
-                ElmLayer(h.A[m], h.B[m], h.beta[m])) for m in range(M)]
+    W = ens._W
     n = SCORE_BLOCK_ROWS
     Y = np.zeros(-(-K // n) * n)
     for a in range(0, K, n):
@@ -270,10 +287,10 @@ def run_ensemble(ens: Ensemble, X) -> np.ndarray:
         x = apply_normalization(x, ens.norm)
         F = x if W is None else x @ W
         y = Y[a:a + n]
-        for span, maps, head in members:
+        for span, maps, head in ens._members:
             f = F[:, span]
-            for b in maps:
-                f = f @ b.T
+            for b_T in maps:
+                f = f @ b_T
             y += (hidden(head, f) @ head.beta)[:, 0]
     Y = Y[:K]
     Y /= M

@@ -167,12 +167,6 @@ def generate(spec: GeneratorSpec, rng: RngStream) -> SyntheticDataset:
                             noise_std=noise_std, **draws)
 
 
-def render_splits(ds: SyntheticDataset) -> dict:
-    """{name: view of X} over the fixed segments, under SEGMENTS' names:
-    training, calibration, false-positive test, and one block per fault."""
-    return {name: ds.X[slice(*span)] for name, span in SEGMENTS.items()}
-
-
 def write_dataset(ds: SyntheticDataset, outdir) -> None:
     """Write the dataset's on-disk layout into outdir: DATA_FILE with every
     row, one file per segment (SPLIT_FILES) holding that segment's rows, and

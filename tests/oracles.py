@@ -18,6 +18,12 @@ def sigmoid_inplace(Z):
     return np.reciprocal(Z, out=Z)
 
 
+def lasso_objective(H, X, beta, lam: float) -> float:
+    """||H·beta - X||_F² + lam·||beta||_1, from the K x D residual."""
+    R = H @ beta - X
+    return float(np.sum(R * R) + lam * np.sum(np.abs(beta)))
+
+
 def cd_lasso(H, X, lam, sweeps=50000, tol=1e-13):
     """Cyclic coordinate descent on ||H B - X||_F^2 + lam * sum|B|, run to
     stationarity, then polished by an exact solve on the identified support.

@@ -6,11 +6,11 @@ import time
 
 import numpy as np
 import pytest
-from oracles import cd_lasso
+from oracles import cd_lasso, lasso_objective
 
 from helmfd import cli
 from helmfd.elm import ridge_solve
-from helmfd.fista import FistaParams, fista_solve, lasso_objective
+from helmfd.fista import FistaParams, fista_solve
 from helmfd.metrics import BenchmarkPlan
 
 PRIMARY_GAMMA = 1.5

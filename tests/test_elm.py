@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -39,6 +40,20 @@ class TestRandomLayer:
             random_layer(0, 5, np.random.default_rng(0))
         with pytest.raises(ValueError):
             random_layer(5, 0, np.random.default_rng(0))
+
+    def test_a_layer_is_read_only_once_built(self):
+        # the fields cannot be reassigned and the arrays not written, so the
+        # negated bias hidden reads cannot go stale
+        drawn = random_layer(3, 4, np.random.default_rng(9))
+        layer = ElmLayer(drawn.A, drawn.B, np.ones((4, 1)))
+        for name in ("A", "B", "beta"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(layer, name, np.zeros(1))
+        for a in (drawn.A, drawn.B, layer.beta, layer.neg_B):
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                a += 1.0
 
 
 class TestHidden:
@@ -83,10 +98,11 @@ class TestHidden:
         assert np.all(far == 0.0)
 
     def test_bitwise_the_sigmoid_of_the_biased_product(self):
-        # hidden negates by subtracting from -B; that is -(X·A + B) bit for
-        # bit, so it equals negate, exp, + 1, reciprocal on X·A + B, also
-        # where X·A + B is an exact zero of either sign, on a plain and on a
-        # stacked layer
+        # hidden subtracts from the layer's stored -B; that is -(X·A + B)
+        # bit for bit, so it equals negate, exp, + 1, reciprocal on
+        # X·A + B, also where X·A + B is an exact zero of either sign, on a
+        # plain and on a stacked layer. Biases of +0.0 and -0.0 keep their
+        # bits, and their stored negations are -0.0 and +0.0.
         rng = np.random.default_rng(8)
         X = rng.normal(size=(50, 6)) * 4
         X[:3] = [[0.5] * 6, [-0.25] * 6, [0.0] * 6]
@@ -95,13 +111,27 @@ class TestHidden:
                       rng.uniform(-1, 1, (3, 9)))):
             A[..., 0, :2], A[..., 1:, :2] = 1.0, 0.0
             B[..., :2] = -0.5, 0.25   # column sums to 0 on rows 0 and 1
-            B[..., 2] = -0.0
+            B[..., 2:4] = -0.0, 0.0
+            B0 = B.copy()
             Z = X @ A + B[..., None, :]
             assert (Z == 0.0).any(axis=-2)[..., :3].all()
             want = sigmoid_inplace(Z)
-            got = hidden(ElmLayer(A=A, B=B), X)
+            layer = ElmLayer(A=A, B=B)
+            got = hidden(layer, X)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+            assert layer.B.tobytes() == B0.tobytes()
+            assert layer.neg_B.tobytes() == np.negative(
+                B0[..., None, :]).tobytes()
+        # exp overflows where the pre-activation is below about -709: H
+        # reads exactly 0 and the error state in effect is left as it was
+        layer = ElmLayer(A=np.ones((1, 2)), B=np.array([0.0, -5.0]))
+        for state in ({}, {"all": "raise"}):
+            with np.errstate(**state):
+                before = np.geterr()
+                H = hidden(layer, np.array([[-800.0], [-1e4]]))
+                assert np.geterr() == before
+            assert np.all(H == 0.0)
 
     def test_dimension_mismatch_rejected(self):
         layer = ElmLayer(A=np.eye(3), B=np.zeros(3))

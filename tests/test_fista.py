@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from oracles import cd_lasso
+from oracles import cd_lasso, lasso_objective
 
 from helmfd.elm import ridge_solve
 from helmfd.fista import (STEP_FRACTION, FistaParams, fista_solve,
-                          lasso_objective, soft_threshold)
+                          soft_threshold)
 
 
 def cd_objective(H, X, lam):

@@ -425,6 +425,30 @@ def test_json_round_trip_is_bitwise(tmp_path, family):
     assert again.read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("source", ["trained", "loaded", "member"])
+def test_an_ensemble_refuses_writes_to_its_arrays(tmp_path, source):
+    # Ensemble makes the arrays its checks passed read-only, so a model
+    # edited in memory is not scored unchecked; a refused write leaves a
+    # lone row and a whole block scoring the bits they scored before
+    X = small_training_matrix()
+    ens = train_ensemble(X, SMALL_CFG, RngStream(11, (1,)))
+    if source == "loaded":
+        save_ensemble(tmp_path / "model.json", ens)
+        ens, _ = load_ensemble(tmp_path / "model.json")
+    elif source == "member":
+        ens = ens[1]
+    block = np.random.default_rng(21).normal(size=(SCORE_BLOCK_ROWS, 16)) + 2.0
+    before = run_ensemble(ens, block[:1]), run_ensemble(ens, block)
+    h = ens.head
+    for a in (ens.norm.mean, ens.norm.std, *ens.maps, h.A, h.B, h.beta):
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            a *= -1.0
+    after = run_ensemble(ens, block[:1]), run_ensemble(ens, block)
+    assert all(map(bitwise_equal, before, after))
+
+
 def test_failed_save_leaves_old_model_intact(tmp_path, monkeypatch):
     X = small_training_matrix()
     members = train_ensemble(X, SMALL_CFG, RngStream(11, (1,)))

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helmfd.data import RngStream
+from helmfd.data import RngStream, read_csv_matrix
 from helmfd.synth import (FAULT_NAMES, LOG_FLOOR, N_CHOICES, READINGS, ROWS,
-                          SEGMENTS, SENSORS, GeneratorSpec, _render,
-                          apply_reading, generate, render_splits,
-                          write_dataset)
+                          SEGMENTS, SENSORS, SPLIT_FILES, GeneratorSpec,
+                          _render, apply_reading, generate, write_dataset)
 
 BENCH_SEED = 42
 
@@ -151,20 +150,31 @@ def test_spec_validation():
     assert ds.X.shape == (14000, 200)
 
 
-def test_render_splits_layout(dataset0):
-    splits = render_splits(dataset0)
-    assert list(splits) == list(SEGMENTS)
-    assert splits["train"].shape == (7000, 200)
+@pytest.fixture(scope="module")
+def written0(dataset0, tmp_path_factory):
+    """The directory write_dataset wrote dataset0 into."""
+    out = tmp_path_factory.mktemp("dataset0")
+    write_dataset(dataset0, out)
+    return out
+
+
+def test_render_splits_layout(dataset0, written0):
+    # one split file per segment, holding the segment's rows of X bitwise
+    assert list(SPLIT_FILES) == list(SEGMENTS)
+    assert SEGMENTS["train"] == (0, 7000)
     for name in ("val", "fp", *FAULT_NAMES):
-        assert splits[name].shape == (1000, 200)
-    assert np.array_equal(splits["train"], dataset0.X[:7000])
-    assert np.array_equal(splits["fault2"], dataset0.X[10000:11000])
+        a, b = SEGMENTS[name]
+        assert b - a == 1000
+    assert SEGMENTS["fault2"] == (10000, 11000)
+    for name, (a, b) in SEGMENTS.items():
+        _, split = read_csv_matrix(written0 / SPLIT_FILES[name])
+        assert split.shape == (b - a, 200)
+        assert split.tobytes() == dataset0.X[a:b].tobytes()
 
 
-def test_provenance_round_trips_as_json(dataset0, tmp_path):
-    csv_path = tmp_path / "data.csv"
-    prov_path = tmp_path / "provenance.json"
-    write_dataset(dataset0, tmp_path)
+def test_provenance_round_trips_as_json(dataset0, written0):
+    csv_path = written0 / "data.csv"
+    prov_path = written0 / "provenance.json"
     doc = json.loads(prov_path.read_text())
     assert doc["spec"] == {"K": 14000, "D": 200, "n": 5,
                            "reading": "identity", "seed": dataset0.spec.seed}
