@@ -10,13 +10,11 @@ from .data import (NormalizationStats, RngStream, apply_normalization,
                    fit_normalization, read_csv_matrix, write_csv_matrix)
 from .elm import ElmLayer, hidden, random_layer, ridge_solve
 from .fista import FistaParams, FistaResult, fista_solve, soft_threshold
-from .helm import (Ensemble, HelmConfig, helm_run, helm_train, load_ensemble,
-                   run_ensemble, save_ensemble, train_ensemble)
-from .detector import (Detection, DetectorConfig, calibrate, decide, labels_of,
-                       residuals, write_detections_csv)
-from .baselines import (one_class_run, one_class_train,
-                        one_class_train_ensemble, pca_elm_run, pca_elm_train,
-                        pca_elm_train_ensemble, pca_fit)
+from .helm import (Ensemble, HelmConfig, load_ensemble, run_ensemble,
+                   save_ensemble, train_ensemble)
+from .detector import (Detection, DetectorConfig, calibrate, decide, residuals,
+                       write_detections_csv)
+from .baselines import one_class_train_ensemble, pca_elm_train_ensemble, pca_fit
 from .synth import (FAULT_NAMES, SEGMENTS, GeneratorSpec, SyntheticDataset,
                     generate, write_dataset)
 from .metrics import (BenchmarkPlan, ExperimentReport, RateTuple,
@@ -30,13 +28,11 @@ __all__ = [
     "fit_normalization", "read_csv_matrix", "write_csv_matrix",
     "ElmLayer", "hidden", "random_layer", "ridge_solve",
     "FistaParams", "FistaResult", "fista_solve", "soft_threshold",
-    "Ensemble", "HelmConfig", "helm_run", "helm_train", "load_ensemble",
-    "run_ensemble", "save_ensemble", "train_ensemble",
-    "Detection", "DetectorConfig", "calibrate", "decide", "labels_of",
-    "residuals", "write_detections_csv",
-    "one_class_run", "one_class_train",
-    "one_class_train_ensemble", "pca_elm_run", "pca_elm_train",
-    "pca_elm_train_ensemble", "pca_fit",
+    "Ensemble", "HelmConfig", "load_ensemble", "run_ensemble",
+    "save_ensemble", "train_ensemble",
+    "Detection", "DetectorConfig", "calibrate", "decide", "residuals",
+    "write_detections_csv",
+    "one_class_train_ensemble", "pca_elm_train_ensemble", "pca_fit",
     "FAULT_NAMES", "SEGMENTS", "GeneratorSpec", "SyntheticDataset",
     "generate", "write_dataset",
     "BenchmarkPlan", "ExperimentReport", "RateTuple", "accuracy_table",

@@ -69,17 +69,17 @@ def pca_fit(X: np.ndarray, l_pca: int) -> tuple[np.ndarray, np.ndarray]:
 # --- one-class ELM ----------------------------------------------------------
 
 def one_class_train(X_train, width: int, C: float, rng: RngStream) -> Ensemble:
-    """Single random layer plus ridge head against the constant target 1,
-    drawn from rng's generator: a 1-member Ensemble with no feature map. The
-    spread-pinning input scale for the data's width is folded into the
-    stored normalization."""
+    """One member drawn from rng's generator, as a 1-member Ensemble. Only
+    bench/tracing.py's TARGETS names it, until ROADMAP item 3 deletes it."""
     return _one_class_members(X_train, width, C, [rng])
 
 
 def one_class_train_ensemble(X_train, width: int, C: float, stream: RngStream,
                              size: int) -> Ensemble:
-    """`size` members: member m is bitwise one_class_train on
-    stream.child(m), with X_train normalized once for all of them."""
+    """`size` members with no feature map, member m a random layer and a
+    ridge head against the constant target 1 drawn from stream.child(m).
+    X_train is normalized once for all of them, the spread-pinning input
+    scale for its width folded into the stored normalization."""
     return _one_class_members(X_train, width, C,
                               [stream.child(m) for m in range(size)])
 
@@ -95,7 +95,7 @@ def _one_class_members(X_train, width: int, C: float, streams) -> Ensemble:
 
 def one_class_run(model: Ensemble, X) -> np.ndarray:
     """run_ensemble under its old name. Only bench/tracing.py's TARGETS
-    still names it; nothing in helmfd calls it."""
+    names it, until ROADMAP item 3 deletes it."""
     return run_ensemble(model, X)
 
 
@@ -103,18 +103,17 @@ def one_class_run(model: Ensemble, X) -> np.ndarray:
 
 def pca_elm_train(X_train, l_pca: int, width: int, C: float,
                   rng: RngStream) -> Ensemble:
-    """PCA on z-scored inputs, codes rescaled to unit train std, then the
-    one-class head drawn from rng's generator, as a 1-member Ensemble. Its
-    one map is (components / code_scale)ᵀ, and its normalization mean
-    absorbs the PCA mean."""
+    """One member drawn from rng's generator, as a 1-member Ensemble. Only
+    bench/tracing.py's TARGETS names it, until ROADMAP item 3 deletes it."""
     return _pca_elm_members(X_train, l_pca, width, C, [rng])
 
 
 def pca_elm_train_ensemble(X_train, l_pca: int, width: int, C: float,
                            stream: RngStream, size: int) -> Ensemble:
-    """`size` members: member m is bitwise pca_elm_train on stream.child(m).
-    The normalization, PCA and code scaling are deterministic, so they are
-    done once and the members share them; only the heads differ."""
+    """PCA on z-scored inputs, codes rescaled to unit train std, then `size`
+    one-class heads, member m's drawn from stream.child(m). The members
+    share the deterministic steps, done once: one map, (components /
+    code_scale)ᵀ, and a normalization whose mean absorbs the PCA mean."""
     return _pca_elm_members(X_train, l_pca, width, C,
                             [stream.child(m) for m in range(size)])
 
@@ -137,5 +136,5 @@ def _pca_elm_members(X_train, l_pca: int, width: int, C: float,
 
 def pca_elm_run(model: Ensemble, X) -> np.ndarray:
     """run_ensemble under its old name. Only bench/tracing.py's TARGETS
-    still names it; nothing in helmfd calls it."""
+    names it, until ROADMAP item 3 deletes it."""
     return run_ensemble(model, X)

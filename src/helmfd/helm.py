@@ -105,15 +105,16 @@ class Ensemble(Sequence):
     finite and chain, so trained and loaded detectors pass the same check,
     then makes norm.mean, norm.std and every map read-only in place (the
     head's arrays are, as an ElmLayer's): an in-place write to any of them
-    raises ValueError, so nothing edited after the check is scored. It then
-    builds the scoring plan once, from views of those arrays: the maps
-    transposed, stacked for a lone row and per member for a batch, the
-    first maps as one D x M*L_1 matrix with each member's column span, and
-    each member's head as an ElmLayer.
+    raises ValueError, and maps is a tuple, so nothing edited after the
+    check is scored. It then builds the scoring plan once, from views of
+    those arrays: the maps transposed, stacked for a lone row and per member
+    for a batch, the first maps as one D x M*L_1 matrix with each member's
+    column span, and each member's head as an ElmLayer.
     """
 
-    def __init__(self, norm: NormalizationStats, maps: list, head: ElmLayer,
-                 config: HelmConfig | None = None):
+    def __init__(self, norm: NormalizationStats, maps: Sequence,
+                 head: ElmLayer, config: HelmConfig | None = None):
+        maps = tuple(maps)
         if head.beta is None:
             raise ValueError("head has no trained beta")
         M = len(head.A)
@@ -172,16 +173,15 @@ class Ensemble(Sequence):
 
 
 def helm_train(X_train, config: HelmConfig, rng: RngStream) -> Ensemble:
-    """Train one HELM on healthy data, drawn from rng's generator, as a
-    1-member Ensemble. Normalization is fit here and stored with the model;
-    callers pass raw matrices."""
+    """One HELM drawn from rng's generator, as a 1-member Ensemble. Only
+    bench/tracing.py's TARGETS names it, until ROADMAP item 3 deletes it."""
     return _helm_members(X_train, config, [rng])
 
 
 def train_ensemble(X_train, config: HelmConfig, stream: RngStream) -> Ensemble:
-    """ensemble_size HELMs on disjoint substreams of `stream`: member m is
-    bitwise helm_train on stream.child(m), but X_train is validated and
-    normalized once and all members share that normalization."""
+    """ensemble_size HELMs trained on healthy data, member m drawing from
+    stream.child(m). X_train, a raw matrix, is validated and normalized
+    once, and the members share that normalization, stored with them."""
     return _helm_members(
         X_train, config,
         [stream.child(m) for m in range(config.ensemble_size)])
@@ -233,8 +233,8 @@ def train_members(norm: NormalizationStats, x, streams, layer_sizes,
 
 
 def helm_run(model: Ensemble, X) -> np.ndarray:
-    """run_ensemble under its old name. Only bench/tracing.py's TARGETS still
-    names it; nothing in helmfd calls it."""
+    """run_ensemble under its old name. Only bench/tracing.py's TARGETS
+    names it, until ROADMAP item 3 deletes it."""
     return run_ensemble(model, X)
 
 

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from helmfd.baselines import (input_scale, one_class_train,
-                              one_class_train_ensemble, pca_elm_train,
+from helmfd.baselines import (input_scale, one_class_train_ensemble,
                               pca_elm_train_ensemble, pca_fit)
 from helmfd.data import RngStream, apply_normalization, fit_normalization
-from helmfd.helm import HelmConfig, helm_train, run_ensemble, train_ensemble
+from helmfd.helm import Ensemble, HelmConfig, run_ensemble, train_ensemble
 
 
 def test_rank_one_data_keeps_single_component():
@@ -93,24 +92,24 @@ def small_matrix(seed=7, K=400, D=12):
 class TestOneClassElm:
     def test_output_tracks_constant_target(self):
         X = small_matrix()
-        model = one_class_train(X, width=40, C=1e-5, rng=RngStream(1, (0,)))
+        model = one_class_train_ensemble(X, 40, 1e-5, RngStream(1), 1)[0]
         Y = run_ensemble(model, X)
         assert abs(float(Y.mean()) - 1.0) < 0.1
 
     def test_deterministic_per_stream(self):
         X = small_matrix()
-        a = one_class_train(X, 30, 1e-5, RngStream(2, (0,)))
-        b = one_class_train(X, 30, 1e-5, RngStream(2, (0,)))
+        a = one_class_train_ensemble(X, 30, 1e-5, RngStream(2), 3)
+        b = one_class_train_ensemble(X, 30, 1e-5, RngStream(2), 3)
         assert np.array_equal(run_ensemble(a, X), run_ensemble(b, X))
 
     def test_input_scale_folded_into_normalization(self):
         X = small_matrix()
-        model = one_class_train(X, 10, 1e-5, RngStream(3, (0,)))
+        model = one_class_train_ensemble(X, 10, 1e-5, RngStream(3), 1)[0]
         raw = fit_normalization(X)
         s = input_scale(X.shape[1])
         assert np.allclose(model.norm.std, raw.std / s)
         assert np.allclose(model.norm.mean, raw.mean)
-        assert model.maps == []
+        assert model.maps == ()
 
 
 class TestPcaElm:
@@ -118,7 +117,7 @@ class TestPcaElm:
         # the member's one map takes normalized inputs to unit-std features;
         # orthonormality of the basis is pca_fit's, tested above
         X = small_matrix()
-        model = pca_elm_train(X, 4, 30, 1e-5, RngStream(5, (0,)))
+        model = pca_elm_train_ensemble(X, 4, 30, 1e-5, RngStream(5), 1)[0]
         (stack,) = model.maps
         (beta,) = stack
         assert beta.shape[1] == X.shape[1] and beta.flags.c_contiguous
@@ -127,28 +126,25 @@ class TestPcaElm:
 
     def test_output_tracks_constant_target(self):
         X = small_matrix()
-        model = pca_elm_train(X, 4, 30, 1e-5, RngStream(6, (0,)))
+        model = pca_elm_train_ensemble(X, 4, 30, 1e-5, RngStream(6), 1)[0]
         Y = run_ensemble(model, X)
         assert abs(float(Y.mean()) - 1.0) < 0.1
 
     def test_deterministic_per_stream(self):
         X = small_matrix()
-        a = pca_elm_train(X, 3, 20, 1e-5, RngStream(7, (0,)))
-        b = pca_elm_train(X, 3, 20, 1e-5, RngStream(7, (0,)))
+        a = pca_elm_train_ensemble(X, 3, 20, 1e-5, RngStream(7), 3)
+        b = pca_elm_train_ensemble(X, 3, 20, 1e-5, RngStream(7), 3)
         assert np.array_equal(run_ensemble(a, X), run_ensemble(b, X))
 
 
 SMALL_HELM = HelmConfig(layer_sizes=(6, 30), ensemble_size=3)
 
-# (single-member trainer, ensemble trainer) per model family
-TRAINER_PAIRS = {
-    "helm": (lambda X, rng: helm_train(X, SMALL_HELM, rng),
-             lambda X, stream: train_ensemble(X, SMALL_HELM, stream)),
-    "elm": (lambda X, rng: one_class_train(X, 30, 1e-5, rng),
-            lambda X, stream: one_class_train_ensemble(X, 30, 1e-5, stream, 3)),
-    "pca-elm": (lambda X, rng: pca_elm_train(X, 4, 30, 1e-5, rng),
-                lambda X, stream: pca_elm_train_ensemble(X, 4, 30, 1e-5,
-                                                         stream, 3)),
+# the ensemble trainer of each model family
+ENSEMBLE_TRAINERS = {
+    "helm": lambda X, stream: train_ensemble(X, SMALL_HELM, stream),
+    "elm": lambda X, stream: one_class_train_ensemble(X, 30, 1e-5, stream, 3),
+    "pca-elm": lambda X, stream: pca_elm_train_ensemble(X, 4, 30, 1e-5,
+                                                        stream, 3),
 }
 
 
@@ -156,13 +152,24 @@ def bitwise_equal(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("family", TRAINER_PAIRS)
+@pytest.mark.parametrize("family", ENSEMBLE_TRAINERS)
 def test_ensemble_member_equals_single_member_trainer(family):
-    single, ensemble = TRAINER_PAIRS[family]
+    # the contract of the single-member trainers and *_run wrappers, which
+    # only bench/tracing.py still calls; it goes with them (ROADMAP item 3)
+    from helmfd.baselines import (one_class_run, one_class_train,
+                                  pca_elm_run, pca_elm_train)
+    from helmfd.helm import helm_run, helm_train
+    single, run = {
+        "helm": (lambda X, rng: helm_train(X, SMALL_HELM, rng), helm_run),
+        "elm": (lambda X, rng: one_class_train(X, 30, 1e-5, rng),
+                one_class_run),
+        "pca-elm": (lambda X, rng: pca_elm_train(X, 4, 30, 1e-5, rng),
+                    pca_elm_run),
+    }[family]
     X = small_matrix()
     stream = RngStream(8, (2,))
-    members = ensemble(X, stream)
-    assert len(members) == 3
+    members = ENSEMBLE_TRAINERS[family](X, stream)
+    assert isinstance(members, Ensemble) and len(members) == 3
     for m, got in enumerate(members):
         want = single(X, stream.child(m))
         assert len(want) == 1
@@ -174,3 +181,7 @@ def test_ensemble_member_equals_single_member_trainer(family):
         pairs += list(zip(got.maps, want.maps))
         for a, b in pairs:
             assert bitwise_equal(a, b), m
+    # each *_run is run_ensemble, on a batch and on a lone row
+    for ens in (members, *members):
+        for rows in (X, X[:1]):
+            assert bitwise_equal(run(ens, rows), run_ensemble(ens, rows))

@@ -14,7 +14,7 @@ from helmfd.data import (NormalizationStats, RngStream, apply_normalization,
                          as_matrix, as_vector, fit_normalization,
                          read_csv_matrix, write_csv_matrix)
 from helmfd.detector import DetectorConfig, calibrate, decide
-from helmfd.helm import HelmConfig, helm_train, run_ensemble, train_ensemble
+from helmfd.helm import HelmConfig, run_ensemble, train_ensemble
 
 
 def two_pass_stats(X):
@@ -80,7 +80,6 @@ TINY = HelmConfig(layer_sizes=(2, 4), ensemble_size=2)
 # directory; scores (calibrate, decide) enter as X's first column
 ENTRY_POINTS = {
     "train_ensemble": lambda X, _: train_ensemble(X, TINY, RngStream(0)),
-    "helm_train": lambda X, _: helm_train(X, TINY, RngStream(0)),
     "one_class_train_ensemble":
         lambda X, _: one_class_train_ensemble(X, 4, 1e-5, RngStream(0), 2),
     "pca_elm_train_ensemble":

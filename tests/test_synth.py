@@ -158,7 +158,7 @@ def written0(dataset0, tmp_path_factory):
     return out
 
 
-def test_render_splits_layout(dataset0, written0):
+def test_each_split_file_holds_its_segments_rows_bitwise(dataset0, written0):
     # one split file per segment, holding the segment's rows of X bitwise
     assert list(SPLIT_FILES) == list(SEGMENTS)
     assert SEGMENTS["train"] == (0, 7000)
