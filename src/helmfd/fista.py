@@ -2,9 +2,9 @@
 
     min_beta ||H·beta - X||_F^2 + lambda·||beta||_1
 
-used to train the sparse autoencoder output weights. The gradient work is
-done on the precomputed Gram matrix HᵀH, so per-iteration cost is O(L²·D)
-independent of the sample count.
+used to train the sparse autoencoder output weights. The solver takes the
+problem in its Gram form (HᵀH, HᵀX, ||X||²), so per-iteration cost is
+O(L²·D) independent of the sample count.
 """
 from __future__ import annotations
 
@@ -47,12 +47,15 @@ def soft_threshold(c, t: float) -> np.ndarray:
     return np.sign(c) * np.maximum(np.abs(c) - t, 0.0)
 
 
-def fista_solve(H: np.ndarray, X_target: np.ndarray,
+def fista_solve(G: np.ndarray, F: np.ndarray, target_sq,
                 params: FistaParams) -> FistaResult:
-    """For finite float64 matrices H (K x L) and X_target (K x D), iterate
-    the accelerated proximal-gradient scheme
+    """For finite float64 matrices H (K x L) and X (K x D), given in the
+    Gram form that every iteration and the objective use: G = HᵀH (L x L),
+    F = HᵀX (L x D) and target_sq = ||X||_F². The caller forms them, so
+    members that share X share one ||X||² and one product for their F.
+    Iterate the accelerated proximal-gradient scheme
 
-        c_k      = y_k - 2·gamma·Hᵀ(H·y_k - X)
+        c_k      = y_k - 2·gamma·(G·y_k - F)
         beta_k+1 = soft_threshold(c_k, lambda·gamma)
         t_k+1    = (1 + sqrt(1 + 4·t_k²)) / 2
         y_k+1    = beta_k+1 + ((t_k - 1)/t_k+1)·(beta_k+1 - beta_k)
@@ -61,32 +64,31 @@ def fista_solve(H: np.ndarray, X_target: np.ndarray,
     <y_k - beta_k+1, beta_k+1 - beta_k> > 0 the momentum points uphill, and
     t_k+1 = 1, y_k+1 = beta_k+1 instead; without it, solves at lambda > 0 on
     the benchmark's layers ran past 500 iterations. The iteration starts
-    from beta_0 = y_0 = G⁻¹F, the least-squares solution by Cholesky on the
-    Gram G = HᵀH with F = HᵀX (the optimum at lambda = 0), or from zero when
-    G is not positive definite; the iterates then stay in H's row space and
-    at lambda = 0 approach the minimum-norm least-squares solution. It stops
+    from beta_0 = y_0 = G⁻¹F, the least-squares solution by Cholesky on G
+    (the optimum at lambda = 0), or from zero when G is not positive
+    definite; the iterates then stay in H's row space and at lambda = 0
+    approach the minimum-norm least-squares solution. It stops
     when ||beta_k - beta_k+1||_2 < eps or at max_iter. The momentum term
     extrapolates forward along the last step; with the difference reversed
     the method degrades to damped ISTA and stalls ~1e-4 short on
     rank-deficient problems. The step
     gamma = STEP_FRACTION / (2·(1 + lambda_max)) keeps gamma below 1 / L_f
-    for the gradient Lipschitz constant L_f = 2·lambda_max(HᵀH), which
+    for the gradient Lipschitz constant L_f = 2·lambda_max(G), which
     acceleration requires; the looser 2 / L_f bound that plain gradient
     descent tolerates is not safe here. lambda_max is the top eigenvalue of
     the L x L Gram from eigvalsh, accurate to rounding; an iterative
     estimate approaches it from below, which would make gamma too large.
 
-    The reported objective is ||H·beta - X_target||_F² + lambda·||beta||_1,
-    computed from the G and F that the iterations use:
+    The reported objective is ||H·beta - X||_F² + lambda·||beta||_1,
+    computed from G, F and target_sq:
     ||X||² - 2·<beta, F> + <beta, G·beta> + lambda·||beta||_1. Its absolute
     rounding error scales with ||X||², so when beta reconstructs X almost
     exactly the relative error of a near-zero objective grows accordingly.
     """
-    if H.shape[0] != X_target.shape[0]:
-        raise ValueError("H and X_target row counts differ")
+    if G.ndim != 2 or F.ndim != 2 or G.shape != (F.shape[0],) * 2:
+        raise ValueError(f"G is {G.shape}, F {F.shape}: "
+                         "expected L x L and L x D")
 
-    G = H.T @ H
-    F = H.T @ X_target
     gamma = STEP_FRACTION / (2.0 * (1.0 + np.linalg.eigvalsh(G)[-1]))
     thresh = params.lam * gamma
 
@@ -112,7 +114,7 @@ def fista_solve(H: np.ndarray, X_target: np.ndarray,
         if np.linalg.norm(step) < params.eps:
             converged = True
             break
-    objective = (np.vdot(X_target, X_target) + np.vdot(beta, G @ beta - 2.0 * F)
+    objective = (target_sq + np.vdot(beta, G @ beta - 2.0 * F)
                  + params.lam * np.abs(beta).sum())
     return FistaResult(beta=beta, converged=converged, iterations=it,
                        objective=float(objective))

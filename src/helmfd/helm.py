@@ -1,10 +1,13 @@
 """Hierarchical ELM: sparse autoencoders stacked under a one-class ELM head.
 
-Training (per member): for each autoencoder layer, draw a random hidden layer,
-solve the LASSO reconstruction problem for its output weights by FISTA from
-their least-squares solution, and feed the learned features forward as
+Training: for each autoencoder layer, draw a random hidden layer, solve the
+LASSO reconstruction problem for its output weights by FISTA from their
+least-squares solution, and feed the learned features forward as
 x_{i+1} = x_i · beta_iᵀ. The final layer is a plain ELM trained by ridge
-regression against the constant target 1. At run time the autoencoder stages
+regression against the constant target 1. It runs layer by layer: every
+member's first layer reads the same input, so those layers are trained side
+by side, one product serving all members; deeper layers and heads, whose
+inputs differ, are trained member by member. At run time the autoencoder stages
 are the linear maps beta_iᵀ alone (no activation); only the head applies its
 nonlinearity. This asymmetry is deliberate and load bearing: the stored beta_i
 ARE the feature map.
@@ -43,11 +46,21 @@ from .fista import FistaParams, fista_solve
 # large enough that healthy variation doesn't drown in the linear regime.
 FEATURE_SPAN = 0.6
 
+# An ensemble with no feature map (the one-class ELM) scores a block's
+# members in one wide hidden layer, padded with zero units to a multiple of
+# this many columns: then OpenBLAS gives each member's columns the bits of
+# the member's own product (unpadded, 5 members of 100 units round the last
+# 4 of the 500 columns differently). Measured at 200 inputs, for member
+# widths from 5 up and 1 to 12 members, at one and two BLAS threads;
+# narrower members, and some widths at 16 inputs, round differently.
+WIDE_HEAD_COLUMNS = 8
+
 # Rows scored per block: bounds the forward pass's working set, not the input
-# size. For the shipped shape that is the normalized block (1.6 MB), the
+# size. For the shipped HELM that is the normalized block (1.6 MB), the
 # members' first features (0.8 MB) and one member's hidden layer (0.8 MB),
 # which the members take in turn, so the head product reads it from a 2 MB
-# L2 cache; the 5 members' hidden layers stacked (4 MB) would not fit. It
+# L2 cache. The one-class ELM's wide hidden layer is 1000 x 504 (4 MB) and
+# does not fit, yet its one GEMM measured faster than 5 skinny ones. It
 # divides every synth.SEGMENTS bound, so no file generate writes and no
 # benchmark batch scores padding rows; a test fails when a change to either
 # value would.
@@ -89,7 +102,8 @@ class Ensemble(Sequence):
     x <- x · beta_iᵀ and the one-class ELM head, each map and the head
     stacked over the M members and held once. run_ensemble scores a lone
     row in one stacked pass and a batch block by block: the members' first
-    maps in one product, then member by member on views of the stacks.
+    maps in one product, or with no map the members' heads as one wide
+    hidden layer, then member by member on views of the stacks.
 
     maps[i] is M x L_i x D_i, member m's beta_i being maps[i][m]; head is an
     ElmLayer stacked the same way (A M x D x L, B M x L, beta M x L x 1);
@@ -98,18 +112,20 @@ class Ensemble(Sequence):
     shapes each member's features, hidden layer and output are bitwise
     those it would compute alone, so the scores are bitwise those of the
     member outputs summed in order and divided by M; at some other widths
-    the members' first maps, multiplied as one, round differently.
+    the members' first maps or heads, multiplied as one, round differently.
 
     A read-only sequence: ens[m] is member m as a 1-member Ensemble of
     [m:m+1] views of these arrays. Construction checks that the arrays are
     finite and chain, so trained and loaded detectors pass the same check,
     then makes norm.mean, norm.std and every map read-only in place (the
     head's arrays are, as an ElmLayer's): an in-place write to any of them
-    raises ValueError, and maps is a tuple, so nothing edited after the
-    check is scored. It then builds the scoring plan once, from views of
-    those arrays: the maps transposed, stacked for a lone row and per member
-    for a batch, the first maps as one D x M*L_1 matrix with each member's
-    column span, and each member's head as an ElmLayer.
+    raises ValueError, maps is a tuple, and setting or deleting any
+    attribute raises AttributeError, so nothing edited after the check is
+    scored. It then builds the scoring plan once: the maps transposed,
+    stacked for a lone row and per member for a batch, the first maps as
+    one D x M*L_1 matrix, or with no map the heads as one D x M*L hidden
+    layer padded to WIDE_HEAD_COLUMNS, each member's column span in it, and
+    each member's head as an ElmLayer.
     """
 
     def __init__(self, norm: NormalizationStats, maps: Sequence,
@@ -146,20 +162,33 @@ class Ensemble(Sequence):
                              "not the layer widths")
         for a in (mean, std, *maps):
             a.flags.writeable = False
-        self.norm, self.maps, self.head, self.config = norm, maps, head, config
         # the scoring plan; member m's beta_1ᵀ is columns
-        # [m*L_1, (m+1)*L_1) of W
-        self._maps_T = [b.mT for b in maps]
+        # [m*L_1, (m+1)*L_1) of W, or with no maps its head's hidden units
+        # are those columns of the wide head
         if maps:
             first, *rest = maps
             L = first.shape[1]
-            self._W = first.reshape(-1, first.shape[2]).T
-            spans = [slice(m * L, (m + 1) * L) for m in range(M)]
+            W, wide = first.reshape(-1, first.shape[2]).T, None
         else:
-            self._W, rest, spans = None, [], [slice(None)] * M
-        self._members = [(spans[m], [b[m].T for b in rest],
-                          ElmLayer(head.A[m], head.B[m], head.beta[m]))
-                         for m in range(M)]
+            rest, L = [], head.A.shape[2]
+            pad = -(M * L) % WIDE_HEAD_COLUMNS
+            W, wide = None, ElmLayer(
+                np.concatenate((*head.A, np.zeros((len(mean), pad))), axis=1),
+                np.concatenate((*head.B, np.zeros(pad))))
+        spans = [slice(m * L, (m + 1) * L) for m in range(M)]
+        # set once here: every assignment after this raises
+        vars(self).update(
+            norm=norm, maps=maps, head=head, config=config,
+            _maps_T=[b.mT for b in maps], _W=W, _wide=wide,
+            _members=[(spans[m], [b[m].T for b in rest],
+                       ElmLayer(head.A[m], head.B[m], head.beta[m]))
+                      for m in range(M)])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"an Ensemble is read-only: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"an Ensemble is read-only: cannot delete {name}")
 
     def __len__(self) -> int:
         return len(self.head.A)
@@ -204,32 +233,80 @@ def train_members(norm: NormalizationStats, x, streams, layer_sizes,
     member draws from its stream's generator, first its own autoencoder
     layers, of widths layer_sizes[:-1], then the one-class head, of width
     layer_sizes[-1], whose beta is the ridge solution against the constant
-    target 1. Raises ValueError when there are no streams."""
-    own, heads = [], []
-    for s in streams:
-        gen, h, betas = s.generator(), x, []
-        for i, L in enumerate(layer_sizes[:-1]):
-            layer = random_layer(h.shape[1], L, gen)
-            res = fista_solve(hidden(layer, h), h, FistaParams(lam=lam))
-            if not res.converged:
-                warnings.warn(f"autoencoder layer {i}: FISTA did not converge "
-                              f"in {res.iterations} iterations",
-                              RuntimeWarning, stacklevel=2)
-            feat = h @ res.beta.T
-            span = np.abs(feat).max(axis=0)
-            span = np.where(span < 1e-12, 1.0, span)
-            betas.append(res.beta * (FEATURE_SPAN / span)[:, None])
-            h = feat * (FEATURE_SPAN / span)
-        layer = random_layer(h.shape[1], layer_sizes[-1], gen)
-        head = ElmLayer(layer.A, layer.B, ridge_solve(
-            hidden(layer, h), np.ones((h.shape[0], 1)), C))
-        own.append(betas)
-        heads.append(head)
+    target 1. Raises ValueError when there are no streams.
+
+    Training runs layer by layer. Every member's first autoencoder layer
+    reads the same x, so _first_layers trains them side by side; each
+    member then trains its deeper layers and its head on its own features,
+    as those inputs differ."""
+    gens = [s.generator() for s in streams]
+    *widths, width = layer_sizes
+    own = [[] for _ in gens]      # member m's betas, layer by layer
+    feats = (_first_layers(x, gens, widths[0], lam, own) if widths
+             else [x] * len(gens))
+    # the features stand in for x from here on; dropping the name frees a
+    # normalized copy the caller passed, before the heads' hidden layers
+    del x
+    heads = []
+    for gen, h, betas in zip(gens, feats, own):
+        for i, L in enumerate(widths[1:], 1):
+            H = hidden(random_layer(h.shape[1], L, gen), h)
+            beta = _lasso(i, H.T @ H, H.T @ h, np.vdot(h, h), lam)
+            h = h @ beta.T
+            betas.append(_to_span(h, beta))
+        layer = random_layer(h.shape[1], width, gen)
+        heads.append(ElmLayer(layer.A, layer.B, ridge_solve(
+            hidden(layer, h), np.ones((h.shape[0], 1)), C)))
     return Ensemble(norm, [*(np.stack([b] * len(heads)) for b in maps),
                            *map(np.stack, zip(*own))],
                     ElmLayer(*(np.stack([getattr(h, k) for h in heads])
                                for k in ("A", "B", "beta"))),
                     config)
+
+
+def _first_layers(x, gens, L: int, lam: float, own) -> list:
+    """Every member's first autoencoder layer on the shared input x: each
+    member draws its layer from its own generator, then three products over
+    the layers side by side serve them all: the hidden layer H = x · [A_0 …]
+    (K x M*L), Hᵀx for every member's FISTA right-hand side, and the
+    features x · [beta_0ᵀ …]. Each member's Gram, solve and span rescale
+    run on its own columns; at the shipped shapes every stacked product
+    gives each member's columns the bits of its own. Appends member m's
+    rescaled beta to own[m] and returns its features, a K x L column view
+    of one K x M*L array."""
+    layers = [random_layer(x.shape[1], L, gen) for gen in gens]
+    spans = [slice(m * L, (m + 1) * L) for m in range(len(gens))]
+    H = hidden(ElmLayer(np.concatenate([lay.A for lay in layers], axis=1),
+                        np.concatenate([lay.B for lay in layers])), x)
+    F, x_sq = H.T @ x, np.vdot(x, x)
+    betas = [_lasso(0, H[:, s].T @ H[:, s], F[s], x_sq, lam) for s in spans]
+    del H, F
+    feats = x @ np.concatenate(betas).T
+    for betas_m, s, beta in zip(own, spans, betas):
+        betas_m.append(_to_span(feats[:, s], beta))
+    return [feats[:, s] for s in spans]
+
+
+def _lasso(i: int, G, F, target_sq, lam: float) -> np.ndarray:
+    """Autoencoder layer i's output weights by fista_solve on its Gram
+    form, with a RuntimeWarning when the solve stops unconverged."""
+    res = fista_solve(G, F, target_sq, FistaParams(lam=lam))
+    if not res.converged:
+        warnings.warn(f"autoencoder layer {i}: FISTA did not converge "
+                      f"in {res.iterations} iterations",
+                      RuntimeWarning, stacklevel=2)
+    return res.beta
+
+
+def _to_span(feat, beta) -> np.ndarray:
+    """Scale the features feat in place so each column's training max-abs
+    is FEATURE_SPAN (one whose max-abs is under 1e-12 is scaled by
+    FEATURE_SPAN alone), and return beta scaled to match, keeping
+    feat = x · betaᵀ."""
+    span = np.abs(feat).max(axis=0)
+    scale = FEATURE_SPAN / np.where(span < 1e-12, 1.0, span)
+    feat *= scale
+    return beta * scale[:, None]
 
 
 def helm_run(model: Ensemble, X) -> np.ndarray:
@@ -251,19 +328,21 @@ def run_ensemble(ens: Ensemble, X) -> np.ndarray:
     Any other batch is scored in blocks of exactly SCORE_BLOCK_ROWS rows,
     the last one padded with zero rows, so BLAS takes the same kernels for
     every block and a row scores bitwise the same in any batch of two or
-    more rows. Each block is normalized once and multiplied by every
-    member's first map in one product, x · [beta_1ᵀ of member 0, ...,
-    of member M-1]: one wide GEMM runs OpenBLAS's packed kernel faster than
-    M skinny ones, and at the shipped widths gives each column the bits of
-    the member's own product, at one and two BLAS threads (not at every
-    width: a one-column map, or some stacks past 200 columns).
-    Each member then runs its other maps, hidden layer and head on its
+    more rows. Each block is normalized once and makes one product for
+    all members: with maps, x · [beta_1ᵀ of member 0, ..., of member M-1];
+    with none (the one-class ELM), the wide head's hidden layer
+    hidden([A_0 … A_M-1, 0], x). One wide GEMM runs OpenBLAS's packed
+    kernel faster than M skinny ones, and at the shipped widths gives each
+    column the bits of the member's own product, at one and two BLAS
+    threads (not at every width: a one-column map, some stacks past 200
+    columns, or a head left unpadded). Each member then runs on its
     columns, its output added in member order into the block's running
-    sum: one member's hidden layer is still in L2 when the head product
-    reads it, where the stacked members' is not, and stacking the head's
-    product would move bits. So, where the first map keeps the members'
-    bits, the scores are bitwise those of the member outputs added one by
-    one to zero."""
+    sum: with maps its other maps, hidden layer and head, as one member's
+    hidden layer is still in L2 when the head product reads it, where the
+    stacked members' is not; with none only its head's beta, as one
+    product over the stacked betas would move bits. So, where the wide
+    product keeps the members' bits, the scores are bitwise those of the
+    member outputs added one by one to zero."""
     X = as_matrix(X, "X")
     K, M = X.shape[0], len(ens)
     if K == 1:
@@ -277,7 +356,7 @@ def run_ensemble(ens: Ensemble, X) -> np.ndarray:
         for y in (hidden(h, x) @ h.beta).ravel().tolist():
             total += y
         return np.array([total / M])
-    W = ens._W
+    W, wide = ens._W, ens._wide
     n = SCORE_BLOCK_ROWS
     Y = np.zeros(-(-K // n) * n)
     for a in range(0, K, n):
@@ -285,13 +364,19 @@ def run_ensemble(ens: Ensemble, X) -> np.ndarray:
         if len(x) < n:
             x = np.vstack((x, np.zeros((n - len(x), X.shape[1]))))
         x = apply_normalization(x, ens.norm)
-        F = x if W is None else x @ W
         y = Y[a:a + n]
-        for span, maps, head in ens._members:
-            f = F[:, span]
-            for b_T in maps:
-                f = f @ b_T
-            y += (hidden(head, f) @ head.beta)[:, 0]
+        if wide is not None:
+            Z = hidden(wide, x)
+            for span, _, head in ens._members:
+                y += (Z[:, span] @ head.beta)[:, 0]
+            del Z   # so the next block's 4 MB layer does not join this one
+        else:
+            F = x @ W
+            for span, maps, head in ens._members:
+                f = F[:, span]
+                for b_T in maps:
+                    f = f @ b_T
+                y += (hidden(head, f) @ head.beta)[:, 0]
     Y = Y[:K]
     Y /= M
     return Y

@@ -1,7 +1,13 @@
 """Independent reference implementations used to cross-check the solvers
 and kernels. Kept deliberately naive and separate from the package code
 paths."""
+import warnings
+
 import numpy as np
+
+from helmfd.elm import ElmLayer, hidden, random_layer, ridge_solve
+from helmfd.fista import FistaParams, fista_solve
+from helmfd.helm import FEATURE_SPAN, Ensemble
 
 POLISH_EVERY = 200
 
@@ -22,6 +28,46 @@ def lasso_objective(H, X, beta, lam: float) -> float:
     """||H·beta - X||_F² + lam·||beta||_1, from the K x D residual."""
     R = H @ beta - X
     return float(np.sum(R * R) + lam * np.sum(np.abs(beta)))
+
+
+def gram_form(H, X):
+    """The LASSO problem min ||H·beta - X||² + lam·||beta||_1 in the form
+    fista_solve takes it: (HᵀH, HᵀX, ||X||²)."""
+    return H.T @ H, H.T @ X, np.vdot(X, X)
+
+
+def member_by_member_train(norm, x, streams, layer_sizes, lam, C, maps=(),
+                           config=None):
+    """helm.train_members written as one loop over the members, each
+    training all its layers before the next starts, every product on its
+    own: the reference that the layer-by-layer trainer must equal bitwise
+    at the shipped shapes."""
+    own, heads = [], []
+    for s in streams:
+        gen, h, betas = s.generator(), x, []
+        for i, L in enumerate(layer_sizes[:-1]):
+            layer = random_layer(h.shape[1], L, gen)
+            res = fista_solve(*gram_form(hidden(layer, h), h),
+                              FistaParams(lam=lam))
+            if not res.converged:
+                warnings.warn(f"autoencoder layer {i}: FISTA did not "
+                              f"converge in {res.iterations} iterations",
+                              RuntimeWarning, stacklevel=2)
+            feat = h @ res.beta.T
+            span = np.abs(feat).max(axis=0)
+            span = np.where(span < 1e-12, 1.0, span)
+            betas.append(res.beta * (FEATURE_SPAN / span)[:, None])
+            h = feat * (FEATURE_SPAN / span)
+        layer = random_layer(h.shape[1], layer_sizes[-1], gen)
+        head = ElmLayer(layer.A, layer.B, ridge_solve(
+            hidden(layer, h), np.ones((h.shape[0], 1)), C))
+        own.append(betas)
+        heads.append(head)
+    return Ensemble(norm, [*(np.stack([b] * len(heads)) for b in maps),
+                           *map(np.stack, zip(*own))],
+                    ElmLayer(*(np.stack([getattr(h, k) for h in heads])
+                               for k in ("A", "B", "beta"))),
+                    config)
 
 
 def cd_lasso(H, X, lam, sweeps=50000, tol=1e-13):

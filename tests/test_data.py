@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helmfd import data
+from helmfd import data, synth
 from helmfd.baselines import one_class_train_ensemble, pca_elm_train_ensemble
 from helmfd.data import (NormalizationStats, RngStream, apply_normalization,
                          as_matrix, as_vector, fit_normalization,
@@ -61,6 +61,40 @@ def test_as_matrix_rejects_non_finite_and_empty():
         as_matrix(np.array([[1.0, np.nan]]))
     with pytest.raises(ValueError):
         as_matrix(np.empty((0, 3)))
+
+
+@pytest.mark.parametrize("rows", [1, 1001])
+@pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan],
+                         ids=["+inf", "-inf", "nan"])
+def test_a_non_finite_entry_is_refused_wherever_it_is(rows, at, value):
+    # a lone row and a batch past one scoring block, the bad entry at
+    # either end of the buffer
+    X = np.random.default_rng(3).normal(size=(rows, 200))
+    X[at, at] = value
+    for check in (as_matrix, as_vector):
+        with pytest.raises(ValueError, match="^X: non-finite entries$"):
+            check(X, "X")
+
+
+@pytest.mark.parametrize("reading", ["identity", "log"])
+@pytest.mark.parametrize("seed", [7, 42])
+def test_fit_normalization_is_numpys_mean_and_std_bitwise(seed, reading):
+    X = synth.generate(synth.GeneratorSpec(seed=seed, reading=reading),
+                       RngStream(seed, (0, 0))).X
+    X = X[slice(*synth.SEGMENTS["train"])]
+    stats = fit_normalization(X)
+    assert stats.mean.tobytes() == X.mean(axis=0).tobytes()
+    assert stats.std.tobytes() == X.std(axis=0).tobytes()
+
+
+def test_fit_normalization_reads_a_constant_column_as_unit_std():
+    X = np.random.default_rng(4).normal(size=(7000, 5))
+    X[:, 2] = 0.1
+    std = fit_normalization(X).std
+    assert std[2] == 1.0
+    keep = [0, 1, 3, 4]
+    assert std[keep].tobytes() == X.std(axis=0)[keep].tobytes()
 
 
 def test_as_matrix_promotes_vector_to_column():

@@ -19,7 +19,7 @@ from helmfd.fista import FistaParams, fista_solve
 from helmfd.helm import (FEATURE_SPAN, SCORE_BLOCK_ROWS, Ensemble, HelmConfig,
                          load_ensemble, run_ensemble, save_ensemble,
                          train_ensemble, train_members)
-from oracles import sigmoid_inplace
+from oracles import gram_form, member_by_member_train, sigmoid_inplace
 
 
 def small_training_matrix(seed=20, K=300, D=16):
@@ -111,12 +111,13 @@ def test_heavy_l1_penalty_matches_lasso_oracle(dataset0):
     # must converge to that objective.
     H, x = benchmark_first_layer(dataset0, RngStream(9, (1,)))
 
-    tight = fista_solve(H, x, FistaParams(lam=1.0, eps=1e-10, max_iter=50000))
+    tight = fista_solve(*gram_form(H, x),
+                        FistaParams(lam=1.0, eps=1e-10, max_iter=50000))
     assert tight.converged
     assert abs(tight.objective - 226906.174996) <= 0.5
     assert int(np.sum(tight.beta == 0.0)) == 26
 
-    capped = fista_solve(H, x, FistaParams(lam=1.0))
+    capped = fista_solve(*gram_form(H, x), FistaParams(lam=1.0))
     assert capped.converged
     assert abs(capped.objective - 226906.174996) <= 0.5
 
@@ -126,9 +127,10 @@ def test_penalized_solves_converge_under_default_cap(dataset0, lam):
     # without the gradient restart, FISTA stopped at the 500-iteration cap
     # unconverged at each of these penalties on this layer
     H, x = benchmark_first_layer(dataset0, RngStream(42, (1, 0, 0)))
-    res = fista_solve(H, x, FistaParams(lam=lam))
+    res = fista_solve(*gram_form(H, x), FistaParams(lam=lam))
     assert res.converged
-    tight = fista_solve(H, x, FistaParams(lam=lam, eps=1e-10, max_iter=50000))
+    tight = fista_solve(*gram_form(H, x),
+                        FistaParams(lam=lam, eps=1e-10, max_iter=50000))
     assert tight.converged
     assert res.objective <= tight.objective * (1.0 + 1e-9)
 
@@ -172,8 +174,9 @@ def test_ridge_solves_only_the_heads(monkeypatch):
 
 
 def test_capped_solve_warns_with_layer_and_iterations(monkeypatch):
-    def capped(H, X, params):
-        return fista_solve(H, X, dataclasses.replace(params, max_iter=3))
+    def capped(G, F, target_sq, params):
+        return fista_solve(G, F, target_sq,
+                           dataclasses.replace(params, max_iter=3))
 
     monkeypatch.setattr(helm, "fista_solve", capped)
     cfg = HelmConfig(layer_sizes=(6, 4, 24), lam=1e-2, ensemble_size=1)
@@ -339,14 +342,63 @@ def test_shipped_shapes_score_as_the_member_loop_bitwise(threads):
     # the stacked maps, the member loop each member's alone: OpenBLAS gives
     # each column the same bits at either width, at these shapes. The
     # thread count is read when OpenBLAS loads, hence the subprocess.
-    here = Path(__file__).resolve().parent
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-           "PYTHONPATH": os.pathsep.join((str(here.parent / "src"),
-                                          str(here)))}
     proc = subprocess.run(
         [sys.executable, "-c",
          "import test_helm; test_helm.check_shipped_shapes()"],
-        env=env, capture_output=True, text=True, timeout=300)
+        env=shipped_env(threads), capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def shipped_env(threads):
+    """The environment of a subprocess that imports this module and helmfd
+    with OpenBLAS at `threads` threads."""
+    here = Path(__file__).resolve().parent
+    return {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join((str(here.parent / "src"),
+                                           str(here)))}
+
+
+def ensemble_arrays(ens):
+    return (ens.norm.mean, ens.norm.std, *ens.maps, ens.head.A, ens.head.B,
+            ens.head.beta)
+
+
+def check_shipped_training():
+    """The body of test_shipped_shapes_train_as_member_by_member_bitwise,
+    run in a subprocess at the thread count it sets."""
+    from helmfd import baselines
+    X = synth.generate(synth.GeneratorSpec(seed=BENCH_SEED),
+                       RngStream(BENCH_SEED, (0, 0))).X
+    tr = slice(*synth.SEGMENTS["train"])
+    deep = HelmConfig(layer_sizes=(20, 8, 100))
+    trainers = {f: lambda f=f: shipped_ensemble(f, X)
+                for f in metrics.FAMILIES}
+    trainers["helm (20, 8, 100)"] = lambda: train_ensemble(
+        X[tr], deep, RngStream(BENCH_SEED, (1, 0)))
+    for name, train in trainers.items():
+        layered = train()
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (helm, baselines):
+                mp.setattr(module, "train_members", member_by_member_train)
+            reference = train()
+        assert len(layered.maps) == len(reference.maps), name
+        for a, b in zip(ensemble_arrays(layered), ensemble_arrays(reference)):
+            assert bitwise_equal(a, b), name
+
+
+@pytest.mark.parametrize("threads", ("1", "2"))
+def test_shipped_shapes_train_as_member_by_member_bitwise(threads):
+    # train_members trains every member's first autoencoder layer side by
+    # side, one product each for the hidden layer, Hᵀx and the features;
+    # the reference trains each member alone, one product per member. At
+    # the shipped shapes, and with a second autoencoder layer, every array
+    # keeps its bits at either thread count.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import test_helm; test_helm.check_shipped_training()"],
+        env=shipped_env(threads), capture_output=True, text=True,
+        timeout=300)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -437,6 +489,18 @@ def test_an_ensemble_refuses_writes_to_its_arrays(tmp_path, source):
     # the maps are a tuple: no map is swapped for one the checks never saw
     with pytest.raises(TypeError):
         ens.maps[0] = np.full_like(ens.maps[0], np.nan)
+    # nor is any attribute: the plan a batch scores from stays the one a
+    # lone row and save_ensemble read
+    nan = np.full_like(h.beta, np.nan)
+    for name, value in (
+            ("norm", NormalizationStats(np.full_like(ens.norm.mean, np.nan),
+                                        ens.norm.std)),
+            ("maps", ()), ("head", ElmLayer(h.A, h.B, nan)),
+            ("config", None)):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(ens, name, value)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(ens, name)
     after = run_ensemble(ens, block[:1]), run_ensemble(ens, block)
     assert all(map(bitwise_equal, before, after))
 
