@@ -7,7 +7,9 @@ x_{i+1} = x_i · beta_iᵀ. The final layer is a plain ELM trained by ridge
 regression against the constant target 1. It runs layer by layer: every
 member's first layer reads the same input, so those layers are trained side
 by side, one product serving all members; deeper layers and heads, whose
-inputs differ, are trained member by member. At run time the autoencoder stages
+inputs differ, are trained member by member. Scoring likewise makes one
+product for all members, x · [beta_1ᵀ …], and runs the rest, the one-class
+ELM's heads included, member by member. At run time the autoencoder stages
 are the linear maps beta_iᵀ alone (no activation); only the head applies its
 nonlinearity. This asymmetry is deliberate and load bearing: the stored beta_i
 ARE the feature map.
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
@@ -46,24 +49,15 @@ from .fista import FistaParams, fista_solve
 # large enough that healthy variation doesn't drown in the linear regime.
 FEATURE_SPAN = 0.6
 
-# An ensemble with no feature map (the one-class ELM) scores a block's
-# members in one wide hidden layer, padded with zero units to a multiple of
-# this many columns: then OpenBLAS gives each member's columns the bits of
-# the member's own product (unpadded, 5 members of 100 units round the last
-# 4 of the 500 columns differently). Measured at 200 inputs, for member
-# widths from 5 up and 1 to 12 members, at one and two BLAS threads;
-# narrower members, and some widths at 16 inputs, round differently.
-WIDE_HEAD_COLUMNS = 8
-
 # Rows scored per block: bounds the forward pass's working set, not the input
 # size. For the shipped HELM that is the normalized block (1.6 MB), the
 # members' first features (0.8 MB) and one member's hidden layer (0.8 MB),
 # which the members take in turn, so the head product reads it from a 2 MB
-# L2 cache. The one-class ELM's wide hidden layer is 1000 x 504 (4 MB) and
-# does not fit, yet its one GEMM measured faster than 5 skinny ones. It
-# divides every synth.SEGMENTS bound, so no file generate writes and no
-# benchmark batch scores padding rows; a test fails when a change to either
-# value would.
+# L2 cache; the 5 members' hidden layers side by side (4 MB) would not fit.
+# x · W, the members' first maps side by side, is the only scoring product
+# whose bits can depend on the stack's width. It divides every
+# synth.SEGMENTS bound, so no file generate writes and no benchmark batch
+# scores padding rows; a test fails when a change to either value would.
 SCORE_BLOCK_ROWS = 1000
 
 
@@ -102,8 +96,7 @@ class Ensemble(Sequence):
     x <- x · beta_iᵀ and the one-class ELM head, each map and the head
     stacked over the M members and held once. run_ensemble scores a lone
     row in one stacked pass and a batch block by block: the members' first
-    maps in one product, or with no map the members' heads as one wide
-    hidden layer, then member by member on views of the stacks.
+    maps in one product, then member by member on views of the stacks.
 
     maps[i] is M x L_i x D_i, member m's beta_i being maps[i][m]; head is an
     ElmLayer stacked the same way (A M x D x L, B M x L, beta M x L x 1);
@@ -112,7 +105,7 @@ class Ensemble(Sequence):
     shapes each member's features, hidden layer and output are bitwise
     those it would compute alone, so the scores are bitwise those of the
     member outputs summed in order and divided by M; at some other widths
-    the members' first maps or heads, multiplied as one, round differently.
+    the members' first maps, multiplied as one, round differently.
 
     A read-only sequence: ens[m] is member m as a 1-member Ensemble of
     [m:m+1] views of these arrays. Construction checks that the arrays are
@@ -123,9 +116,8 @@ class Ensemble(Sequence):
     attribute raises AttributeError, so nothing edited after the check is
     scored. It then builds the scoring plan once: the maps transposed,
     stacked for a lone row and per member for a batch, the first maps as
-    one D x M*L_1 matrix, or with no map the heads as one D x M*L hidden
-    layer padded to WIDE_HEAD_COLUMNS, each member's column span in it, and
-    each member's head as an ElmLayer.
+    one D x M*L_1 matrix with each member's column span, and each member's
+    head as an ElmLayer.
     """
 
     def __init__(self, norm: NormalizationStats, maps: Sequence,
@@ -163,23 +155,18 @@ class Ensemble(Sequence):
         for a in (mean, std, *maps):
             a.flags.writeable = False
         # the scoring plan; member m's beta_1ᵀ is columns
-        # [m*L_1, (m+1)*L_1) of W, or with no maps its head's hidden units
-        # are those columns of the wide head
+        # [m*L_1, (m+1)*L_1) of W
         if maps:
             first, *rest = maps
             L = first.shape[1]
-            W, wide = first.reshape(-1, first.shape[2]).T, None
+            W = first.reshape(-1, first.shape[2]).T
+            spans = [slice(m * L, (m + 1) * L) for m in range(M)]
         else:
-            rest, L = [], head.A.shape[2]
-            pad = -(M * L) % WIDE_HEAD_COLUMNS
-            W, wide = None, ElmLayer(
-                np.concatenate((*head.A, np.zeros((len(mean), pad))), axis=1),
-                np.concatenate((*head.B, np.zeros(pad))))
-        spans = [slice(m * L, (m + 1) * L) for m in range(M)]
+            W, rest, spans = None, [], [slice(None)] * M
         # set once here: every assignment after this raises
         vars(self).update(
             norm=norm, maps=maps, head=head, config=config,
-            _maps_T=[b.mT for b in maps], _W=W, _wide=wide,
+            _maps_T=[b.mT for b in maps], _W=W,
             _members=[(spans[m], [b[m].T for b in rest],
                        ElmLayer(head.A[m], head.B[m], head.beta[m]))
                       for m in range(M)])
@@ -194,7 +181,8 @@ class Ensemble(Sequence):
         return len(self.head.A)
 
     def __getitem__(self, i) -> "Ensemble":
-        m = range(len(self))[i]   # IndexError outside [-M, M)
+        # IndexError outside [-M, M); TypeError naming a non-integer's type
+        m = range(len(self))[operator.index(i)]
         s, h = slice(m, m + 1), self.head
         return Ensemble(self.norm, [b[s] for b in self.maps],
                         ElmLayer(A=h.A[s], B=h.B[s], beta=h.beta[s]),
@@ -328,21 +316,21 @@ def run_ensemble(ens: Ensemble, X) -> np.ndarray:
     Any other batch is scored in blocks of exactly SCORE_BLOCK_ROWS rows,
     the last one padded with zero rows, so BLAS takes the same kernels for
     every block and a row scores bitwise the same in any batch of two or
-    more rows. Each block is normalized once and makes one product for
-    all members: with maps, x · [beta_1ᵀ of member 0, ..., of member M-1];
-    with none (the one-class ELM), the wide head's hidden layer
-    hidden([A_0 … A_M-1, 0], x). One wide GEMM runs OpenBLAS's packed
+    more rows. Each block is normalized once and, with maps, multiplied by
+    every member's first map in one product, x · W = x · [beta_1ᵀ of
+    member 0, ..., of member M-1]: one wide GEMM runs OpenBLAS's packed
     kernel faster than M skinny ones, and at the shipped widths gives each
     column the bits of the member's own product, at one and two BLAS
-    threads (not at every width: a one-column map, some stacks past 200
-    columns, or a head left unpadded). Each member then runs on its
-    columns, its output added in member order into the block's running
-    sum: with maps its other maps, hidden layer and head, as one member's
-    hidden layer is still in L2 when the head product reads it, where the
-    stacked members' is not; with none only its head's beta, as one
-    product over the stacked betas would move bits. So, where the wide
-    product keeps the members' bits, the scores are bitwise those of the
-    member outputs added one by one to zero."""
+    threads (not at every width: a one-column map, or some stacks past 200
+    columns). It is the only product made for the members side by side.
+    Each member then runs its other maps, hidden layer and head on its
+    columns (with no map, the one-class ELM's, on the block itself), its
+    output added in member order into the block's running sum: one
+    member's hidden layer is still in L2 when the head product reads it,
+    where the stacked members' is not, and a product over the stacked
+    heads rounds differently at some widths. So, where x · W keeps the
+    members' bits, the scores are bitwise those of the member outputs
+    added one by one to zero."""
     X = as_matrix(X, "X")
     K, M = X.shape[0], len(ens)
     if K == 1:
@@ -356,7 +344,7 @@ def run_ensemble(ens: Ensemble, X) -> np.ndarray:
         for y in (hidden(h, x) @ h.beta).ravel().tolist():
             total += y
         return np.array([total / M])
-    W, wide = ens._W, ens._wide
+    W = ens._W
     n = SCORE_BLOCK_ROWS
     Y = np.zeros(-(-K // n) * n)
     for a in range(0, K, n):
@@ -364,19 +352,13 @@ def run_ensemble(ens: Ensemble, X) -> np.ndarray:
         if len(x) < n:
             x = np.vstack((x, np.zeros((n - len(x), X.shape[1]))))
         x = apply_normalization(x, ens.norm)
+        F = x if W is None else x @ W
         y = Y[a:a + n]
-        if wide is not None:
-            Z = hidden(wide, x)
-            for span, _, head in ens._members:
-                y += (Z[:, span] @ head.beta)[:, 0]
-            del Z   # so the next block's 4 MB layer does not join this one
-        else:
-            F = x @ W
-            for span, maps, head in ens._members:
-                f = F[:, span]
-                for b_T in maps:
-                    f = f @ b_T
-                y += (hidden(head, f) @ head.beta)[:, 0]
+        for span, maps, head in ens._members:
+            f = F[:, span]
+            for b_T in maps:
+                f = f @ b_T
+            y += (hidden(head, f) @ head.beta)[:, 0]
     Y = Y[:K]
     Y /= M
     return Y
