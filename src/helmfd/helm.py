@@ -4,10 +4,11 @@ Training: for each autoencoder layer, draw a random hidden layer, solve the
 LASSO reconstruction problem for its output weights by FISTA from their
 least-squares solution, and feed the learned features forward as
 x_{i+1} = x_i · beta_iᵀ. The final layer is a plain ELM trained by ridge
-regression against the constant target 1. It runs layer by layer: every
-member's first layer reads the same input, so those layers are trained side
-by side, one product serving all members; deeper layers and heads, whose
-inputs differ, are trained member by member. Scoring likewise makes one
+regression against the constant target 1. It runs layer by layer, every
+autoencoder layer through one trainer that serves the members sharing its
+input with one product: all members at the first layer, which reads the
+same input, one member at a time at deeper layers; heads, whose inputs
+differ, are trained member by member. Scoring likewise makes one
 product for all members, x · [beta_1ᵀ …], and runs the rest, the one-class
 ELM's heads included, member by member. At run time the autoencoder stages
 are the linear maps beta_iᵀ alone (no activation); only the head applies its
@@ -223,25 +224,24 @@ def train_members(norm: NormalizationStats, x, streams, layer_sizes,
     layer_sizes[-1], whose beta is the ridge solution against the constant
     target 1. Raises ValueError when there are no streams.
 
-    Training runs layer by layer. Every member's first autoencoder layer
-    reads the same x, so _first_layers trains them side by side; each
-    member then trains its deeper layers and its head on its own features,
-    as those inputs differ."""
+    Training runs layer by layer, and _autoencoder_layer trains every
+    autoencoder layer: each member's first layer reads the same x, so one
+    call trains them all side by side; a deeper layer reads its member's
+    own features, so it takes one call per member. Each member then trains
+    its head on its own features."""
     gens = [s.generator() for s in streams]
     *widths, width = layer_sizes
     own = [[] for _ in gens]      # member m's betas, layer by layer
-    feats = (_first_layers(x, gens, widths[0], lam, own) if widths
+    feats = (_autoencoder_layer(0, x, gens, widths[0], lam, own) if widths
              else [x] * len(gens))
     # the features stand in for x from here on; dropping the name frees a
     # normalized copy the caller passed, before the heads' hidden layers
     del x
+    for i, L in enumerate(widths[1:], 1):
+        feats = [_autoencoder_layer(i, h, [gen], L, lam, [betas])[0]
+                 for gen, h, betas in zip(gens, feats, own)]
     heads = []
-    for gen, h, betas in zip(gens, feats, own):
-        for i, L in enumerate(widths[1:], 1):
-            H = hidden(random_layer(h.shape[1], L, gen), h)
-            beta = _lasso(i, H.T @ H, H.T @ h, np.vdot(h, h), lam)
-            h = h @ beta.T
-            betas.append(_to_span(h, beta))
+    for gen, h in zip(gens, feats):
         layer = random_layer(h.shape[1], width, gen)
         heads.append(ElmLayer(layer.A, layer.B, ridge_solve(
             hidden(layer, h), np.ones((h.shape[0], 1)), C)))
@@ -252,22 +252,22 @@ def train_members(norm: NormalizationStats, x, streams, layer_sizes,
                     config)
 
 
-def _first_layers(x, gens, L: int, lam: float, own) -> list:
-    """Every member's first autoencoder layer on the shared input x: each
-    member draws its layer from its own generator, then three products over
-    the layers side by side serve them all: the hidden layer H = x · [A_0 …]
-    (K x M*L), Hᵀx for every member's FISTA right-hand side, and the
-    features x · [beta_0ᵀ …]. Each member's Gram, solve and span rescale
-    run on its own columns; at the shipped shapes every stacked product
-    gives each member's columns the bits of its own. Appends member m's
-    rescaled beta to own[m] and returns its features, a K x L column view
-    of one K x M*L array."""
+def _autoencoder_layer(i: int, x, gens, L: int, lam: float, own) -> list:
+    """Autoencoder layer i of the members whose input is x, one per
+    generator: each member draws its layer from its own generator, then
+    three products over the layers side by side serve them all: the hidden
+    layer H = x · [A_0 …] (K x M*L), Hᵀx for every member's FISTA
+    right-hand side, and the features x · [beta_0ᵀ …]. Each member's Gram,
+    solve and span rescale run on its own columns; at the shipped shapes
+    every stacked product gives each member's columns the bits of its own.
+    Appends member m's rescaled beta to own[m] and returns its features, a
+    K x L column view of one K x M*L array."""
     layers = [random_layer(x.shape[1], L, gen) for gen in gens]
     spans = [slice(m * L, (m + 1) * L) for m in range(len(gens))]
     H = hidden(ElmLayer(np.concatenate([lay.A for lay in layers], axis=1),
                         np.concatenate([lay.B for lay in layers])), x)
     F, x_sq = H.T @ x, np.vdot(x, x)
-    betas = [_lasso(0, H[:, s].T @ H[:, s], F[s], x_sq, lam) for s in spans]
+    betas = [_lasso(i, H[:, s].T @ H[:, s], F[s], x_sq, lam) for s in spans]
     del H, F
     feats = x @ np.concatenate(betas).T
     for betas_m, s, beta in zip(own, spans, betas):

@@ -381,6 +381,50 @@ def test_train_writes_one_model_at_any_blas_thread_count(workspace, tmp_path):
     assert models[0] == models[1]
 
 
+# Run by the test below in a process of its own: the thread count of each
+# OpenBLAS named in its argument, once numpy and scipy have loaded them,
+# after `import helmfd.cli`, and after a cli.main call.
+BLAS_COUNTS = """
+import ctypes, json, sys
+import numpy, scipy.linalg
+paths, getters, argv = json.loads(sys.argv[1])
+get = []
+for path in paths:
+    lib = ctypes.CDLL(path)
+    g = next(getattr(lib, n) for n in getters if hasattr(lib, n))
+    g.argtypes, g.restype = (), ctypes.c_int
+    get.append(g)
+seen = [[g() for g in get]]
+import helmfd.cli
+seen.append([g() for g in get])
+assert helmfd.cli.main(argv) == 0
+seen.append([g() for g in get])
+print(json.dumps(seen))
+"""
+
+
+def test_import_and_main_keep_the_callers_blas_thread_count(workspace,
+                                                           tmp_path):
+    # only the helmfd command, cli.console, pins one BLAS thread; a library
+    # caller that imports helmfd or calls cli.main keeps its own count
+    with open("/proc/self/maps") as fh:
+        paths = sorted(data._openblas_paths(fh))
+    if not paths:
+        pytest.skip("no OpenBLAS loaded")
+    getters = [s.replace("_set_", "_get_") for s in data._BLAS_SETTERS]
+    argv = ["train", "--data", str(workspace / "train.csv"),
+            "--model", str(tmp_path / "model.json"), "--seed", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_COUNTS, json.dumps([paths, getters, argv])],
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "2",
+             "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # train prints its summary first
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == [[2] * len(paths)] * 3
+
+
 def test_pipeline_reproduces_benchmark_cell(workspace, tmp_path):
     plan = metrics.BenchmarkPlan(reps=1, gammas=(1.5,), models=("helm",))
     rec = [r for r in metrics.benchmark_rep(plan, 0) if r["fault"] == 2][0]
