@@ -6,8 +6,8 @@ persistence stores:
   * the one-class ELM's members have no feature map, straight on the
     (normalized) inputs, and
   * PCA-ELM's members share one map, a rescaled PCA basis.
-Each family's trainers only prepare the inputs, once for all members: the
-normalization, and for PCA-ELM the PCA and the code scaling.
+Each family has one trainer, which only prepares the inputs, once for all
+members: the normalization, and for PCA-ELM the PCA and the code scaling.
 Both receive the same fairness treatment as the hierarchical model: their
 head inputs are rescaled so the random layer's pre-activations land in the
 sigmoid's responsive range, with the rescale folded into stored parameters
@@ -68,29 +68,23 @@ def pca_fit(X: np.ndarray, l_pca: int) -> tuple[np.ndarray, np.ndarray]:
 
 # --- one-class ELM ----------------------------------------------------------
 
-def one_class_train(X_train, width: int, C: float, rng: RngStream) -> Ensemble:
-    """One member drawn from rng's generator, as a 1-member Ensemble. Only
-    bench/tracing.py's TARGETS names it, until ROADMAP item 3 deletes it."""
-    return _one_class_members(X_train, width, C, [rng])
-
-
 def one_class_train_ensemble(X_train, width: int, C: float, stream: RngStream,
                              size: int) -> Ensemble:
     """`size` members with no feature map, member m a random layer and a
     ridge head against the constant target 1 drawn from stream.child(m).
     X_train is normalized once for all of them, the spread-pinning input
     scale for its width folded into the stored normalization."""
-    return _one_class_members(X_train, width, C,
-                              [stream.child(m) for m in range(size)])
-
-
-def _one_class_members(X_train, width: int, C: float, streams) -> Ensemble:
     X = as_matrix(X_train, "X_train")
     norm = fit_normalization(X)
     norm = NormalizationStats(mean=norm.mean,
                               std=norm.std / input_scale(X.shape[1]))
-    return train_members(norm, apply_normalization(X, norm), streams,
+    return train_members(norm, apply_normalization(X, norm),
+                         [stream.child(m) for m in range(size)],
                          (width,), 0.0, C)
+
+
+# bench/tracing.py's baselines.one_class_train span wraps this name
+one_class_train = one_class_train_ensemble
 
 
 def one_class_run(model: Ensemble, X) -> np.ndarray:
@@ -101,25 +95,12 @@ def one_class_run(model: Ensemble, X) -> np.ndarray:
 
 # --- PCA + one-class ELM ----------------------------------------------------
 
-def pca_elm_train(X_train, l_pca: int, width: int, C: float,
-                  rng: RngStream) -> Ensemble:
-    """One member drawn from rng's generator, as a 1-member Ensemble. Only
-    bench/tracing.py's TARGETS names it, until ROADMAP item 3 deletes it."""
-    return _pca_elm_members(X_train, l_pca, width, C, [rng])
-
-
 def pca_elm_train_ensemble(X_train, l_pca: int, width: int, C: float,
                            stream: RngStream, size: int) -> Ensemble:
     """PCA on z-scored inputs, codes rescaled to unit train std, then `size`
     one-class heads, member m's drawn from stream.child(m). The members
     share the deterministic steps, done once: one map, (components /
     code_scale)ᵀ, and a normalization whose mean absorbs the PCA mean."""
-    return _pca_elm_members(X_train, l_pca, width, C,
-                            [stream.child(m) for m in range(size)])
-
-
-def _pca_elm_members(X_train, l_pca: int, width: int, C: float,
-                     streams) -> Ensemble:
     X = as_matrix(X_train, "X_train")
     norm = fit_normalization(X)
     x = apply_normalization(X, norm)
@@ -131,7 +112,12 @@ def _pca_elm_members(X_train, l_pca: int, width: int, C: float,
     beta = (components / code_scale).T
     norm = NormalizationStats(mean=norm.mean + mean * norm.std,
                               std=norm.std)
-    return train_members(norm, codes, streams, (width,), 0.0, C, maps=[beta])
+    return train_members(norm, codes, [stream.child(m) for m in range(size)],
+                         (width,), 0.0, C, maps=[beta])
+
+
+# bench/tracing.py's baselines.pca_elm_train span wraps this name
+pca_elm_train = pca_elm_train_ensemble
 
 
 def pca_elm_run(model: Ensemble, X) -> np.ndarray:

@@ -205,6 +205,10 @@ def cmd_train(args) -> int:
 def cmd_calibrate(args) -> int:
     settings = _settings(detector.DetectorConfig, gamma=args.gamma, p=args.p)
     members, _, outdir, Y = _score(args, detect=False)
+    if len(Y) < 2:
+        # a percentile of one residual is no calibration
+        raise UsageError(f"{args.data} has {len(Y)} row; calibrate needs "
+                         "at least 2")
     cfg = detector.calibrate(Y, gamma=settings.gamma, p=settings.p)
     helm.save_ensemble(args.model, members, detector=cfg)
     _echo_config(outdir, "calibrate", args, extra={"threshold": cfg.threshold})

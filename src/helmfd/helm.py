@@ -22,8 +22,10 @@ exactly x_{i+1} = x_i · beta_iᵀ.
 
 A trained detector is an Ensemble: members trained on disjoint substreams
 around one normalization, each array stacked over the members and held once.
-train_members trains the members of all three families: the one-class ELM is
-a HELM with no autoencoder layer, and PCA-ELM is one behind a shared PCA map.
+Each family's one trainer (train_ensemble here, two in baselines.py)
+prepares its inputs once and hands them to train_members, which trains the
+members of all three: the one-class ELM is a HELM with no autoencoder layer,
+and PCA-ELM is one behind a shared PCA map.
 The model file stores each member on its own (helmfd-model-v1), so loading
 checks the members against member 0 and stacks each array once.
 """
@@ -190,27 +192,21 @@ class Ensemble(Sequence):
                         self.config)
 
 
-def helm_train(X_train, config: HelmConfig, rng: RngStream) -> Ensemble:
-    """One HELM drawn from rng's generator, as a 1-member Ensemble. Only
-    bench/tracing.py's TARGETS names it, until ROADMAP item 3 deletes it."""
-    return _helm_members(X_train, config, [rng])
-
-
 def train_ensemble(X_train, config: HelmConfig, stream: RngStream) -> Ensemble:
     """ensemble_size HELMs trained on healthy data, member m drawing from
     stream.child(m). X_train, a raw matrix, is validated and normalized
     once, and the members share that normalization, stored with them."""
-    return _helm_members(
-        X_train, config,
-        [stream.child(m) for m in range(config.ensemble_size)])
-
-
-def _helm_members(X_train, config: HelmConfig, streams) -> Ensemble:
     X = as_matrix(X_train, "X_train")
     norm = fit_normalization(X)
-    return train_members(norm, apply_normalization(X, norm), streams,
-                         config.layer_sizes, config.lam, config.C,
-                         config=config)
+    # passed as a temporary, so train_members can free it after layer 0
+    return train_members(
+        norm, apply_normalization(X, norm),
+        [stream.child(m) for m in range(config.ensemble_size)],
+        config.layer_sizes, config.lam, config.C, config=config)
+
+
+# bench/tracing.py's helm.train span wraps this name
+helm_train = train_ensemble
 
 
 def train_members(norm: NormalizationStats, x, streams, layer_sizes,
@@ -232,14 +228,14 @@ def train_members(norm: NormalizationStats, x, streams, layer_sizes,
     gens = [s.generator() for s in streams]
     *widths, width = layer_sizes
     own = [[] for _ in gens]      # member m's betas, layer by layer
-    feats = (_autoencoder_layer(0, x, gens, widths[0], lam, own) if widths
-             else [x] * len(gens))
+    feats = (_autoencoder_layer(0, x, range(len(gens)), gens, widths[0],
+                                lam, own) if widths else [x] * len(gens))
     # the features stand in for x from here on; dropping the name frees a
     # normalized copy the caller passed, before the heads' hidden layers
     del x
     for i, L in enumerate(widths[1:], 1):
-        feats = [_autoencoder_layer(i, h, [gen], L, lam, [betas])[0]
-                 for gen, h, betas in zip(gens, feats, own)]
+        feats = [_autoencoder_layer(i, h, [m], [gen], L, lam, [betas])[0]
+                 for m, (gen, h, betas) in enumerate(zip(gens, feats, own))]
     heads = []
     for gen, h in zip(gens, feats):
         layer = random_layer(h.shape[1], width, gen)
@@ -252,22 +248,25 @@ def train_members(norm: NormalizationStats, x, streams, layer_sizes,
                     config)
 
 
-def _autoencoder_layer(i: int, x, gens, L: int, lam: float, own) -> list:
-    """Autoencoder layer i of the members whose input is x, one per
-    generator: each member draws its layer from its own generator, then
-    three products over the layers side by side serve them all: the hidden
-    layer H = x · [A_0 …] (K x M*L), Hᵀx for every member's FISTA
-    right-hand side, and the features x · [beta_0ᵀ …]. Each member's Gram,
-    solve and span rescale run on its own columns; at the shipped shapes
-    every stacked product gives each member's columns the bits of its own.
-    Appends member m's rescaled beta to own[m] and returns its features, a
-    K x L column view of one K x M*L array."""
+def _autoencoder_layer(i: int, x, members, gens, L: int, lam: float,
+                       own) -> list:
+    """Autoencoder layer i of the members whose input is x, one per index
+    in `members` (which the FISTA warning names) and per generator: each
+    member draws its layer from its own generator, then three products
+    over the layers side by side serve them all: the hidden layer
+    H = x · [A_0 …] (K x M*L), Hᵀx for every member's FISTA right-hand
+    side, and the features x · [beta_0ᵀ …]. Each member's Gram, solve and
+    span rescale run on its own columns; at the shipped shapes every
+    stacked product gives each member's columns the bits of its own.
+    Appends the j-th member's rescaled beta to own[j] and returns its
+    features, a K x L column view of one K x M*L array."""
     layers = [random_layer(x.shape[1], L, gen) for gen in gens]
     spans = [slice(m * L, (m + 1) * L) for m in range(len(gens))]
     H = hidden(ElmLayer(np.concatenate([lay.A for lay in layers], axis=1),
                         np.concatenate([lay.B for lay in layers])), x)
     F, x_sq = H.T @ x, np.vdot(x, x)
-    betas = [_lasso(i, H[:, s].T @ H[:, s], F[s], x_sq, lam) for s in spans]
+    betas = [_lasso(i, m, H[:, s].T @ H[:, s], F[s], x_sq, lam)
+             for m, s in zip(members, spans)]
     del H, F
     feats = x @ np.concatenate(betas).T
     for betas_m, s, beta in zip(own, spans, betas):
@@ -275,13 +274,14 @@ def _autoencoder_layer(i: int, x, gens, L: int, lam: float, own) -> list:
     return [feats[:, s] for s in spans]
 
 
-def _lasso(i: int, G, F, target_sq, lam: float) -> np.ndarray:
-    """Autoencoder layer i's output weights by fista_solve on its Gram
-    form, with a RuntimeWarning when the solve stops unconverged."""
+def _lasso(i: int, m: int, G, F, target_sq, lam: float) -> np.ndarray:
+    """Member m's autoencoder layer i's output weights by fista_solve on
+    its Gram form, with a RuntimeWarning naming both when the solve stops
+    unconverged."""
     res = fista_solve(G, F, target_sq, FistaParams(lam=lam))
     if not res.converged:
-        warnings.warn(f"autoencoder layer {i}: FISTA did not converge "
-                      f"in {res.iterations} iterations",
+        warnings.warn(f"member {m}, autoencoder layer {i}: FISTA did not "
+                      f"converge in {res.iterations} iterations",
                       RuntimeWarning, stacklevel=2)
     return res.beta
 

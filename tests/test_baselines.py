@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from helmfd.baselines import (input_scale, one_class_train_ensemble,
+from helmfd.baselines import (input_scale, one_class_run,
+                              one_class_train_ensemble, pca_elm_run,
                               pca_elm_train_ensemble, pca_fit)
 from helmfd.data import RngStream, apply_normalization, fit_normalization
-from helmfd.helm import Ensemble, HelmConfig, run_ensemble, train_ensemble
+from helmfd.helm import (Ensemble, HelmConfig, helm_run, run_ensemble,
+                         train_ensemble)
 
 
 def test_rank_one_data_keeps_single_component():
@@ -137,14 +141,16 @@ class TestPcaElm:
         assert np.array_equal(run_ensemble(a, X), run_ensemble(b, X))
 
 
-SMALL_HELM = HelmConfig(layer_sizes=(6, 30), ensemble_size=3)
+SMALL_HELM = HelmConfig(layer_sizes=(6, 30))
 
-# the ensemble trainer of each model family
-ENSEMBLE_TRAINERS = {
-    "helm": lambda X, stream: train_ensemble(X, SMALL_HELM, stream),
-    "elm": lambda X, stream: one_class_train_ensemble(X, 30, 1e-5, stream, 3),
-    "pca-elm": lambda X, stream: pca_elm_train_ensemble(X, 4, 30, 1e-5,
-                                                        stream, 3),
+# the trainer of each model family, as (X, stream, size)
+TRAINERS = {
+    "helm": lambda X, stream, size: train_ensemble(
+        X, dataclasses.replace(SMALL_HELM, ensemble_size=size), stream),
+    "elm": lambda X, stream, size: one_class_train_ensemble(X, 30, 1e-5,
+                                                            stream, size),
+    "pca-elm": lambda X, stream, size: pca_elm_train_ensemble(
+        X, 4, 30, 1e-5, stream, size),
 }
 
 
@@ -152,27 +158,15 @@ def bitwise_equal(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("family", ENSEMBLE_TRAINERS)
-def test_ensemble_member_equals_single_member_trainer(family):
-    # the contract of the single-member trainers and *_run wrappers, which
-    # only bench/tracing.py still calls; it goes with them (ROADMAP item 3)
-    from helmfd.baselines import (one_class_run, one_class_train,
-                                  pca_elm_run, pca_elm_train)
-    from helmfd.helm import helm_run, helm_train
-    single, run = {
-        "helm": (lambda X, rng: helm_train(X, SMALL_HELM, rng), helm_run),
-        "elm": (lambda X, rng: one_class_train(X, 30, 1e-5, rng),
-                one_class_run),
-        "pca-elm": (lambda X, rng: pca_elm_train(X, 4, 30, 1e-5, rng),
-                    pca_elm_run),
-    }[family]
+@pytest.mark.parametrize("family", TRAINERS)
+def test_a_member_does_not_depend_on_the_ensemble_size(family):
+    train = TRAINERS[family]
     X = small_matrix()
     stream = RngStream(8, (2,))
-    members = ENSEMBLE_TRAINERS[family](X, stream)
+    members = train(X, stream, 3)
     assert isinstance(members, Ensemble) and len(members) == 3
     for m, got in enumerate(members):
-        want = single(X, stream.child(m))
-        assert len(want) == 1
+        want = train(X, stream, m + 1)[m]
         assert got.norm is members.norm
         pairs = [(got.norm.mean, want.norm.mean), (got.norm.std, want.norm.std),
                  (got.head.A, want.head.A), (got.head.B, want.head.B),
@@ -181,7 +175,10 @@ def test_ensemble_member_equals_single_member_trainer(family):
         pairs += list(zip(got.maps, want.maps))
         for a, b in pairs:
             assert bitwise_equal(a, b), m
-    # each *_run is run_ensemble, on a batch and on a lone row
+    # each *_run, which bench/tracing.py times under its own name, is
+    # run_ensemble, on a batch and on a lone row
+    run = {"helm": helm_run, "elm": one_class_run,
+           "pca-elm": pca_elm_run}[family]
     for ens in (members, *members):
         for rows in (X, X[:1]):
             assert bitwise_equal(run(ens, rows), run_ensemble(ens, rows))

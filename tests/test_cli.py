@@ -284,15 +284,19 @@ def test_invalid_gamma_is_usage_error(workspace, capsys):
     assert model.read_bytes() == before
 
 
-def test_one_row_calibration_is_numerical_error(workspace, tmp_path, capsys):
-    # a percentile of one residual is no calibration
+def test_one_row_calibration_is_usage_error(workspace, tmp_path, capsys):
+    # a percentile of one residual is no calibration; the input's size is
+    # at fault, so the model is left as it was
     one_row = tmp_path / "one_row.csv"
     with open(workspace / "val.csv") as fh:
         one_row.write_text(fh.readline() + fh.readline())
-    code = run(["calibrate", "--model", str(workspace / "model.json"),
-                "--data", str(one_row)])
-    assert code == cli.EXIT_NUMERICAL
-    assert "numerical error: validation vector" in capsys.readouterr().err
+    model = workspace / "model.json"
+    before = model.read_bytes()
+    code = run(["calibrate", "--model", str(model), "--data", str(one_row)])
+    assert code == cli.EXIT_USAGE
+    assert (f"error: {one_row} has 1 row; calibrate needs at least 2"
+            in capsys.readouterr().err)
+    assert model.read_bytes() == before
 
 
 def test_error_codes_are_distinct():

@@ -179,12 +179,13 @@ def test_capped_solve_warns_with_layer_and_iterations(monkeypatch):
                            dataclasses.replace(params, max_iter=3))
 
     monkeypatch.setattr(helm, "fista_solve", capped)
-    cfg = HelmConfig(layer_sizes=(6, 4, 24), lam=1e-2, ensemble_size=1)
+    cfg = HelmConfig(layer_sizes=(6, 4, 24), lam=1e-2, ensemble_size=2)
     with pytest.warns(RuntimeWarning) as caught:
         train_ensemble(small_training_matrix(), cfg, RngStream(7, (1,)))
+    # layer by layer: both members' layer 0, then each member's layer 1
     assert [str(w.message) for w in caught] == [
-        f"autoencoder layer {i}: FISTA did not converge in 3 iterations"
-        for i in (0, 1)]
+        f"member {m}, autoencoder layer {i}: FISTA did not converge in 3 "
+        "iterations" for i, m in ((0, 0), (0, 1), (1, 0), (1, 1))]
 
 
 def test_overwhelming_l1_penalty_zeroes_every_weight(dataset0):
