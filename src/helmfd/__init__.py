@@ -9,7 +9,7 @@ generator, baseline detectors, and an experiment harness.
 from .data import (NormalizationStats, RngStream, apply_normalization,
                    fit_normalization, read_csv_matrix, write_csv_matrix)
 from .elm import ElmLayer, hidden, random_layer, ridge_solve
-from .fista import FistaParams, FistaResult, fista_solve, soft_threshold
+from .fista import FistaResult, fista_solve, soft_threshold
 from .helm import (Ensemble, HelmConfig, load_ensemble, run_ensemble,
                    save_ensemble, train_ensemble)
 from .detector import (Detection, DetectorConfig, calibrate, decide, residuals,
@@ -27,7 +27,7 @@ __all__ = [
     "NormalizationStats", "RngStream", "apply_normalization",
     "fit_normalization", "read_csv_matrix", "write_csv_matrix",
     "ElmLayer", "hidden", "random_layer", "ridge_solve",
-    "FistaParams", "FistaResult", "fista_solve", "soft_threshold",
+    "FistaResult", "fista_solve", "soft_threshold",
     "Ensemble", "HelmConfig", "load_ensemble", "run_ensemble",
     "save_ensemble", "train_ensemble",
     "Detection", "DetectorConfig", "calibrate", "decide", "residuals",

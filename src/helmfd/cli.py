@@ -104,8 +104,7 @@ def _echo_config(outdir: Path, command: str, args: argparse.Namespace,
     doc.update({k: v for k, v in sorted(vars(args).items()) if k != "func"})
     if extra:
         doc.update(extra)
-    with replaced_when_done(outdir / f"{command}_config.json") as tmp, \
-            open(tmp, "w") as fh:
+    with replaced_when_done(outdir / f"{command}_config.json") as fh:
         json.dump(doc, fh, indent=1, default=str)
         fh.write("\n")
 
@@ -189,6 +188,10 @@ def cmd_train(args) -> int:
     cfg = _settings(helm.HelmConfig, layer_sizes=args.layers, lam=args.lam,
                     C=args.C, ensemble_size=args.ensemble, seed=args.seed)
     _, X = _read_matrix(args.data)
+    if len(X) < 2:
+        # normalization needs a spread over at least two rows
+        raise UsageError(f"{args.data} has {len(X)} row; train needs at "
+                         "least 2")
     stream = RngStream(args.seed, (metrics.FAMILIES["helm"].stream, args.rep))
     members = helm.train_ensemble(X, cfg, stream)
     model_path = Path(args.model)

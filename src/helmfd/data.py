@@ -316,8 +316,7 @@ def write_csv_matrix(path, X, header: list[str] | None = None,
     with ExitStack() as stack:
         outs = []
         for target, a, b in targets:
-            tmp = stack.enter_context(replaced_when_done(target))
-            fh = stack.enter_context(open(tmp, "wb"))
+            fh = stack.enter_context(replaced_when_done(target, "wb"))
             fh.write(head)
             outs.append((fh, a, b))
         blocks = stack.enter_context(fork_map(
@@ -332,15 +331,17 @@ def write_csv_matrix(path, X, header: list[str] | None = None,
 
 
 @contextmanager
-def replaced_when_done(path):
-    """A context whose value is a temp path next to `path`. Leaving it
-    normally os.replaces the temp over `path`; leaving it by any exception,
-    KeyboardInterrupt included, removes the temp. So `path` keeps its old
-    bytes, or its absence, until the new file is complete."""
+def replaced_when_done(path, mode: str = "w", **open_kwargs):
+    """A context whose value is a temp file next to `path`, opened with
+    open(tmp, mode, **open_kwargs). Leaving it normally closes the file and
+    os.replaces it over `path`; leaving it by any exception,
+    KeyboardInterrupt included, closes and removes it. So `path` keeps its
+    old bytes, or its absence, until the new file is complete."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        yield tmp
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -100,8 +100,7 @@ def write_detections_csv(path, detections: list[Detection]) -> None:
     csv.writer writes [index, repr(score), label, repr(magnification)]: no
     field needs quoting, and lines end in "\r\n". The file appears only
     complete (data.replaced_when_done)."""
-    with replaced_when_done(path) as tmp, \
-            open(tmp, "w", newline="", encoding="utf-8") as fh:
+    with replaced_when_done(path, newline="", encoding="utf-8") as fh:
         fh.write("index,score,label,magnification\r\n")
         fh.writelines(f"{i},{d.score!r},{d.label},{d.magnification!r}\r\n"
                       for i, d in enumerate(detections))

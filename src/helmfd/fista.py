@@ -4,7 +4,8 @@
 
 used to train the sparse autoencoder output weights. The solver takes the
 problem in its Gram form (HᵀH, HᵀX, ||X||²), so per-iteration cost is
-O(L²·D) independent of the sample count.
+O(L²·D) independent of the sample count, and its settings as arguments:
+lambda, and the stop rule's eps and max_iter (a step < eps, or max_iter).
 """
 from __future__ import annotations
 
@@ -15,21 +16,6 @@ from scipy.linalg import cho_factor, cho_solve
 
 # Fraction of the largest step acceleration tolerates (see fista_solve).
 STEP_FRACTION = 0.9
-
-
-@dataclass(frozen=True)
-class FistaParams:
-    lam: float
-    eps: float = 1e-6
-    max_iter: int = 500
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam < np.inf:
-            raise ValueError("lambda must be finite and >= 0")
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass
@@ -47,13 +33,14 @@ def soft_threshold(c, t: float) -> np.ndarray:
     return np.sign(c) * np.maximum(np.abs(c) - t, 0.0)
 
 
-def fista_solve(G: np.ndarray, F: np.ndarray, target_sq,
-                params: FistaParams) -> FistaResult:
+def fista_solve(G: np.ndarray, F: np.ndarray, target_sq, lam: float,
+                eps: float = 1e-6, max_iter: int = 500) -> FistaResult:
     """For finite float64 matrices H (K x L) and X (K x D), given in the
     Gram form that every iteration and the objective use: G = HᵀH (L x L),
     F = HᵀX (L x D) and target_sq = ||X||_F². The caller forms them, so
     members that share X share one ||X||² and one product for their F.
-    Iterate the accelerated proximal-gradient scheme
+    lam is lambda (finite, >= 0), eps >= 0 and max_iter >= 1 the stop
+    rule's tolerance and cap. Iterate the accelerated proximal-gradient scheme
 
         c_k      = y_k - 2·gamma·(G·y_k - F)
         beta_k+1 = soft_threshold(c_k, lambda·gamma)
@@ -85,12 +72,18 @@ def fista_solve(G: np.ndarray, F: np.ndarray, target_sq,
     rounding error scales with ||X||², so when beta reconstructs X almost
     exactly the relative error of a near-zero objective grows accordingly.
     """
+    if not 0.0 <= lam < np.inf:
+        raise ValueError("lambda must be finite and >= 0")
+    if eps < 0:
+        raise ValueError("eps must be >= 0")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     if G.ndim != 2 or F.ndim != 2 or G.shape != (F.shape[0],) * 2:
         raise ValueError(f"G is {G.shape}, F {F.shape}: "
                          "expected L x L and L x D")
 
     gamma = STEP_FRACTION / (2.0 * (1.0 + np.linalg.eigvalsh(G)[-1]))
-    thresh = params.lam * gamma
+    thresh = lam * gamma
 
     try:
         beta = cho_solve(cho_factor(G, lower=True), F)
@@ -100,7 +93,7 @@ def fista_solve(G: np.ndarray, F: np.ndarray, target_sq,
     t = 1.0
     converged = False
     it = 0
-    for it in range(1, params.max_iter + 1):
+    for it in range(1, max_iter + 1):
         c = y - 2.0 * gamma * (G @ y - F)
         beta_new = soft_threshold(c, thresh)
         step = beta_new - beta
@@ -111,10 +104,10 @@ def fista_solve(G: np.ndarray, F: np.ndarray, target_sq,
             y = beta_new + ((t - 1.0) / t_new) * step
             t = t_new
         beta = beta_new
-        if np.linalg.norm(step) < params.eps:
+        if np.linalg.norm(step) < eps:
             converged = True
             break
     objective = (target_sq + np.vdot(beta, G @ beta - 2.0 * F)
-                 + params.lam * np.abs(beta).sum())
+                 + lam * np.abs(beta).sum())
     return FistaResult(beta=beta, converged=converged, iterations=it,
                        objective=float(objective))

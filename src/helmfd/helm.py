@@ -44,7 +44,7 @@ from .data import (NormalizationStats, RngStream, apply_normalization,
                    as_matrix, fit_normalization, replaced_when_done)
 from .detector import DetectorConfig
 from .elm import ElmLayer, hidden, random_layer, ridge_solve
-from .fista import FistaParams, fista_solve
+from .fista import fista_solve
 
 # Feature span fed to the one-class head: each autoencoder output column is
 # scaled so its training max-abs equals this. Calibrated once on the synthetic
@@ -278,7 +278,7 @@ def _lasso(i: int, m: int, G, F, target_sq, lam: float) -> np.ndarray:
     """Member m's autoencoder layer i's output weights by fista_solve on
     its Gram form, with a RuntimeWarning naming both when the solve stops
     unconverged."""
-    res = fista_solve(G, F, target_sq, FistaParams(lam=lam))
+    res = fista_solve(G, F, target_sq, lam)
     if not res.converged:
         warnings.warn(f"member {m}, autoencoder layer {i}: FISTA did not "
                       f"converge in {res.iterations} iterations",
@@ -389,7 +389,7 @@ def save_ensemble(path, ens: Ensemble,
                 **shared} for m in range(len(ens))]
     doc = {"format": FORMAT, "kind": "helm-ensemble", "members": members,
            "detector": None if detector is None else asdict(detector)}
-    with replaced_when_done(path) as tmp, open(tmp, "w") as fh:
+    with replaced_when_done(path) as fh:
         # dumps with no indent takes the C encoder; dump never does
         fh.write(json.dumps(doc))
         fh.write("\n")

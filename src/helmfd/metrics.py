@@ -134,20 +134,20 @@ class ExperimentReport:
         for r in self._sorted():
             groups.setdefault((r["model"], r["params"]), []).append(
                 r["train_seconds"])
-        with replaced_when_done(path) as tmp, open(tmp, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(("model", "params", "records", "mean_train_seconds"))
-            for (model, params), vals in sorted(groups.items()):
-                w.writerow((model, params, len(vals), float(np.mean(vals))))
+        rows = [{"model": model, "params": params, "records": len(vals),
+                 "mean_train_seconds": float(np.mean(vals))}
+                for (model, params), vals in sorted(groups.items())]
+        _write_rows(path, rows,
+                    ("model", "params", "records", "mean_train_seconds"))
 
     def to_json(self, path) -> None:
-        with replaced_when_done(path) as tmp, open(tmp, "w") as fh:
+        with replaced_when_done(path) as fh:
             fh.write(json.dumps({"records": self._sorted()}))
             fh.write("\n")
 
 
 def _write_rows(path, rows: list, cols) -> None:
-    with replaced_when_done(path) as tmp, open(tmp, "w", newline="") as fh:
+    with replaced_when_done(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(cols)
         w.writerows([row[k] for k in cols] for row in rows)

@@ -175,7 +175,6 @@ def write_dataset(ds: SyntheticDataset, outdir) -> None:
     write_csv_matrix(outdir / DATA_FILE, ds.X,
                      parts=[(outdir / SPLIT_FILES[name], a, b)
                             for name, (a, b) in SEGMENTS.items()])
-    with replaced_when_done(outdir / "provenance.json") as tmp, \
-            open(tmp, "w") as fh:
+    with replaced_when_done(outdir / "provenance.json") as fh:
         json.dump(ds.provenance_dict(), fh, indent=1)
         fh.write("\n")

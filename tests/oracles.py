@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 
 from helmfd.elm import ElmLayer, hidden, random_layer, ridge_solve
-from helmfd.fista import FistaParams, fista_solve
+from helmfd.fista import fista_solve
 from helmfd.helm import FEATURE_SPAN, Ensemble
 
 POLISH_EVERY = 200
@@ -47,8 +47,7 @@ def member_by_member_train(norm, x, streams, layer_sizes, lam, C, maps=(),
         gen, h, betas = s.generator(), x, []
         for i, L in enumerate(layer_sizes[:-1]):
             layer = random_layer(h.shape[1], L, gen)
-            res = fista_solve(*gram_form(hidden(layer, h), h),
-                              FistaParams(lam=lam))
+            res = fista_solve(*gram_form(hidden(layer, h), h), lam)
             if not res.converged:
                 warnings.warn(f"autoencoder layer {i}: FISTA did not "
                               f"converge in {res.iterations} iterations",

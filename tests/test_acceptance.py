@@ -10,7 +10,7 @@ from oracles import cd_lasso, gram_form, lasso_objective
 
 from helmfd import cli
 from helmfd.elm import ridge_solve
-from helmfd.fista import FistaParams, fista_solve
+from helmfd.fista import fista_solve
 from helmfd.metrics import BenchmarkPlan
 
 PRIMARY_GAMMA = 1.5
@@ -55,8 +55,7 @@ def test_criterion_1_lasso_solver_matches_independent_oracle():
         X = rng.normal(size=(K, D))
         lam = float(10.0 ** rng.uniform(-3, 0))
         t0 = time.perf_counter()
-        res = fista_solve(*gram_form(H, X),
-                          FistaParams(lam=lam, eps=1e-12, max_iter=20000))
+        res = fista_solve(*gram_form(H, X), lam, eps=1e-12, max_iter=20000)
         solver_s += time.perf_counter() - t0
         converged += res.converged
         ours = lasso_objective(H, X, res.beta, lam)

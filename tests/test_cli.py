@@ -299,6 +299,20 @@ def test_one_row_calibration_is_usage_error(workspace, tmp_path, capsys):
     assert model.read_bytes() == before
 
 
+def test_one_row_training_is_usage_error(workspace, tmp_path, capsys):
+    # normalization needs a spread over at least two rows; the input's size
+    # is at fault, so no model is written
+    one_row = tmp_path / "one_row.csv"
+    with open(workspace / "train.csv") as fh:
+        one_row.write_text(fh.readline() + fh.readline())
+    model = tmp_path / "model.json"
+    code = run(["train", "--data", str(one_row), "--model", str(model)])
+    assert code == cli.EXIT_USAGE
+    assert (f"error: {one_row} has 1 row; train needs at least 2"
+            in capsys.readouterr().err)
+    assert not model.exists()
+
+
 def test_error_codes_are_distinct():
     assert len({cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_IO,
                 cli.EXIT_NUMERICAL}) == 4

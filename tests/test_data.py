@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import multiprocessing
@@ -7,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_metrics import make_record
 
-from helmfd import data, synth
+from helmfd import cli, data, detector, helm, metrics, synth
 from helmfd.baselines import one_class_train_ensemble, pca_elm_train_ensemble
 from helmfd.data import (NormalizationStats, RngStream, apply_normalization,
                          as_matrix, as_vector, fit_normalization,
@@ -581,6 +583,59 @@ def test_a_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, where,
                          parts=[(old, 0, 100)])
     assert list(out.iterdir()) == [old]
     assert old.read_bytes() == b"s0000,s0001\r\n1.0,2.0\r\n"
+
+
+def _report():
+    return metrics.ExperimentReport([make_record(rep=r) for r in range(2)])
+
+
+# writer -> (the file it writes, a call that writes it at a given path)
+WHOLE_FILE_WRITERS = {
+    "save_ensemble": ("model.json", lambda path: helm.save_ensemble(
+        path, train_ensemble(np.random.default_rng(0).normal(size=(20, 3)),
+                             HelmConfig(layer_sizes=(4, 8), ensemble_size=2),
+                             RngStream(1, (1,))))),
+    "write_detections_csv": ("detections.csv", lambda path:
+                             detector.write_detections_csv(
+                                 path, [detector.Detection(0.5, 1, 0.25)])),
+    "report_csv": ("report.csv",
+                   lambda path: metrics.report_csv(path, _report().rows())),
+    "sweep_csv": ("sweep.csv",
+                  lambda path: metrics.sweep_csv(path, _report().rows())),
+    "timings_csv": ("timings.csv", lambda path: _report().timings_csv(path)),
+    "to_json": ("records.json", lambda path: _report().to_json(path)),
+    "_echo_config": ("train_config.json", lambda path: cli._echo_config(
+        path.parent, "train", argparse.Namespace(seed=7, lam=0.0))),
+    "write_csv_matrix": ("data.csv",
+                         lambda path: write_csv_matrix(path, np.ones((3, 2)))),
+}
+
+
+@pytest.mark.parametrize("writer", WHOLE_FILE_WRITERS)
+def test_a_failed_write_keeps_the_old_file(tmp_path, monkeypatch, writer):
+    # every whole-file writer opens its file through data.replaced_when_done,
+    # so a write that fails midway leaves the old bytes and no temp file
+    name, write = WHOLE_FILE_WRITERS[writer]
+    path = tmp_path / name
+    path.write_bytes(b"old bytes\n")
+
+    def open_then_fail(*args, **kwargs):
+        # a file that takes the first 1000 characters written, then fails
+        fh = open(*args, **kwargs)
+        write_part = fh.write
+
+        def write_then_fail(text):
+            write_part(text[:1000])
+            raise OSError("disk full")
+
+        fh.write = write_then_fail
+        return fh
+
+    monkeypatch.setattr(data, "open", open_then_fail, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write(path)
+    assert path.read_bytes() == b"old bytes\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_a_worker_that_dies_raises_oserror(tmp_path, monkeypatch):

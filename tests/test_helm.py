@@ -15,7 +15,7 @@ from helmfd.data import (NormalizationStats, RngStream, apply_normalization,
                          fit_normalization)
 from helmfd.detector import DetectorConfig
 from helmfd.elm import ElmLayer, hidden, random_layer, ridge_solve
-from helmfd.fista import FistaParams, fista_solve
+from helmfd.fista import fista_solve
 from helmfd.helm import (FEATURE_SPAN, SCORE_BLOCK_ROWS, Ensemble, HelmConfig,
                          load_ensemble, run_ensemble, save_ensemble,
                          train_ensemble, train_members)
@@ -111,13 +111,12 @@ def test_heavy_l1_penalty_matches_lasso_oracle(dataset0):
     # must converge to that objective.
     H, x = benchmark_first_layer(dataset0, RngStream(9, (1,)))
 
-    tight = fista_solve(*gram_form(H, x),
-                        FistaParams(lam=1.0, eps=1e-10, max_iter=50000))
+    tight = fista_solve(*gram_form(H, x), 1.0, eps=1e-10, max_iter=50000)
     assert tight.converged
     assert abs(tight.objective - 226906.174996) <= 0.5
     assert int(np.sum(tight.beta == 0.0)) == 26
 
-    capped = fista_solve(*gram_form(H, x), FistaParams(lam=1.0))
+    capped = fista_solve(*gram_form(H, x), 1.0)
     assert capped.converged
     assert abs(capped.objective - 226906.174996) <= 0.5
 
@@ -127,10 +126,9 @@ def test_penalized_solves_converge_under_default_cap(dataset0, lam):
     # without the gradient restart, FISTA stopped at the 500-iteration cap
     # unconverged at each of these penalties on this layer
     H, x = benchmark_first_layer(dataset0, RngStream(42, (1, 0, 0)))
-    res = fista_solve(*gram_form(H, x), FistaParams(lam=lam))
+    res = fista_solve(*gram_form(H, x), lam)
     assert res.converged
-    tight = fista_solve(*gram_form(H, x),
-                        FistaParams(lam=lam, eps=1e-10, max_iter=50000))
+    tight = fista_solve(*gram_form(H, x), lam, eps=1e-10, max_iter=50000)
     assert tight.converged
     assert res.objective <= tight.objective * (1.0 + 1e-9)
 
@@ -174,9 +172,8 @@ def test_ridge_solves_only_the_heads(monkeypatch):
 
 
 def test_capped_solve_warns_with_layer_and_iterations(monkeypatch):
-    def capped(G, F, target_sq, params):
-        return fista_solve(G, F, target_sq,
-                           dataclasses.replace(params, max_iter=3))
+    def capped(G, F, target_sq, lam):
+        return fista_solve(G, F, target_sq, lam, max_iter=3)
 
     monkeypatch.setattr(helm, "fista_solve", capped)
     cfg = HelmConfig(layer_sizes=(6, 4, 24), lam=1e-2, ensemble_size=2)
@@ -528,33 +525,6 @@ def test_an_ensemble_refuses_writes_to_its_arrays(tmp_path, source):
             delattr(ens, name)
     after = run_ensemble(ens, block[:1]), run_ensemble(ens, block)
     assert all(map(bitwise_equal, before, after))
-
-
-def test_failed_save_leaves_old_model_intact(tmp_path, monkeypatch):
-    X = small_training_matrix()
-    members = train_ensemble(X, SMALL_CFG, RngStream(11, (1,)))
-    path = tmp_path / "model.json"
-    save_ensemble(path, members)
-    before = path.read_bytes()
-
-    def open_then_fail(*args, **kwargs):
-        # a file that takes the first 1000 characters written, then fails
-        fh = open(*args, **kwargs)
-        write = fh.write
-
-        def write_then_fail(text):
-            write(text[:1000])
-            raise OSError("disk full")
-
-        fh.write = write_then_fail
-        return fh
-
-    monkeypatch.setattr(helm, "open", open_then_fail, raising=False)
-    with pytest.raises(OSError, match="disk full"):
-        save_ensemble(path, members,
-                      detector=DetectorConfig(gamma=1.5, p=99.5, threshold=0.125))
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 @pytest.mark.parametrize("doc", [[], {"format": "other"}])
